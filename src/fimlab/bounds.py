@@ -9,6 +9,13 @@ upper-bound and lower-bound gaps, a spectral-norm bound on the empirical-FIM
 error valid for every label assignment, and the adversarial-label floor
 showing that error cannot be escaped, with the worst label found by
 exhaustive search.
+
+Everything starts from one stacked pass: the per-sample Jacobians
+J (B, C, dim) and the cores diag(p) - p p^T, eigendecomposed in one batched
+call.  The certificates stay in the core space.  A gap sum_x J_x^T A_x J_x
+equals Q (R A R^T) Q^T for the reduced QR factorization J^T = Q R of the
+stacked Jacobian, so its Frobenius and spectral norms are those of
+R A R^T, at most min(dim, B C) square, and come exactly from eigvalsh.
 """
 
 from __future__ import annotations
@@ -19,9 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import jacobian_and_logits, _softmax
-from .network import NetworkSpec, as_flat
-from .simplex import order_stats, simplex_matrix, symeig
+from .estimators import _jacobian_stack
+from .network import NetworkSpec, softmax
+from .simplex import simplex_matrix
 
 __all__ = [
     "BoundPair",
@@ -38,29 +45,24 @@ EIGH_DIM_CAP = 512
 MARGIN_DIM_CAP = 4096
 
 
-@dataclass(frozen=True)
-class _SampleQuantities:
-    J: np.ndarray  # (C, dim)
-    p: np.ndarray  # (C,)
-    sigma: np.ndarray  # ascending singular values of J
-    lam: np.ndarray  # ascending eigenvalues of the output FIM
-    V: np.ndarray  # matching eigenvector columns
+class _CoreSpace(NamedTuple):
+    J: np.ndarray  # (B, C, dim) stacked Jacobians
+    p: np.ndarray  # (B, C) output probabilities
+    core: np.ndarray  # (B, C, C) diag(p) - p p^T
+    lam: np.ndarray  # (B, C) ascending eigenvalues of core
+    V: np.ndarray  # (B, C, C) matching eigenvector columns
+    gram: np.ndarray  # (B, C, C) J J^T
+    sigma2: np.ndarray  # (B, C) ascending squared singular values of J
 
 
-def _sample_quantities(net: NetworkSpec, theta, X) -> list[_SampleQuantities]:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    out = []
-    for x in X:
-        J, z = jacobian_and_logits(net, theta, x)
-        p = _softmax(z)
-        gram_w, _ = symeig(J @ J.T)
-        lam, V = symeig(simplex_matrix(p))
-        out.append(
-            _SampleQuantities(
-                J=J, p=p, sigma=np.sqrt(np.maximum(gram_w, 0.0)), lam=lam, V=V
-            )
-        )
-    return out
+def _core_space(net: NetworkSpec, theta, X) -> _CoreSpace:
+    J, z = _jacobian_stack(net, theta, X)
+    p = softmax(z)
+    core = simplex_matrix(p)
+    lam, V = np.linalg.eigh(core)
+    gram = J @ J.swapaxes(1, 2)
+    sigma2 = np.maximum(np.linalg.eigvalsh(gram), 0.0)
+    return _CoreSpace(J=J, p=p, core=core, lam=lam, V=V, gram=gram, sigma2=sigma2)
 
 
 @dataclass(frozen=True)
@@ -84,14 +86,12 @@ def pullback_bounds(net: NetworkSpec, theta, X, k: int) -> BoundPair:
     C = net.n_classes
     if not 1 <= k <= C - 1:
         raise ValueError(f"rank parameter must be in [1, {C - 1}], got {k}")
-    dim = as_flat(theta).size
-    lower = np.zeros((dim, dim))
-    upper = np.zeros((dim, dim))
-    for s in _sample_quantities(net, theta, X):
-        top = s.V[:, C - k:]
-        proj = (top * s.lam[C - k:]) @ top.T
-        lower += s.J.T @ proj @ s.J
-        upper += s.J.T @ (s.p[:, None] * s.J)
+    s = _core_space(net, theta, X)
+    top = s.V[:, :, C - k:]
+    proj = (top * s.lam[:, None, C - k:]) @ top.swapaxes(1, 2)
+    J = s.J.reshape(-1, s.J.shape[2])  # (B*C, dim): one GEMM per bound
+    lower = J.T @ (proj @ s.J).reshape(J.shape)
+    upper = J.T @ (s.p[:, :, None] * s.J).reshape(J.shape)
     return BoundPair(lower=lower, upper=upper, k=k)
 
 
@@ -105,15 +105,16 @@ class TraceBounds(NamedTuple):
 def trace_bounds(net: NetworkSpec, theta, X) -> TraceBounds:
     """Trace chain: sum lam_max sigma_min^2 <= von Neumann pairing <= tr F
     <= sum_y p_y |dz_y/dtheta|^2, summed over samples."""
-    return _trace_chain(_sample_quantities(net, theta, X))
+    return _trace_chain(_core_space(net, theta, X))
 
 
 def spectral_norm(matrix: np.ndarray, iters: int = 100, rtol: float = 1e-9) -> float:
     """Largest singular value via power iteration on the squared matrix.
 
     Deterministic: the start vector comes from a fixed-seed generator.  The
-    Rayleigh estimate approaches the true norm from below, so callers using
-    it on the small side of an inequality stay conservative.
+    Rayleigh estimate approaches the true norm from below.  Its one caller
+    is loewner_margin's shift beyond EIGH_DIM_CAP; the certificates take
+    their norms exactly in the core space instead.
     """
     M = np.asarray(matrix, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -223,106 +224,92 @@ class TightnessReport:
 def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> TightnessReport:
     """All bound-gap certificates for one (network, parameters, inputs) triple.
 
-    Labels are optional; when given, the realized empirical-FIM error in
-    spectral norm is reported against its universal bound.  The adversarial
-    floor is always computed by exhaustive search over the label of each
-    sample.
+    Labels are optional; when given, one per sample, the realized
+    empirical-FIM error in spectral norm is reported against its universal
+    bound.  The adversarial floor is always computed by exhaustive search
+    over the label of each sample.
     """
     C = net.n_classes
     if not 1 <= k <= C - 1:
         raise ValueError(f"rank parameter must be in [1, {C - 1}], got {k}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    samples = _sample_quantities(net, theta, X)
-    dim = as_flat(theta).size
+    B = X.shape[0]
+    if labels is not None:
+        labels = np.asarray(labels, dtype=np.intp)
+        if labels.shape != (B,):
+            raise ValueError("need exactly one label per sample")
+        if np.any(labels < 0) or np.any(labels >= C):
+            raise ValueError("label out of range")
+    s = _core_space(net, theta, X)
+    sq = np.sum(s.p * s.p, axis=1)
+    q = np.sort(s.p, axis=1)
+    top_sigma2 = s.sigma2[:, -1]
 
-    fim = np.zeros((dim, dim))
-    upper = np.zeros((dim, dim))
-    lower = np.zeros((dim, dim))
-    lhs4 = 0.0
-    upper_rhs = 0.0
-    lower_rhs = 0.0
-    lower_rhs_relaxed = 0.0
-    efim_bound = 0.0
-    adversarial_errors = []
-    adversarial_floors = []
-    adversarial_labels = []
-    per_label_errors = []
-    per_sample_bounds = []
-    efim_mat = np.zeros((dim, dim)) if labels is not None else None
+    omega = np.einsum("bc,bcd->bd", s.p, s.J)
+    # ascending order-stat index j in [1, C-k-1] pairs with singular j+k
+    j = np.arange(1, C - k)
+    lower_rhs = np.sqrt(np.sum(s.sigma2[:, j + k] ** 2 * q[:, j] ** 2, axis=1))
+    lower_rhs_relaxed = np.sqrt(np.sum(q[:, j] ** 2, axis=1)) * top_sigma2
+    per_sample_bounds = (1.0 + sq) * top_sigma2
+    floors = s.sigma2[:, 0] * np.abs(1.0 + sq - s.lam[:, -1] - 2.0 * q[:, 0])
 
-    for i, s in enumerate(samples):
-        core = simplex_matrix(s.p)
-        fim += s.J.T @ core @ s.J
-        upper += s.J.T @ (s.p[:, None] * s.J)
-        top = s.V[:, C - k:]
-        lower += s.J.T @ ((top * s.lam[C - k:]) @ top.T) @ s.J
+    # gaps of the sums: upper - F pulls back p p^T, F - lower the bottom C-k
+    # eigenpairs, F - efim the core minus r r^T with r = e_y - p
+    R = np.linalg.qr(s.J.reshape(B * C, s.J.shape[2]).T, mode="r")
+    bottom = s.V[:, :, : C - k]
+    bottom_part = (bottom * s.lam[:, None, : C - k]) @ bottom.swapaxes(1, 2)
+    upper_gap = np.linalg.norm(_core_gap(R, s.p[:, :, None] * s.p[:, None, :]))
+    lower_gap = np.linalg.norm(_core_gap(R, bottom_part))
+    residuals = np.eye(C) - s.p[:, None, :]  # (B, y, C): row y is e_y - p
+    label_cores = s.core[:, None] - residuals[..., :, None] * residuals[..., None, :]
+    efim_gap = None
+    if labels is not None:
+        efim_gap = _spectral(_core_gap(R, label_cores[np.arange(B), labels]))
+    # per sample and label, through each sample's own J_x^T = Q_x R_x
+    Rx = np.linalg.qr(s.J.swapaxes(1, 2), mode="r")[:, None]
+    errs = _spectral(Rx @ label_cores @ Rx.swapaxes(2, 3))
+    worst = np.argmax(errs, axis=1)
 
-        omega = s.J.T @ s.p
-        lhs4 += float(omega @ omega) ** 2
-        sq = float(s.p @ s.p)
-        sigma2 = s.sigma**2
-        upper_rhs += sq * float(sigma2[-1])
-
-        q = order_stats(s.p)
-        sigma4 = sigma2**2
-        # ascending order-stat index i in [2, C-k] pairs with singular i+k
-        terms = [sigma4[j + k] * q[j] ** 2 for j in range(1, C - k)]
-        lower_rhs += float(np.sqrt(np.sum(terms))) if terms else 0.0
-        trimmed = [q[j] ** 2 for j in range(1, C - k)]
-        lower_rhs_relaxed += float(np.sqrt(np.sum(trimmed))) * float(sigma2[-1]) if trimmed else 0.0
-
-        efim_bound += (1.0 + sq) * float(sigma2[-1])
-        per_sample_bounds.append((1.0 + sq) * float(sigma2[-1]))
-        floor = float(sigma2[0]) * abs(1.0 + sq - float(s.lam[-1]) - 2.0 * float(q[0]))
-        errs = []
-        for y in range(C):
-            r = -s.p.copy()
-            r[y] += 1.0
-            diff = s.J.T @ (core - np.outer(r, r)) @ s.J
-            errs.append(spectral_norm(diff))
-        worst = int(np.argmax(errs))
-        adversarial_errors.append(float(errs[worst]))
-        adversarial_floors.append(floor)
-        adversarial_labels.append(worst)
-        per_label_errors.append(tuple(errs))
-        if efim_mat is not None:
-            y = int(labels[i])
-            if not 0 <= y < C:
-                raise ValueError(f"label {y} out of range")
-            r = -s.p.copy()
-            r[y] += 1.0
-            efim_mat += s.J.T @ np.outer(r, r) @ s.J
-
-    tb = _trace_chain(samples)
+    tb = _trace_chain(s)
     return TightnessReport(
         k=k,
-        upper_gap_lhs=float(np.sqrt(lhs4)),
-        upper_gap=float(np.linalg.norm(upper - fim)),
-        upper_gap_rhs=upper_rhs,
-        lower_gap=float(np.linalg.norm(lower - fim)),
-        lower_gap_rhs=lower_rhs,
-        lower_gap_rhs_relaxed=lower_rhs_relaxed,
+        upper_gap_lhs=float(np.sqrt(np.sum(np.sum(omega * omega, axis=1) ** 2))),
+        upper_gap=float(upper_gap),
+        upper_gap_rhs=float(sq @ top_sigma2),
+        lower_gap=float(lower_gap),
+        lower_gap_rhs=float(np.sum(lower_rhs)),
+        lower_gap_rhs_relaxed=float(np.sum(lower_rhs_relaxed)),
         trace_lower=tb.lower,
         trace_mid=tb.vn_lower,
         trace_value=tb.trace,
         trace_upper=tb.upper,
-        efim_gap=(spectral_norm(fim - efim_mat) if efim_mat is not None else None),
-        efim_gap_bound=efim_bound,
-        adversarial_errors=tuple(adversarial_errors),
-        adversarial_floors=tuple(adversarial_floors),
-        adversarial_labels=tuple(adversarial_labels),
-        per_label_errors=tuple(per_label_errors),
-        per_sample_efim_bounds=tuple(per_sample_bounds),
+        efim_gap=None if efim_gap is None else float(efim_gap),
+        efim_gap_bound=float(np.sum(per_sample_bounds)),
+        adversarial_errors=tuple(float(e) for e in errs[np.arange(B), worst]),
+        adversarial_floors=tuple(float(f) for f in floors),
+        adversarial_labels=tuple(int(y) for y in worst),
+        per_label_errors=tuple(tuple(float(e) for e in row) for row in errs),
+        per_sample_efim_bounds=tuple(float(b) for b in per_sample_bounds),
     )
 
 
-def _trace_chain(samples: list[_SampleQuantities]) -> TraceBounds:
-    lower = vn = trace = upper = 0.0
-    for s in samples:
-        sigma2 = s.sigma**2
-        lower += float(s.lam[-1] * sigma2[0])
-        # ascending eigenvalues paired with descending squared singulars
-        vn += float(s.lam[1:] @ sigma2[::-1][1:])
-        trace += float(np.sum(simplex_matrix(s.p) * (s.J @ s.J.T)))
-        upper += float(s.p @ np.sum(s.J * s.J, axis=1))
-    return TraceBounds(lower=lower, vn_lower=vn, trace=trace, upper=upper)
+def _core_gap(R: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """R A R^T for the block-diagonal A with (C, C) blocks A[b]; R is (r, B*C)."""
+    B, C, _ = A.shape
+    RA = R.reshape(R.shape[0], B, C).swapaxes(0, 1) @ A  # (B, r, C)
+    return RA.swapaxes(0, 1).reshape(R.shape) @ R.T
+
+
+def _spectral(M: np.ndarray) -> np.ndarray:
+    """Spectral norm of each symmetric matrix in a stack, by eigvalsh."""
+    return np.max(np.abs(np.linalg.eigvalsh(M)), axis=-1, initial=0.0)
+
+
+def _trace_chain(s: _CoreSpace) -> TraceBounds:
+    # ascending eigenvalues paired with descending squared singulars
+    return TraceBounds(
+        lower=float(s.lam[:, -1] @ s.sigma2[:, 0]),
+        vn_lower=float(np.sum(s.lam[:, 1:] * s.sigma2[:, ::-1][:, 1:])),
+        trace=float(np.sum(s.core * s.gram)),
+        upper=float(np.sum(s.p * np.diagonal(s.gram, axis1=1, axis2=2))),
+    )

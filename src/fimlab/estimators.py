@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .network import NetworkSpec, as_flat, forward_logits
+from .network import NetworkSpec, as_flat, forward_logits, softmax
 from .simplex import simplex_matrix, symeig, top_eigenpair
 
 __all__ = [
@@ -180,9 +180,18 @@ def jacobian_and_logits(net: NetworkSpec, theta, x) -> tuple[np.ndarray, np.ndar
     return J, logits.data[0]
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = np.exp(z - np.max(z))
-    return shifted / shifted.sum()
+def _jacobian_stack(net: NetworkSpec, theta, X) -> tuple[np.ndarray, np.ndarray]:
+    """(J, z) stacked over samples: J (B, C, dim) and logits z (B, C).
+
+    One jacobian_and_logits call, so C backward passes, per sample; the
+    pullback, the closed-form variances and the bounds all start here.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    J = np.empty((X.shape[0], net.n_classes, as_flat(theta).size))
+    z = np.empty((X.shape[0], net.n_classes))
+    for b, x in enumerate(X):
+        J[b], z[b] = jacobian_and_logits(net, theta, x)
+    return J, z
 
 
 def exact_fim_definition(net: NetworkSpec, theta, X, storage: str = "dense") -> FimEstimate:
@@ -207,14 +216,12 @@ def exact_fim_pullback(net: NetworkSpec, theta, X, storage: str = "dense") -> Fi
         raise ValueError("categorical estimators need at least 2 classes")
     dim = net.dim
     _check_dense(storage, dim)
-    acc = _accumulator(storage, dim)
-    for x in X:
-        J, z = jacobian_and_logits(net, theta, x)
-        core = simplex_matrix(_softmax(z))
-        if storage == "dense":
-            acc += J.T @ core @ J
-        else:
-            acc += np.einsum("cd,ce,ed->d", J, core, J, optimize=True)
+    J, z = _jacobian_stack(net, theta, X)
+    K = simplex_matrix(softmax(z)) @ J  # (B, C, dim): core times Jacobian, per sample
+    if storage == "dense":
+        acc = J.reshape(-1, dim).T @ K.reshape(-1, dim)
+    else:
+        acc = np.einsum("bcd,bcd->d", J, K)
     return FimEstimate("exact_pullback", storage, acc, "sum", {"n_samples": X.shape[0]})
 
 
@@ -350,9 +357,7 @@ def hutchinson_gradient(
             raise ValueError(f"unknown diagonal weights {weights!r}")
         h = ad.wsum(ad.mul(logits, coeff), xi)
     elif variant == "lowrank":
-        shifted = np.exp(logits.data - np.max(logits.data, axis=1, keepdims=True))
-        probs = shifted / shifted.sum(axis=1, keepdims=True)
-        lams, vecs = _lowrank_eigenpairs(probs, k, eigen, power_iters, rng)
+        lams, vecs = _lowrank_eigenpairs(softmax(logits.data), k, eigen, power_iters, rng)
         coeffs = np.sqrt(np.maximum(lams, 0.0))  # round-off can leave -1e-17
         W = np.einsum("bk,bk,bkc->bc", coeffs, xi, vecs)
         h = ad.wsum(logits, W)
@@ -466,33 +471,26 @@ def variance_closed_form(
         raise ValueError("closed-form low-rank variance covers k = 1 only")
     if dist not in ("rademacher", "gaussian"):
         raise ValueError(f"unknown probe distribution {dist!r}")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    dim = as_flat(theta).size
-    target = np.zeros(dim)
-    quartic = np.zeros(dim)
-    for x in X:
-        J, z = jacobian_and_logits(net, theta, x)
-        p = _softmax(z)
-        if variant == "full":
-            L = J - p @ J  # rows dl_xy/dtheta = J[y] - p.J
-            target += p @ (L * L)
-            quartic += (p**2) @ (L**4)
-        elif variant == "diag":
-            if weights == "p":
-                zeta = p
-            elif weights == "bernoulli":
-                s = _sigmoid(z)
-                zeta = s * (1.0 - s)
-            else:
-                raise ValueError(f"unknown diagonal weights {weights!r}")
-            target += zeta @ (J * J)
-            quartic += (zeta**2) @ (J**4)
-        else:
-            w, V = symeig(simplex_matrix(p))
-            lam = float(w[-1])
-            row = V[:, -1] @ J
-            target += lam * row * row
-            quartic += lam**2 * row**4
+    if variant == "diag" and weights not in ("p", "bernoulli"):
+        raise ValueError(f"unknown diagonal weights {weights!r}")
+    J, z = _jacobian_stack(net, theta, X)
+    p = softmax(z)
+    if variant == "full":
+        L = J - np.einsum("bc,bcd->bd", p, J)[:, None, :]  # rows dl_xy/dtheta = J[y] - p.J
+        L2 = L * L
+        target = np.einsum("bc,bcd->d", p, L2)
+        quartic = np.einsum("bc,bcd->d", p**2, L2 * L2)
+    elif variant == "diag":
+        s = _sigmoid(z)
+        zeta = p if weights == "p" else s * (1.0 - s)
+        J2 = J * J
+        target = np.einsum("bc,bcd->d", zeta, J2)
+        quartic = np.einsum("bc,bcd->d", zeta**2, J2 * J2)
+    else:
+        lam, V = np.linalg.eigh(simplex_matrix(p))
+        rows = np.einsum("bc,bcd->bd", V[:, :, -1], J)
+        target = lam[:, -1] @ (rows * rows)
+        quartic = lam[:, -1] ** 2 @ rows**4
     if dist == "gaussian":
         var = 2.0 * target**2
     else:

@@ -5,10 +5,7 @@ all but the last layer; the last layer's output are the logits.  Parameters
 live in a single flat float64 vector whose layout (W0, b0, W1, b1, ...) is
 fixed by the spec, so flatten/unflatten round-trips are bit-exact and the
 flat gradient returned by the tape lines up coordinate-for-coordinate.
-
-Per-sample parameter-output Jacobians are assembled with one reverse sweep
-per logit; their singular values come from the small C x C Gram matrix
-J J^T rather than a dim(theta)-sized SVD.
+Per-sample Jacobians are built from these forwards in `estimators`.
 """
 
 from __future__ import annotations
@@ -20,20 +17,18 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .simplex import symeig
 
 __all__ = [
     "NetworkSpec",
     "ParamVector",
-    "JacobianBlock",
     "as_flat",
     "flatten",
     "unflatten",
     "init_params",
     "forward_logits",
     "batch_logits",
+    "softmax",
     "softmax_probs",
-    "per_sample_jacobian",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -175,48 +170,15 @@ def batch_logits(net: NetworkSpec, theta, X) -> np.ndarray:
     return forward_logits(net, theta, X).data
 
 
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax along the last axis, max-subtracted for stability."""
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
 def softmax_probs(net: NetworkSpec, theta, X) -> np.ndarray:
-    """Softmax output probabilities, (B, C), max-subtracted for stability."""
-    z = batch_logits(net, theta, X)
-    shifted = z - np.max(z, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class JacobianBlock:
-    """Per-sample parameter-output Jacobian with its singular values."""
-
-    matrix: np.ndarray  # (C, dim)
-    singular_values: np.ndarray  # ascending, length C
-
-    def __post_init__(self):
-        J = np.asarray(self.matrix, dtype=np.float64)
-        sv = np.asarray(self.singular_values, dtype=np.float64)
-        if np.any(sv < 0) or np.any(np.diff(sv) < 0):
-            raise ValueError("singular values must be nonnegative and ascending")
-        fro2 = float(np.sum(J * J))
-        if abs(fro2 - float(np.sum(sv**2))) > 1e-8 * max(1.0, fro2):
-            raise ValueError("singular values inconsistent with the Jacobian")
-        object.__setattr__(self, "matrix", J)
-        object.__setattr__(self, "singular_values", sv)
-
-
-def per_sample_jacobian(net: NetworkSpec, theta, x) -> JacobianBlock:
-    """Rows dz_i/dtheta for one input x, via one reverse sweep per logit."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("per_sample_jacobian takes a single sample")
-    logits = forward_logits(net, theta, x[None, :])
-    C = net.n_classes
-    rows = np.empty((C, as_flat(theta).size))
-    for i in range(C):
-        zi = ad.total(ad.gather(logits, np.array([i])))
-        rows[i] = ad.gradient(zi)
-    gram = rows @ rows.T
-    w, _ = symeig(gram)
-    sv = np.sqrt(np.maximum(w, 0.0))
-    return JacobianBlock(matrix=rows, singular_values=sv)
+    """Softmax output probabilities, (B, C)."""
+    return softmax(batch_logits(net, theta, X))
 
 
 def save_checkpoint(path, net: NetworkSpec, theta) -> None:

@@ -122,8 +122,9 @@ class OutputFim:
 
 
 def simplex_matrix(p: np.ndarray) -> np.ndarray:
-    """diag(p) - p p^T without validation; hot path for per-sample loops."""
-    return np.diag(p) - np.outer(p, p)
+    """diag(p) - p p^T without validation; a (B, C) stack gives (B, C, C)."""
+    p = np.asarray(p)
+    return p[..., :, None] * np.eye(p.shape[-1]) - p[..., :, None] * p[..., None, :]
 
 
 def simplex_fim(p) -> OutputFim:

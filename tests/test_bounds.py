@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fimlab import bounds
 from fimlab import estimators as est
 from fimlab.bounds import (
     loewner_margin,
@@ -12,7 +13,7 @@ from fimlab.bounds import (
     tightness_report,
     trace_bounds,
 )
-from fimlab.network import NetworkSpec, flatten, init_params
+from fimlab.network import NetworkSpec, flatten, init_params, softmax
 
 from helpers import random_instance
 
@@ -214,6 +215,69 @@ def test_adversarial_floor_achieved_per_sample():
         rep = tightness_report(net, theta, X, k=1)
         for err, floor in zip(rep.adversarial_errors, rep.adversarial_floors):
             assert err >= floor - 1e-10
+
+
+def test_report_rejects_labels_of_the_wrong_length():
+    rng = np.random.default_rng(19)
+    net, theta, X = random_instance(rng, (2, 3), "none", n_samples=3)
+    with pytest.raises(ValueError):
+        tightness_report(net, theta, X, k=1, labels=np.array([0, 1]))
+    with pytest.raises(ValueError):
+        tightness_report(net, theta, X, k=1, labels=np.array([0, 1, 2, 0]))
+    with pytest.raises(ValueError):
+        tightness_report(net, theta, X, k=1, labels=np.array([0, 1, 3]))
+
+
+def _dense_gaps(net, theta, X, k, labels):
+    """The report's gaps from dim x dim matrices, norms by numpy directly."""
+    fim = upper = lower = efim = 0.0
+    per_label = []
+    for x, y in zip(X, labels):
+        J, z = est.jacobian_and_logits(net, theta, x)
+        p = softmax(z)
+        core = np.diag(p) - np.outer(p, p)
+        lam, V = np.linalg.eigh(core)
+        top = V[:, net.n_classes - k:]
+        fim = fim + J.T @ core @ J
+        upper = upper + J.T @ np.diag(p) @ J
+        lower = lower + J.T @ (top * lam[net.n_classes - k:]) @ top.T @ J
+        R = np.eye(net.n_classes) - p  # row c is e_c - p
+        efim = efim + J.T @ np.outer(R[y], R[y]) @ J
+        per_label.append([np.max(np.abs(np.linalg.eigvalsh(J.T @ (core - np.outer(r, r)) @ J)))
+                          for r in R])
+    return {
+        "upper_gap": np.linalg.norm(upper - fim),
+        "lower_gap": np.linalg.norm(lower - fim),
+        "efim_gap": np.max(np.abs(np.linalg.eigvalsh(fim - efim))),
+        "per_label_errors": np.array(per_label),
+        "scale": np.linalg.norm(upper),
+    }
+
+
+@pytest.mark.parametrize("layers, act, n_samples", [
+    ((2, 3), "none", 5),  # B C = 15 > dim = 9
+    ((2, 3, 4), "tanh", 8),  # B C = 32 > dim = 25
+    ((3, 4, 10), "tanh", 2),  # C = 10, B C = 20 < dim = 66
+    ((2, 10), "none", 4),  # C = 10, B C = 40 > dim = 30
+])
+def test_report_norms_equal_dense_matrix_norms(layers, act, n_samples, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tightness_report must not run a power iteration")
+
+    monkeypatch.setattr(bounds, "spectral_norm", refuse)
+    rng = np.random.default_rng(20)
+    net, theta, X = random_instance(rng, layers, act, n_samples=n_samples)
+    theta = 2.0 * theta  # spread the probabilities away from uniform
+    labels = rng.integers(net.n_classes, size=n_samples)
+    for k in range(1, net.n_classes - 1):
+        rep = tightness_report(net, theta, X, k=k, labels=labels)
+        want = _dense_gaps(net, theta, X, k, labels)
+        tol = 1e-12 * want["scale"]
+        for key in ("upper_gap", "lower_gap", "efim_gap"):
+            assert getattr(rep, key) == pytest.approx(want[key], rel=1e-12, abs=tol)
+        got = np.array(rep.per_label_errors)
+        assert np.allclose(got, want["per_label_errors"], rtol=1e-12, atol=tol)
+        assert rep.adversarial_labels == tuple(np.argmax(got, axis=1))
 
 
 def test_report_serializes_to_json():

@@ -66,12 +66,13 @@ def test_pullback_saturated_probabilities_vanish():
 def test_pullback_binary_reduces_to_row_difference():
     rng = np.random.default_rng(1)
     net, theta, X = random_instance(rng, (3, 2), "none", n_samples=2)
-    from fimlab.estimators import _softmax, jacobian_and_logits
+    from fimlab.estimators import jacobian_and_logits
+    from fimlab.network import softmax
 
     expected = np.zeros((net.dim, net.dim))
     for x in X:
         J, z = jacobian_and_logits(net, theta, x)
-        p = _softmax(z)
+        p = softmax(z)
         d = J[0] - J[1]
         expected += p[0] * p[1] * np.outer(d, d)
     F = est.exact_fim_pullback(net, theta, X)
@@ -110,12 +111,13 @@ def test_efim_two_routes_agree():
     net, theta, X = random_instance(rng, (2, 5, 3), "tanh", n_samples=4)
     labels = rng.integers(3, size=4)
     F = est.efim(net, theta, X, labels)
-    from fimlab.estimators import _softmax, jacobian_and_logits
+    from fimlab.estimators import jacobian_and_logits
+    from fimlab.network import softmax
 
     expected = np.zeros((net.dim, net.dim))
     for x, y in zip(X, labels):
         J, z = jacobian_and_logits(net, theta, x)
-        p = _softmax(z)
+        p = softmax(z)
         r = -p
         r[y] += 1.0
         expected += J.T @ np.outer(r, r) @ J
@@ -345,12 +347,13 @@ def test_diag_full_centering_relation():
     probe = est.sample_probe((2, 4), "rademacher", rng)
     g_full = est.hutchinson_gradient(net, theta, X, "full", probe=probe)
     g_diag = est.hutchinson_gradient(net, theta, X, "diag", probe=probe, weights="p")
-    from fimlab.estimators import _softmax, jacobian_and_logits
+    from fimlab.estimators import jacobian_and_logits
+    from fimlab.network import softmax
 
     correction = np.zeros_like(g_full)
     for i, x in enumerate(X):
         J, z = jacobian_and_logits(net, theta, x)
-        p = _softmax(z)
+        p = softmax(z)
         correction += float(np.sqrt(p) @ probe.entries[i]) * (J.T @ p)
     assert np.max(np.abs(g_full - (g_diag - correction))) <= 1e-12
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fimlab.estimators import jacobian_and_logits
 from fimlab.network import (
     NetworkSpec,
     batch_logits,
@@ -10,8 +11,8 @@ from fimlab.network import (
     forward_logits,
     init_params,
     load_checkpoint,
-    per_sample_jacobian,
     save_checkpoint,
+    softmax,
     softmax_probs,
     unflatten,
 )
@@ -74,9 +75,9 @@ def test_layout_offsets_cover_dim():
 def test_scalar_model_jacobian():
     net = NetworkSpec((1, 1), "none")
     theta = flatten(net, [np.array([[0.3]])], [np.zeros(1)])
-    block = per_sample_jacobian(net, theta, np.array([2.0]))
-    assert np.array_equal(block.matrix, [[2.0, 1.0]])  # d z / d(w, b) = (x, 1)
-    assert block.singular_values[-1] == pytest.approx(np.sqrt(5.0), abs=1e-12)
+    J, z = jacobian_and_logits(net, theta, np.array([2.0]))
+    assert np.array_equal(J, [[2.0, 1.0]])  # d z / d(w, b) = (x, 1)
+    assert np.array_equal(z, [0.6])
 
 
 def test_linear_model_jacobian_rows_are_input():
@@ -84,7 +85,7 @@ def test_linear_model_jacobian_rows_are_input():
     net = NetworkSpec((4, 3), "none")
     theta = rng.normal(size=net.dim)
     x = rng.normal(size=4)
-    J = per_sample_jacobian(net, theta, x).matrix
+    J, _ = jacobian_and_logits(net, theta, x)
     weights, _ = unflatten(net, theta)
     # row i touches column i of W plus bias i; the W block is x^T
     for i in range(3):
@@ -100,8 +101,8 @@ def test_linear_jacobian_independent_of_theta():
     rng = np.random.default_rng(3)
     net = NetworkSpec((3, 4), "none")
     x = rng.normal(size=3)
-    J1 = per_sample_jacobian(net, rng.normal(size=net.dim), x).matrix
-    J2 = per_sample_jacobian(net, rng.normal(size=net.dim), x).matrix
+    J1, _ = jacobian_and_logits(net, rng.normal(size=net.dim), x)
+    J2, _ = jacobian_and_logits(net, rng.normal(size=net.dim), x)
     assert np.array_equal(J1, J2)
 
 
@@ -111,7 +112,7 @@ def test_mlp_jacobian_matches_finite_differences(activation):
     net = NetworkSpec((3, 6, 4), activation)
     theta = init_params(net, rng)
     x = rng.normal(size=3)
-    J = per_sample_jacobian(net, theta, x).matrix
+    J, _ = jacobian_and_logits(net, theta, x)
     step = 1e-5
     for i in range(net.dim):
         up, down = theta.copy(), theta.copy()
@@ -120,15 +121,6 @@ def test_mlp_jacobian_matches_finite_differences(activation):
         fd = (batch_logits(net, up, x[None]) - batch_logits(net, down, x[None]))[0] / (2 * step)
         denom = np.maximum(np.abs(J[:, i]), 1e-8)
         assert np.max(np.abs(J[:, i] - fd) / denom) <= 1e-6
-
-
-def test_gram_eigenvalues_match_squared_singulars():
-    rng = np.random.default_rng(5)
-    net = NetworkSpec((4, 8, 5), "tanh")
-    theta = init_params(net, rng)
-    block = per_sample_jacobian(net, theta, rng.normal(size=4))
-    gram_eigs = np.sort(np.linalg.eigvalsh(block.matrix @ block.matrix.T))
-    assert np.allclose(block.singular_values**2, np.maximum(gram_eigs, 0), atol=1e-8)
 
 
 def test_batch_forward_equals_stacked_per_sample_bitwise():
@@ -156,6 +148,16 @@ def test_softmax_probs_rows_normalized():
     P = softmax_probs(net, theta, rng.normal(size=(6, 2)))
     assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(P >= 0)
+
+
+def test_softmax_rows_match_single_vectors_bitwise():
+    Z = 30.0 * np.random.default_rng(9).normal(size=(5, 4))
+    Z[0] = [1000.0, 0.0, -1000.0, 1000.0]  # would overflow without the max shift
+    P = softmax(Z)
+    for z, p in zip(Z, P):
+        assert np.array_equal(p, softmax(z))
+    assert np.all(np.isfinite(P))
+    assert np.allclose(P.sum(axis=1), 1.0, atol=1e-15)
 
 
 def test_checkpoint_roundtrip(tmp_path):
