@@ -64,7 +64,7 @@ CONFIG_DEFAULTS = {
     "nu": 6.0,
     "batch_size": 64,
     "n_batches": 8,
-    "estimators": ("efim", "hutch", "hutch_diag", "hutch_lowrank", "hutch_sqrt"),
+    "estimators": hz.BenchConfig.estimators,
     "probes": 1,
     "epsilon": 1e-12,
     "train_steps": 0,
@@ -74,16 +74,7 @@ CONFIG_DEFAULTS = {
     "k": 1,
 }
 
-ESTIMATOR_KINDS = (
-    "exact",
-    "pullback",
-    "efim",
-    "mc",
-    "hutch",
-    "hutch_diag",
-    "hutch_lowrank",
-    "hutch_sqrt",
-)
+ESTIMATOR_KINDS = ("exact", "pullback", "efim", "mc", *est.PROBE_VARIANTS)
 
 
 def parse_config(path) -> dict:
@@ -178,10 +169,9 @@ def cmd_estimate(args) -> int:
         result = est.efim(net, theta, X, labels, storage=storage)
     elif kind == "mc":
         result = est.mc_fim(net, theta, X, m=cfg["probes"], rng=rng, storage=storage)
-    elif kind in ("hutch", "hutch_diag", "hutch_lowrank", "hutch_sqrt"):
-        variant = {"hutch": "full", "hutch_diag": "diag", "hutch_lowrank": "lowrank", "hutch_sqrt": "sqrt"}[kind]
+    elif kind in est.PROBE_VARIANTS:
         result = est.hutchinson_fim(
-            net, theta, X, variant,
+            net, theta, X, est.PROBE_VARIANTS[kind],
             rng=rng, n_probes=cfg["probes"], k=cfg["k"],
             storage=storage, seed=cfg["seed"], dataset_id=cfg["generator"],
         )

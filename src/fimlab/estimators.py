@@ -16,7 +16,9 @@ simplex FIM with logits (low-rank target), or 2*sqrt(p) carrying gradient
 (an equivalent unbiased form that needs no stop-gradient and no clamping).
 The ~ marks coefficients frozen by stop_gradient; only the likelihood or the
 logits carry gradient.  Each probe costs exactly one backward pass, counted
-on the tape and reported in the estimate metadata.
+on the tape and reported in the estimate metadata.  PROBE_VARIANTS is the
+one table of their names (hutch, hutch_diag, hutch_lowrank, hutch_sqrt);
+the CLI and the bench harness accept exactly those.
 
 Sum-vs-mean conventions are explicit: exact, empirical and probe estimators
 sum over the dataset, the Monte Carlo estimator averages over uniformly
@@ -61,12 +63,14 @@ __all__ = [
 DENSE_DIM_CAP = 4096
 CLAMP_FLOOR = 1e-30
 
-HUTCH_KINDS = {
-    "full": "hutch_full",
-    "diag": "hutch_diag",
-    "lowrank": "hutch_lowrank",
-    "sqrt": "hutch_sqrt",
+# probe estimator name -> hutchinson_fim variant; estimates are kind "hutch_<variant>"
+PROBE_VARIANTS = {
+    "hutch": "full",
+    "hutch_diag": "diag",
+    "hutch_lowrank": "lowrank",
+    "hutch_sqrt": "sqrt",
 }
+HUTCH_KINDS = {variant: f"hutch_{variant}" for variant in PROBE_VARIANTS.values()}
 
 
 @dataclass
@@ -282,7 +286,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _lowrank_eigenpairs(
-    probs: np.ndarray, k: int, eigen: str, power_iters: int, rng: np.random.Generator | None
+    probs: np.ndarray, k: int, eigen: str, rng: np.random.Generator | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenpairs of the simplex FIM per sample: (lams (B,k), vecs (B,k,C))."""
     B, C = probs.shape
@@ -290,7 +294,7 @@ def _lowrank_eigenpairs(
     vecs = np.empty((B, k, C))
     for b in range(B):
         if k == 1 and eigen == "power":
-            lam, v = top_eigenpair(probs[b], method="power", iters=power_iters, rng=rng)
+            lam, v = top_eigenpair(probs[b], method="power", rng=rng)
             lams[b, 0] = lam
             vecs[b, 0] = v
         else:
@@ -312,7 +316,6 @@ def hutchinson_gradient(
     k: int = 1,
     weights: str = "p",
     eigen: str = "power",
-    power_iters: int = 30,
     tape_out: list | None = None,
 ) -> np.ndarray:
     """Gradient of the probe scalar h for one probe; exactly one backward pass.
@@ -357,7 +360,7 @@ def hutchinson_gradient(
             raise ValueError(f"unknown diagonal weights {weights!r}")
         h = ad.wsum(ad.mul(logits, coeff), xi)
     elif variant == "lowrank":
-        lams, vecs = _lowrank_eigenpairs(softmax(logits.data), k, eigen, power_iters, rng)
+        lams, vecs = _lowrank_eigenpairs(softmax(logits.data), k, eigen, rng)
         coeffs = np.sqrt(np.maximum(lams, 0.0))  # round-off can leave -1e-17
         W = np.einsum("bk,bk,bkc->bc", coeffs, xi, vecs)
         h = ad.wsum(logits, W)
@@ -383,7 +386,6 @@ def hutchinson_fim(
     k: int = 1,
     weights: str = "p",
     eigen: str = "power",
-    power_iters: int = 30,
     storage: str = "dense",
     seed=None,
     dataset_id=None,
@@ -407,8 +409,7 @@ def hutchinson_fim(
     for _ in range(n_probes):
         g = hutchinson_gradient(
             net, theta, X, variant,
-            probe=probe, rng=rng, dist=dist, k=k, weights=weights,
-            eigen=eigen, power_iters=power_iters, tape_out=tapes,
+            probe=probe, rng=rng, dist=dist, k=k, weights=weights, eigen=eigen, tape_out=tapes,
         )
         _rank1(acc, g, 1.0 / n_probes, storage)
     backward_passes = sum(t.backward_calls for t in tapes)
@@ -493,10 +494,10 @@ def variance_closed_form(
         quartic = lam[:, -1] ** 2 @ rows**4
     if dist == "gaussian":
         var = 2.0 * target**2
-    else:
-        var = 2.0 * target**2 - 2.0 * quartic
+    else:  # round-off can leave a true 0 slightly negative
+        var = np.maximum(2.0 * target**2 - 2.0 * quartic, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cv = np.where(target > 0, np.sqrt(np.maximum(var, 0.0)) / target, np.nan)
+        cv = np.where(target > 0, np.sqrt(var) / target, np.nan)
     return VarianceReport(variant=variant, dist=dist, fim_diag=target, var_closed=var, cv=cv)
 
 

@@ -313,7 +313,7 @@ class BenchConfig:
 
     batch_size: int = 64
     n_batches: int = 8
-    estimators: tuple[str, ...] = ("efim", "hutch", "hutch_diag", "hutch_lowrank", "hutch_sqrt")
+    estimators: tuple[str, ...] = ("efim", *est.PROBE_VARIANTS)
     epsilon: float = 1e-12
     seed: int = 0
 
@@ -333,15 +333,6 @@ class BenchRow:
     backward_passes: int
 
 
-_BENCH_VARIANTS = {
-    "hutch": ("full", {}),
-    "hutch_diag": ("diag", {"weights": "p"}),
-    "hutch_lowrank": ("lowrank", {"k": 1}),
-    "hutch_lowrank2": ("lowrank", {"k": 2}),
-    "hutch_sqrt": ("sqrt", {}),
-}
-
-
 def _batches(X, labels, cfg: BenchConfig):
     for j in range(cfg.n_batches):
         sel = slice(j * cfg.batch_size, (j + 1) * cfg.batch_size)
@@ -354,7 +345,8 @@ def run_bench(net: NetworkSpec, theta, X, labels, cfg: BenchConfig) -> list[Benc
     Ground truth is the exact diagonal FIM summed over all batches.  Probe
     estimators draw one fresh probe per batch from a per-batch child seed, so
     the whole table is reproducible from (config, seed).  Speed is normalized
-    to the empirical FIM, which is also always timed.
+    to the empirical FIM, which is also always timed.  Each configured name
+    is "efim" or a probe name of estimators.PROBE_VARIANTS; others are rejected.
     """
     X = np.asarray(X, dtype=np.float64)
     needed = cfg.batch_size * cfg.n_batches
@@ -362,6 +354,10 @@ def run_bench(net: NetworkSpec, theta, X, labels, cfg: BenchConfig) -> list[Benc
         raise ValueError(f"need {needed} samples, got {X.shape[0]}")
     X = X[:needed]
     labels = np.asarray(labels, dtype=np.intp)[:needed] if labels is not None else None
+    names = list(dict.fromkeys(["efim", *cfg.estimators]))
+    for name in names:
+        if name != "efim" and name not in est.PROBE_VARIANTS:
+            raise ValueError(f"unknown bench estimator {name!r}")
 
     truth = np.zeros(net.dim)
     for xb, _ in _batches(X, labels, cfg):
@@ -370,7 +366,6 @@ def run_bench(net: NetworkSpec, theta, X, labels, cfg: BenchConfig) -> list[Benc
 
     timings: dict[str, float] = {}
     rows: dict[str, BenchRow] = {}
-    names = list(dict.fromkeys(["efim", *cfg.estimators]))
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(names))
     for name, seq in zip(names, seeds):
         batch_rngs = [np.random.default_rng(s) for s in seq.spawn(cfg.n_batches)]
@@ -383,14 +378,11 @@ def run_bench(net: NetworkSpec, theta, X, labels, cfg: BenchConfig) -> list[Benc
                     raise ValueError("the empirical FIM needs labels")
                 part = est.efim(net, theta, xb, yb, storage="diagonal")
                 passes += xb.shape[0]
-            elif name in _BENCH_VARIANTS:
-                variant, kwargs = _BENCH_VARIANTS[name]
+            else:
                 part = est.hutchinson_fim(
-                    net, theta, xb, variant, rng=rng, storage="diagonal", **kwargs
+                    net, theta, xb, est.PROBE_VARIANTS[name], rng=rng, storage="diagonal"
                 )
                 passes += part.meta["backward_passes"]
-            else:
-                raise ValueError(f"unknown bench estimator {name!r}")
             diag += part.values
         elapsed = time.perf_counter() - start
         timings[name] = elapsed
@@ -405,4 +397,4 @@ def run_bench(net: NetworkSpec, theta, X, labels, cfg: BenchConfig) -> list[Benc
     base = timings["efim"]
     for row in rows.values():
         row.speedup_vs_efim = base / row.seconds if row.seconds > 0 else float("inf")
-    return [rows[name] for name in names if name in set(["efim", *cfg.estimators])]
+    return list(rows.values())

@@ -20,7 +20,6 @@ from . import autodiff as ad
 
 __all__ = [
     "NetworkSpec",
-    "ParamVector",
     "as_flat",
     "flatten",
     "unflatten",
@@ -77,30 +76,12 @@ class NetworkSpec:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class ParamVector:
-    """Flat parameter vector with the layer layout it was flattened under."""
-
-    flat: np.ndarray
-    layout: tuple[tuple[int, int, tuple[int, ...]], ...]
-
-    def __post_init__(self):
-        v = np.asarray(self.flat, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError("flat parameters must be a 1-D vector")
-        if self.layout[-1][1] != v.size:
-            raise ValueError("layout does not cover the flat vector")
-        object.__setattr__(self, "flat", v)
-
-
 def as_flat(theta) -> np.ndarray:
-    """Coerce a ParamVector or array-like into the flat float64 vector."""
-    if isinstance(theta, ParamVector):
-        return theta.flat
+    """Coerce an array-like into the flat float64 vector."""
     return np.asarray(theta, dtype=np.float64)
 
 
-def flatten(net: NetworkSpec, weights, biases) -> ParamVector:
+def flatten(net: NetworkSpec, weights, biases) -> np.ndarray:
     """Pack per-layer tensors into a flat vector; lossless and bit-exact."""
     layout = net.layout()
     flat = np.empty(net.dim)
@@ -113,7 +94,7 @@ def flatten(net: NetworkSpec, weights, biases) -> ParamVector:
         if t.shape != shape:
             raise ValueError(f"tensor shape {t.shape} does not match layout {shape}")
         flat[start:stop] = t.ravel()
-    return ParamVector(flat=flat, layout=layout)
+    return flat
 
 
 def unflatten(net: NetworkSpec, theta) -> tuple[list[np.ndarray], list[np.ndarray]]:

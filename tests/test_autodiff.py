@@ -277,3 +277,61 @@ def test_batch_matmul_rows_match_single_rows_bitwise():
         t = ad.Tape()
         row = ad.matmul(ad.constant(t, X[i : i + 1]), ad.constant(t, W)).data
         assert np.array_equal(full[i : i + 1], row)
+
+
+# --- the rule table, op by op -------------------------------------------------
+
+_W6 = np.array([0.9, -1.3, 0.4, 1.1, -0.6, 0.7])
+_W23 = _W6.reshape(2, 3)
+
+# op -> (parameter shapes, scalar built from those parameter leaves).  Each
+# scalar has the op on its gradient path; keys must match the rule table.
+# The wsum and total cases keep their op off the root, whose adjoint is 1.
+RULE_CASES = {
+    "add": (((2, 3), (2, 3), (3,)), lambda A, B, b: ad.wsum(ad.add(ad.add(A, B), b), _W23)),
+    "mul": (((2, 3), (2, 3)), lambda A, B: ad.wsum(ad.mul(A, B), _W23)),
+    "matmul": (((2, 3), (3, 2)), lambda A, B: ad.wsum(ad.matmul(A, B), _W23[:, :2])),
+    "scale": (((6,),), lambda a: ad.wsum(ad.mul(ad.scale(a, -1.7), a), _W6)),
+    "tanh": (((6,),), lambda a: ad.wsum(ad.tanh(a), _W6)),
+    "relu": (((6,),), lambda a: ad.wsum(ad.relu(a), _W6)),
+    "exp": (((6,),), lambda a: ad.wsum(ad.exp(a), _W6)),
+    "sqrt": (((6,),), lambda a: ad.wsum(ad.sqrt(ad.mul(a, a)), _W6)),
+    "clip": (((6,),), lambda a: ad.wsum(ad.clip(a, -0.6, 0.6), _W6)),
+    "log_softmax": (((2, 3),), lambda A: ad.wsum(ad.log_softmax(A), _W23)),
+    "wsum": (((6,),), lambda a: ad.total(ad.tanh(ad.wsum(ad.mul(a, a), _W6)))),
+    "total": (((6,),), lambda a: ad.wsum(ad.tanh(ad.total(ad.mul(a, a))), -2.5)),
+    "gather": (
+        ((2, 3), (3,)),
+        lambda A, a: ad.add(ad.wsum(ad.gather(A, [2, 0]), _W6[:2]), ad.gather(a, 1)),
+    ),
+    "stop": (((6,),), lambda a: ad.total(ad.mul(ad.stop_gradient(a), a))),
+}
+
+# ops whose adjoint is known exactly, as a function of theta
+EXACT_ADJOINTS = {
+    "gather": lambda theta: np.array([0, 0, _W6[0], _W6[1], 0, 0, 0, 1, 0], dtype=np.float64),
+    "stop": lambda theta: theta,  # d/da [stop(a) * a] = stop(a), not 2a
+}
+
+
+@pytest.mark.parametrize("op", sorted(ad._RULES))
+def test_rule_table_op_replays_and_differentiates(op):
+    shapes, build = RULE_CASES[op]
+    sizes = [math.prod(s) for s in shapes]
+    # alternating signs, |theta| in [0.2, 1.5]: both relu branches, both
+    # clip bounds, and away from the relu kink and sqrt's zero
+    n = sum(sizes)
+    theta = np.random.default_rng(4).uniform(0.2, 1.5, size=n) * (-1.0) ** np.arange(n)
+
+    def f(th):
+        tape = ad.Tape()
+        parts = np.split(th, np.cumsum(sizes)[:-1])
+        return build(*(ad.parameter(tape, p.reshape(s)) for p, s in zip(parts, shapes)))
+
+    root = f(theta)
+    assert op in {node.op for node in root.tape.nodes}
+    assert root.tape.replay() is True
+    if op in EXACT_ADJOINTS:
+        assert np.array_equal(ad.gradient(root), EXACT_ADJOINTS[op](theta))
+    else:
+        assert ad.grad_check(f, theta) <= 1e-6

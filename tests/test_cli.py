@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fimlab import estimators as est
-from fimlab.cli import main, parse_config
+from fimlab.cli import ESTIMATOR_KINDS, main, parse_config
 
 
 def write_config(path, **overrides):
@@ -101,6 +101,17 @@ def test_estimate_roundtrip(tmp_path, capsys):
     assert loaded.kind == "hutch_full"
     assert loaded.storage == "diagonal"
     assert loaded.meta["seed"] == 3
+    assert loaded.values.shape == (3 * 2 + 3,)
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+def test_every_estimator_name_runs_through_estimate(tmp_path, kind):
+    cfg = write_config(tmp_path / "c.cfg", **SMALL)
+    out = tmp_path / "est.fim"
+    assert main(["estimate", "--config", str(cfg), "--estimator", kind, "--out", str(out)]) == 0
+    loaded = est.load_estimate(out)
+    if kind in est.PROBE_VARIANTS:
+        assert loaded.kind == f"hutch_{est.PROBE_VARIANTS[kind]}"
     assert loaded.values.shape == (3 * 2 + 3,)
 
 

@@ -443,6 +443,21 @@ def test_lowrank_variance_matches_enumeration():
     assert np.max(np.abs(mean - report.fim_diag)) <= 1e-12
 
 
+@pytest.mark.parametrize("variant", ["diag", "lowrank"])
+def test_rademacher_variance_is_never_negative(variant):
+    # One sample through a linear net: each coordinate carries a single
+    # (sample, class) or (sample, eigenvector) term, so the exact variance is
+    # 0 and 2 T^2 - 2 Q is round-off of either sign before the clamp.
+    net = NetworkSpec((2, 5), "none")
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        theta = 2.0 * init_params(net, rng)
+        X = rng.normal(size=(1, 2))
+        report = est.variance_closed_form(net, theta, X, variant, "rademacher")
+        assert np.min(report.var_closed) >= 0.0
+        assert np.max(report.var_closed) <= 1e-12 * np.max(report.fim_diag) ** 2
+
+
 def test_gaussian_variance_simulation_sanity():
     rng = np.random.default_rng(23)
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)

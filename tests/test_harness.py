@@ -289,3 +289,20 @@ def test_bench_rejects_unknown_estimator():
     cfg = BenchConfig(batch_size=16, n_batches=2, estimators=("kfac",))
     with pytest.raises(ValueError):
         run_bench(net, theta, X, labels, cfg)
+
+
+@pytest.mark.parametrize("name", est.PROBE_VARIANTS)
+def test_every_probe_name_runs_through_bench(name):
+    net, theta, X, labels = bench_setup()
+    cfg = BenchConfig(batch_size=16, n_batches=2, estimators=(name,), seed=5)
+    rows = run_bench(net, theta, X, labels, cfg)
+    assert [r.estimator for r in rows] == ["efim", name]
+    assert rows[1].backward_passes == 2  # one probe per batch
+    assert np.isfinite(rows[1].relmae)
+
+
+def test_bench_rejects_dropped_rank2_name():
+    net, theta, X, labels = bench_setup()
+    cfg = BenchConfig(batch_size=16, n_batches=2, estimators=("hutch_lowrank2",))
+    with pytest.raises(ValueError, match="unknown bench estimator"):
+        run_bench(net, theta, X, labels, cfg)
