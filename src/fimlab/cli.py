@@ -8,6 +8,7 @@ Subcommands:
   variance    closed-form probe variance vs an empirical check (JSON)
   cv-demo     heavy-tailed Monte Carlo pathology report
   hist        log-axis histogram of a serialized diagonal estimate (CSV)
+  inspect     print the header of a serialized estimate (JSON)
 
 Configs are flat key=value text files ('#' starts a comment); unknown keys
 are rejected.  The FIMLAB_SEED environment variable overrides the config
@@ -263,6 +264,11 @@ def cmd_hist(args) -> int:
     return 0
 
 
+def cmd_inspect(args) -> int:
+    print(json.dumps(est.read_header(getattr(args, "in")), indent=2))
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fimlab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -285,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("variance", help="closed-form vs empirical probe variance (JSON)")
     p.add_argument("--config", required=True)
-    p.add_argument("--variant", default="full", choices=("full", "diag", "lowrank"))
+    p.add_argument("--variant", default="full", choices=est.CLOSED_FORM_VARIANTS)
     p.add_argument("--dist", default="rademacher", choices=("rademacher", "gaussian"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_variance)
@@ -301,6 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_hist)
+
+    p = sub.add_parser("inspect", help="print an estimate file's header (JSON); the payload is not read")
+    p.add_argument("--in", required=True)
+    p.set_defaults(func=cmd_inspect)
 
     return parser
 

@@ -29,8 +29,9 @@ two can never be compared silently.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -58,6 +59,7 @@ __all__ = [
     "ema_update",
     "save_estimate",
     "load_estimate",
+    "read_header",
 ]
 
 DENSE_DIM_CAP = 4096
@@ -71,6 +73,14 @@ PROBE_VARIANTS = {
     "hutch_sqrt": "sqrt",
 }
 HUTCH_KINDS = {variant: f"hutch_{variant}" for variant in PROBE_VARIANTS.values()}
+# the probe variants variance_closed_form covers; `fimlab variance --variant` offers these
+CLOSED_FORM_VARIANTS = ("full", "diag", "lowrank")
+
+# estimate files: version of the header written by save_estimate, payload dtype,
+# and the meta keys the unversioned format kept at the top level of its header
+ESTIMATE_FORMAT = 1
+PAYLOAD_DTYPE = np.dtype("<f8")
+LEGACY_META_KEYS = ("seed", "probe_count", "probe_dist", "dataset_id")
 
 
 @dataclass
@@ -466,7 +476,7 @@ def variance_closed_form(
 
     Only rank 1 is supported for the low-rank variant.
     """
-    if variant not in ("full", "diag", "lowrank"):
+    if variant not in CLOSED_FORM_VARIANTS:
         raise ValueError(f"no closed-form variance for variant {variant!r}")
     if variant == "lowrank" and k != 1:
         raise ValueError("closed-form low-rank variance covers k = 1 only")
@@ -540,27 +550,100 @@ def ema_update(acc: FimEstimate, new: FimEstimate, beta: float) -> FimEstimate:
 
 
 def save_estimate(est: FimEstimate, path) -> None:
-    """One JSON header line, then the little-endian float64 payload."""
+    """One JSON header line, then the little-endian float64 payload.
+
+    The header holds the format version, kind, storage, normalization, shape
+    and the whole meta dict; a meta value JSON cannot hold exactly raises
+    ValueError naming its key.  The payload is the array's own buffer,
+    written without a copy (C-ordered float64 needs no conversion).
+    """
     header = {
+        "format": ESTIMATE_FORMAT,
         "kind": est.kind,
         "storage": est.storage,
         "normalization": est.normalization,
-        "shape": list(est.values.shape),
-        "seed": est.meta.get("seed"),
-        "probe_count": est.meta.get("probe_count"),
-        "probe_dist": est.meta.get("probe_dist"),
-        "dataset_id": est.meta.get("dataset_id"),
+        "shape": est.values.shape,
+        "meta": est.meta,
     }
+    line = _header_line(header)
+    payload = np.ascontiguousarray(est.values, dtype=PAYLOAD_DTYPE)
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(est.values.astype("<f8").tobytes())
+        fh.write(line)
+        fh.write(payload)  # the buffer protocol hands over the array's bytes
+
+
+def _header_line(header: dict) -> bytes:
+    """The JSON header line; its meta must read back equal, or ValueError.
+
+    NaN, numpy integers, tuples and non-string keys would be refused or
+    silently changed by JSON, so they are rejected here by key.
+    """
+    meta = header["meta"]
+    try:
+        text = json.dumps(header, allow_nan=False)
+        if json.loads(text)["meta"] == meta:
+            return text.encode("utf-8") + b"\n"
+    except (TypeError, ValueError):
+        pass
+    for key, value in meta.items():
+        try:
+            exact = isinstance(key, str) and json.loads(json.dumps(value, allow_nan=False)) == value
+        except (TypeError, ValueError):
+            exact = False
+        if not exact:
+            raise ValueError(
+                f"estimate meta key {key!r}: a {type(value).__name__} value cannot be stored in JSON exactly"
+            )
+    raise ValueError("the estimate header cannot be stored in JSON exactly")
+
+
+def read_header(path) -> dict:
+    """The header of an estimate file, as written; the payload is not read."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)[0]
+
+
+def _read_header(fh, path) -> tuple[dict, int]:
+    """(header, its length in bytes with the newline) from the file's first line."""
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise ValueError(f"{path}: no newline ends the header line ({len(line)} bytes, no payload)")
+    try:
+        header = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"{path}: the header line is not JSON ({exc})") from None
+    if type(header) is not dict:
+        raise ValueError(f"{path}: the header line is not a JSON object")
+    if header.get("format", ESTIMATE_FORMAT) != ESTIMATE_FORMAT:
+        raise ValueError(f"{path}: unknown estimate format {header['format']!r} (this reader knows {ESTIMATE_FORMAT})")
+    return header, len(line)
 
 
 def load_estimate(path) -> FimEstimate:
-    raw = Path(path).read_bytes()
-    newline = raw.index(b"\n")
-    header = json.loads(raw[:newline].decode("utf-8"))
-    values = np.frombuffer(raw[newline + 1:], dtype="<f8").astype(np.float64)
-    values = values.reshape(header["shape"])
-    meta = {key: header.get(key) for key in ("seed", "probe_count", "probe_dist", "dataset_id")}
-    return FimEstimate(header["kind"], header["storage"], values, header["normalization"], meta)
+    """Read a file written by save_estimate, or by its unversioned predecessor.
+
+    The payload length is checked against the header's shape before the one
+    float64 array is allocated, and read straight into it; a truncated or
+    padded payload raises ValueError with both byte counts.
+    """
+    with open(path, "rb") as fh:
+        header, offset = _read_header(fh, path)
+        shape = header.get("shape")
+        if type(shape) is not list or not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(f"{path}: bad shape {shape!r} in the header")
+        expected = 8 * math.prod(shape)
+        actual = os.fstat(fh.fileno()).st_size - offset
+        if actual == expected:  # a short read (the file shrank meanwhile) fails the check below
+            values = np.empty(shape, dtype=PAYLOAD_DTYPE)
+            actual = fh.readinto(values)
+    if actual != expected:
+        problem = "truncated" if actual < expected else "padded"
+        raise ValueError(f"{path}: {problem} payload: {actual} bytes, shape {shape} needs {expected}")
+    try:
+        if "format" in header:
+            meta = header["meta"]
+        else:  # unversioned files kept four meta keys at the top level
+            meta = {key: header.get(key) for key in LEGACY_META_KEYS}
+        return FimEstimate(header["kind"], header["storage"], values, header["normalization"], meta)
+    except KeyError as exc:
+        raise ValueError(f"{path}: the header has no {exc.args[0]!r}") from None

@@ -174,6 +174,23 @@ def test_variance_json(tmp_path):
     assert empirical[i] == pytest.approx(closed[i], rel=0.75)  # 64 trials, loose
 
 
+@pytest.mark.parametrize("variant", est.CLOSED_FORM_VARIANTS)
+def test_variance_offers_exactly_the_closed_form_variants(tmp_path, variant):
+    cfg = write_config(tmp_path / "c.cfg", trials=4, **SMALL)
+    out = tmp_path / "var.json"
+    assert main(["variance", "--config", str(cfg), "--variant", variant, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["variant"] == variant
+
+
+def test_variance_rejects_a_variant_without_closed_form(tmp_path):
+    cfg = write_config(tmp_path / "c.cfg", trials=4, **SMALL)
+    assert "sqrt" in est.PROBE_VARIANTS.values() and "sqrt" not in est.CLOSED_FORM_VARIANTS
+    with pytest.raises(SystemExit):
+        main(["variance", "--config", str(cfg), "--variant", "sqrt"])
+    with pytest.raises(ValueError, match="no closed-form variance"):
+        est.variance_closed_form(None, None, None, "sqrt")
+
+
 def test_cv_demo_output(capsys):
     assert main(["cv-demo", "--nu", "12", "--m", "16", "--trials", "2000"]) == 0
     out = capsys.readouterr().out
