@@ -75,12 +75,32 @@ CONFIG_DEFAULTS = {
     "k": 1,
 }
 
+# smallest allowed value of each integer key (hidden = 0 is the linear model);
+# lr must also be positive when train_steps > 0
+CONFIG_MINIMUMS = {
+    "d": 1,
+    "classes": 2,
+    "hidden": 0,
+    "n_samples": 1,
+    "batch_size": 1,
+    "n_batches": 1,
+    "probes": 1,
+    "train_steps": 0,
+    "trials": 2,
+    "k": 1,
+}
+
 ESTIMATOR_KINDS = ("exact", "pullback", "efim", "mc", *est.PROBE_VARIANTS)
 
 
 def parse_config(path) -> dict:
-    """Flat key=value config; comments with '#'; unknown keys rejected."""
+    """Flat key=value config; comments with '#'; unknown keys rejected.
+
+    Values out of range (CONFIG_MINIMUMS, and lr <= 0 with training) raise
+    ValueError with the path and line number, like a value that does not parse.
+    """
     cfg = dict(CONFIG_DEFAULTS)
+    lines = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -96,6 +116,12 @@ def parse_config(path) -> dict:
             cfg[key] = CONFIG_KEYS[key](value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
+        lines[key] = lineno
+    for key, minimum in CONFIG_MINIMUMS.items():
+        if cfg[key] < minimum:  # the defaults are in range, so the key came from a line
+            raise ValueError(f"{path}:{lines[key]}: {key} must be at least {minimum}, got {cfg[key]}")
+    if cfg["train_steps"] > 0 and not cfg["lr"] > 0:
+        raise ValueError(f"{path}:{lines['lr']}: lr must be positive when train_steps > 0, got {cfg['lr']}")
     env_seed = os.environ.get("FIMLAB_SEED")
     if env_seed is not None:
         cfg["seed"] = int(env_seed)

@@ -20,10 +20,20 @@ on the tape and reported in the estimate metadata.  PROBE_VARIANTS is the
 one table of their names (hutch, hutch_diag, hutch_lowrank, hutch_sqrt);
 the CLI and the bench harness accept exactly those.
 
+Every estimate but the pullback is a weighted sum of score outer products,
+sum_i w_i g_i g_i^T = G^T diag(w) G.  The rows g_i stream into a block of at
+most GRAM_BLOCK_FLOATS floats, and each block is added by one Gram product
+G^T diag(w) G (for diagonal storage its diagonal, w . (G * G)).  The
+weights are p(y|x) for the definition, 1 for the empirical FIM, 1/m for the
+Monte Carlo estimate and 1/n_probes for the probe average.
+
 Sum-vs-mean conventions are explicit: exact, empirical and probe estimators
 sum over the dataset, the Monte Carlo estimator averages over uniformly
 resampled inputs, and every estimate carries a `normalization` flag so the
-two can never be compared silently.
+two can never be compared silently.  Each estimate records the backward
+passes counted on its tapes in meta["backward_passes"].  The estimators,
+the closed-form variances and the bounds reject a non-finite theta or X by
+name.
 """
 
 from __future__ import annotations
@@ -64,6 +74,8 @@ __all__ = [
 
 DENSE_DIM_CAP = 4096
 CLAMP_FLOOR = 1e-30
+# float64 entries in the block of gradient rows that one Gram product adds up (8 MB)
+GRAM_BLOCK_FLOATS = 2**20
 
 # probe estimator name -> hutchinson_fim variant; estimates are kind "hutch_<variant>"
 PROBE_VARIANTS = {
@@ -160,19 +172,76 @@ def _check_dense(storage: str, dim: int):
         raise ValueError(f"unknown storage {storage!r}")
 
 
-def _accumulator(storage: str, dim: int) -> np.ndarray:
-    return np.zeros((dim, dim)) if storage == "dense" else np.zeros(dim)
+def _finite_inputs(theta, X) -> np.ndarray:
+    """X as a 2-D float64 array, once theta and X are known to be finite.
+
+    A NaN or infinity in either raises ValueError naming it; left in, it
+    would turn the whole estimate into NaN without a word.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if not np.isfinite(as_flat(theta)).all():
+        raise ValueError("theta has a non-finite entry (NaN or infinity)")
+    if not np.isfinite(X).all():
+        raise ValueError("X has a non-finite entry (NaN or infinity)")
+    return X
 
 
-def _rank1(acc: np.ndarray, g: np.ndarray, weight: float, storage: str):
+def _gram(rows, n_rows: int, dim: int, storage: str) -> np.ndarray:
+    """sum of w g g^T (dense) or w g*g (diagonal) over the (w, g) pairs of `rows`.
+
+    The rows are copied into a block of min(n_rows, GRAM_BLOCK_FLOATS // dim)
+    rows, and each block is added into one zero-initialised accumulator by a
+    single product: G^T diag(w) G, or w . (G * G) for the diagonal.  A lone
+    block is added too rather than returned: returning the product itself
+    made the large fresh arrays of the call after it measurably slower to fill.
+    """
+    acc = np.zeros((dim, dim)) if storage == "dense" else np.zeros(dim)
+    size = max(1, min(n_rows, GRAM_BLOCK_FLOATS // dim))
+    w = np.empty(size)
+    G = np.empty((size, dim))
+    filled = 0
+    for weight, g in rows:
+        w[filled] = weight
+        G[filled] = g
+        filled += 1
+        if filled == size:
+            _add_block(acc, w, G, storage)
+            filled = 0
+    if filled:
+        _add_block(acc, w[:filled], G[:filled], storage)
+    return acc
+
+
+def _add_block(acc: np.ndarray, w: np.ndarray, G: np.ndarray, storage: str) -> None:
+    # np.dot, not @: same BLAS result, but faster on one-row blocks (dim x dim
+    # outer products) and on small ones (less call overhead)
     if storage == "dense":
-        acc += weight * np.outer(g, g)
+        acc += np.dot(G.T * w, G)
     else:
-        acc += weight * g * g
+        acc += np.dot(w, np.square(G, out=G))  # the block is refilled after this
 
 
-def loglik_gradients(net: NetworkSpec, theta, x) -> tuple[np.ndarray, np.ndarray]:
-    """(p, G) for one sample: G[y] = d log p(y|x) / d theta.  C backward passes."""
+class _PassCount:
+    """A `tape_out` that sums each tape's backward passes instead of keeping it.
+
+    A kept tape holds all its forward values: m Monte Carlo draws would
+    hold m tapes at once.  Tapes are handed over after their last sweep.
+    """
+
+    def __init__(self):
+        self.total = 0
+
+    def append(self, tape: ad.Tape) -> None:
+        self.total += tape.backward_calls
+
+
+def loglik_gradients(net: NetworkSpec, theta, x, *, tape_out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(p, G) for one sample: G[y] = d log p(y|x) / d theta.  C backward passes.
+
+    With `tape_out` (a list, or anything with an append method), the
+    sample's tape is appended to it once its passes are done, so a caller
+    can count them on the tape.
+    """
     logits = forward_logits(net, theta, np.asarray(x, dtype=np.float64)[None, :])
     lsm = ad.log_softmax(logits)
     p = np.exp(lsm.data[0])
@@ -181,67 +250,81 @@ def loglik_gradients(net: NetworkSpec, theta, x) -> tuple[np.ndarray, np.ndarray
     for y in range(C):
         ly = ad.total(ad.gather(lsm, np.array([y])))
         G[y] = ad.gradient(ly)
+    if tape_out is not None:
+        tape_out.append(logits.tape)
     return p, G
 
 
-def jacobian_and_logits(net: NetworkSpec, theta, x) -> tuple[np.ndarray, np.ndarray]:
-    """(J, z) for one sample: J[i] = dz_i/dtheta.  C backward passes."""
+def jacobian_and_logits(net: NetworkSpec, theta, x, *, tape_out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(J, z) for one sample: J[i] = dz_i/dtheta.  C backward passes.
+
+    With `tape_out`, the sample's tape is appended to it, as in
+    loglik_gradients.
+    """
     logits = forward_logits(net, theta, np.asarray(x, dtype=np.float64)[None, :])
     C = net.n_classes
     J = np.empty((C, as_flat(theta).size))
     for i in range(C):
         J[i] = ad.gradient(ad.total(ad.gather(logits, np.array([i]))))
+    if tape_out is not None:
+        tape_out.append(logits.tape)
     return J, logits.data[0]
 
 
-def _jacobian_stack(net: NetworkSpec, theta, X) -> tuple[np.ndarray, np.ndarray]:
+def _jacobian_stack(net: NetworkSpec, theta, X, tape_out=None) -> tuple[np.ndarray, np.ndarray]:
     """(J, z) stacked over samples: J (B, C, dim) and logits z (B, C).
 
     One jacobian_and_logits call, so C backward passes, per sample; the
-    pullback, the closed-form variances and the bounds all start here.
+    pullback, the closed-form variances and the bounds all start here, and
+    so does their check that theta and X are finite.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _finite_inputs(theta, X)
     J = np.empty((X.shape[0], net.n_classes, as_flat(theta).size))
     z = np.empty((X.shape[0], net.n_classes))
     for b, x in enumerate(X):
-        J[b], z[b] = jacobian_and_logits(net, theta, x)
+        J[b], z[b] = jacobian_and_logits(net, theta, x, tape_out=tape_out)
     return J, z
 
 
 def exact_fim_definition(net: NetworkSpec, theta, X, storage: str = "dense") -> FimEstimate:
     """Ground truth by the definition: sum_x sum_y p(y|x) g_xy g_xy^T."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _finite_inputs(theta, X)
     if net.n_classes < 2:
         raise ValueError("categorical estimators need at least 2 classes")
     dim = net.dim
     _check_dense(storage, dim)
-    acc = _accumulator(storage, dim)
-    for x in X:
-        p, G = loglik_gradients(net, theta, x)
-        for y in range(net.n_classes):
-            _rank1(acc, G[y], float(p[y]), storage)
-    return FimEstimate("exact_def", storage, acc, "sum", {"n_samples": X.shape[0]})
+    passes = _PassCount()
+
+    def rows():
+        for x in X:
+            p, G = loglik_gradients(net, theta, x, tape_out=passes)
+            yield from zip(p, G)
+
+    acc = _gram(rows(), X.shape[0] * net.n_classes, dim, storage)
+    meta = {"n_samples": X.shape[0], "backward_passes": passes.total}
+    return FimEstimate("exact_def", storage, acc, "sum", meta)
 
 
 def exact_fim_pullback(net: NetworkSpec, theta, X, storage: str = "dense") -> FimEstimate:
     """Ground truth through the Jacobian: sum_x J^T (diag(p) - p p^T) J."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if net.n_classes < 2:
         raise ValueError("categorical estimators need at least 2 classes")
     dim = net.dim
     _check_dense(storage, dim)
-    J, z = _jacobian_stack(net, theta, X)
+    passes = _PassCount()
+    J, z = _jacobian_stack(net, theta, X, tape_out=passes)
     K = simplex_matrix(softmax(z)) @ J  # (B, C, dim): core times Jacobian, per sample
     if storage == "dense":
         acc = J.reshape(-1, dim).T @ K.reshape(-1, dim)
     else:
         acc = np.einsum("bcd,bcd->d", J, K)
-    return FimEstimate("exact_pullback", storage, acc, "sum", {"n_samples": X.shape[0]})
+    meta = {"n_samples": J.shape[0], "backward_passes": passes.total}
+    return FimEstimate("exact_pullback", storage, acc, "sum", meta)
 
 
 def efim(net: NetworkSpec, theta, X, labels, storage: str = "dense") -> FimEstimate:
     """Empirical FIM at observed labels: sum over (x, y) of g_xy g_xy^T."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _finite_inputs(theta, X)
     labels = np.asarray(labels, dtype=np.intp)
     if labels.shape != (X.shape[0],):
         raise ValueError("need exactly one label per sample")
@@ -249,13 +332,18 @@ def efim(net: NetworkSpec, theta, X, labels, storage: str = "dense") -> FimEstim
         raise ValueError("label out of range")
     dim = net.dim
     _check_dense(storage, dim)
-    acc = _accumulator(storage, dim)
-    for x, y in zip(X, labels):
-        logits = forward_logits(net, theta, x[None, :])
-        lsm = ad.log_softmax(logits)
-        g = ad.gradient(ad.total(ad.gather(lsm, np.array([int(y)]))))
-        _rank1(acc, g, 1.0, storage)
-    return FimEstimate("efim", storage, acc, "sum", {"n_samples": X.shape[0]})
+    passes = _PassCount()
+
+    def rows():
+        for x, y in zip(X, labels):
+            lsm = ad.log_softmax(forward_logits(net, theta, x[None, :]))
+            g = ad.gradient(ad.total(ad.gather(lsm, np.array([int(y)]))))
+            passes.append(lsm.tape)
+            yield 1.0, g
+
+    acc = _gram(rows(), X.shape[0], dim, storage)
+    meta = {"n_samples": X.shape[0], "backward_passes": passes.total}
+    return FimEstimate("efim", storage, acc, "sum", meta)
 
 
 def _sample_label(p: np.ndarray, rng: np.random.Generator) -> int:
@@ -272,18 +360,23 @@ def mc_fim(
     """
     if m < 1:
         raise ValueError("need at least one draw")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _finite_inputs(theta, X)
     dim = net.dim
     _check_dense(storage, dim)
-    acc = _accumulator(storage, dim)
-    for _ in range(m):
-        x = X[int(rng.integers(X.shape[0]))]
-        logits = forward_logits(net, theta, x[None, :])
-        lsm = ad.log_softmax(logits)
-        y = _sample_label(np.exp(lsm.data[0]), rng)
-        g = ad.gradient(ad.total(ad.gather(lsm, np.array([y]))))
-        _rank1(acc, g, 1.0 / m, storage)
-    return FimEstimate("mc", storage, acc, "mean", {"n_samples": X.shape[0], "probe_count": m})
+    passes = _PassCount()
+
+    def rows():
+        for _ in range(m):
+            x = X[int(rng.integers(X.shape[0]))]
+            lsm = ad.log_softmax(forward_logits(net, theta, x[None, :]))
+            y = _sample_label(np.exp(lsm.data[0]), rng)
+            g = ad.gradient(ad.total(ad.gather(lsm, np.array([y]))))
+            passes.append(lsm.tape)
+            yield 1.0 / m, g
+
+    acc = _gram(rows(), m, dim, storage)
+    meta = {"n_samples": X.shape[0], "probe_count": m, "backward_passes": passes.total}
+    return FimEstimate("mc", storage, acc, "mean", meta)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -335,7 +428,7 @@ def hutchinson_gradient(
     eigen quantities by construction off the tape.  Only the log-likelihood
     (full / sqrt variants) or the raw logits (diag / lowrank) carry gradient.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _finite_inputs(theta, X)
     B = X.shape[0]
     C = net.n_classes
     if variant not in HUTCH_KINDS:
@@ -413,22 +506,21 @@ def hutchinson_fim(
         raise ValueError("an explicit probe fixes n_probes = 1")
     if n_probes < 1:
         raise ValueError("need at least one probe")
-    acc = _accumulator(storage, dim)
-    tapes: list = []
-    used_dist = probe.dist if probe is not None else dist
-    for _ in range(n_probes):
-        g = hutchinson_gradient(
+    passes = _PassCount()
+    rows = (
+        (1.0 / n_probes, hutchinson_gradient(
             net, theta, X, variant,
-            probe=probe, rng=rng, dist=dist, k=k, weights=weights, eigen=eigen, tape_out=tapes,
-        )
-        _rank1(acc, g, 1.0 / n_probes, storage)
-    backward_passes = sum(t.backward_calls for t in tapes)
+            probe=probe, rng=rng, dist=dist, k=k, weights=weights, eigen=eigen, tape_out=passes,
+        ))
+        for _ in range(n_probes)
+    )
+    acc = _gram(rows, n_probes, dim, storage)
     meta = {
         "probe_count": n_probes,
-        "probe_dist": used_dist,
+        "probe_dist": probe.dist if probe is not None else dist,
         "seed": seed,
         "dataset_id": dataset_id,
-        "backward_passes": backward_passes,
+        "backward_passes": passes.total,
     }
     if variant == "lowrank":
         meta["k"] = k

@@ -377,12 +377,11 @@ def run_bench(net: NetworkSpec, theta, X, labels, cfg: BenchConfig) -> list[Benc
                 if yb is None:
                     raise ValueError("the empirical FIM needs labels")
                 part = est.efim(net, theta, xb, yb, storage="diagonal")
-                passes += xb.shape[0]
             else:
                 part = est.hutchinson_fim(
                     net, theta, xb, est.PROBE_VARIANTS[name], rng=rng, storage="diagonal"
                 )
-                passes += part.meta["backward_passes"]
+            passes += part.meta["backward_passes"]
             diag += part.values
         elapsed = time.perf_counter() - start
         timings[name] = elapsed

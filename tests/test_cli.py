@@ -78,6 +78,54 @@ def test_cli_error_exits_2(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+OUT_OF_RANGE = [
+    ("hidden", -1),
+    ("train_steps", -5),
+    ("trials", 1),
+    ("probes", 0),
+    ("k", 0),
+    ("batch_size", 0),
+    ("n_batches", 0),
+    ("n_samples", 0),
+    ("d", 0),
+    ("classes", 1),
+]
+
+
+@pytest.mark.parametrize("key,value", OUT_OF_RANGE, ids=[key for key, _ in OUT_OF_RANGE])
+def test_config_rejects_out_of_range_value(tmp_path, key, value):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"# header\nseed = 1\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=rf"c\.cfg:3: {key} must be at least"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("lr", ["0", "-0.1", "nan"])
+def test_config_rejects_nonpositive_lr_with_training(tmp_path, lr):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"lr = {lr}\ntrain_steps = 10\n")
+    with pytest.raises(ValueError, match=r"c\.cfg:1: lr must be positive"):
+        parse_config(path)
+    path.write_text(f"lr = {lr}\ntrain_steps = 0\n")  # no training: lr is never used
+    assert parse_config(path)["train_steps"] == 0
+
+
+def test_config_accepts_the_edges_of_each_range(tmp_path):
+    edges = dict(hidden=0, train_steps=0, trials=2, probes=1, k=1, batch_size=1,
+                 n_batches=1, n_samples=1, d=1, classes=2)
+    cfg = parse_config(write_config(tmp_path / "c.cfg", **edges))
+    assert {key: cfg[key] for key in edges} == edges
+
+
+def test_out_of_range_config_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path / "c.cfg", **{**SMALL, "hidden": -1})
+    code = main(["estimate", "--config", str(path), "--estimator", "exact",
+                 "--out", str(tmp_path / "e.fim")])
+    assert code == 2
+    assert "hidden must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "e.fim").exists()
+
+
 # --- subcommands -----------------------------------------------------------------
 
 

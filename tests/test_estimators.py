@@ -590,3 +590,177 @@ def test_estimate_serialization_roundtrip(tmp_path):
         assert loaded.meta["seed"] == 7
         assert loaded.meta["dataset_id"] == "blobs"
         assert loaded.meta["probe_count"] == 1
+
+
+# --- the blocked Gram accumulation ---------------------------------------------
+
+
+GRAM_M = 5  # Monte Carlo draws
+GRAM_PROBES = 3
+GRAM_KINDS = ("exact", "efim", "mc", *est.PROBE_VARIANTS)
+
+
+def _outer_loop(terms, dim, storage):
+    """Test-local reference: the sum of weighted np.outer terms, one at a time."""
+    acc = np.zeros((dim, dim))
+    for w, g in terms:
+        acc += w * np.outer(g, g)
+    return acc if storage == "dense" else np.diag(acc).copy()
+
+
+def _reference_terms(kind, net, theta, X, labels, seed):
+    """(weight, gradient) terms of each estimator, drawn as it draws them."""
+    if kind == "exact":
+        terms = []
+        for x in X:
+            p, G = est.loglik_gradients(net, theta, x)
+            terms += zip(p, G)
+        return terms
+    if kind == "efim":
+        return [(1.0, est.loglik_gradients(net, theta, x)[1][y]) for x, y in zip(X, labels)]
+    rng = np.random.default_rng(seed)
+    if kind == "mc":
+        terms = []
+        for _ in range(GRAM_M):
+            p, G = est.loglik_gradients(net, theta, X[int(rng.integers(X.shape[0]))])
+            terms.append((1.0 / GRAM_M, G[est._sample_label(p, rng)]))
+        return terms
+    return [(1.0 / GRAM_PROBES, est.hutchinson_gradient(net, theta, X, est.PROBE_VARIANTS[kind], rng=rng))
+            for _ in range(GRAM_PROBES)]
+
+
+def _run_estimator(kind, net, theta, X, labels, seed, storage):
+    if kind == "exact":
+        return est.exact_fim_definition(net, theta, X, storage)
+    if kind == "efim":
+        return est.efim(net, theta, X, labels, storage)
+    rng = np.random.default_rng(seed)
+    if kind == "mc":
+        return est.mc_fim(net, theta, X, GRAM_M, rng, storage)
+    return est.hutchinson_fim(net, theta, X, est.PROBE_VARIANTS[kind], rng=rng,
+                              n_probes=GRAM_PROBES, storage=storage)
+
+
+@pytest.mark.parametrize("block_rows", [None, 2, 3], ids=["one-block", "2-row-blocks", "3-row-blocks"])
+@pytest.mark.parametrize("act", ["tanh", "relu"])
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_gram_accumulation_equals_outer_product_loop(monkeypatch, kind, act, block_rows):
+    rng = np.random.default_rng(31)
+    net, theta, X = random_instance(rng, (3, 5, 4), act, n_samples=4)
+    labels = np.array([0, 3, 1, 1])
+    if block_rows is not None:
+        monkeypatch.setattr(est, "GRAM_BLOCK_FLOATS", block_rows * net.dim)
+    want = _reference_terms(kind, net, theta, X, labels, seed=5)
+    for storage in ("dense", "diagonal"):
+        got = _run_estimator(kind, net, theta, X, labels, 5, storage)
+        ref = _outer_loop(want, net.dim, storage)
+        assert got.values.shape == ref.shape
+        assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+        if storage == "dense":
+            got.validate()
+
+
+@pytest.mark.parametrize("variant", list(est.PROBE_VARIANTS.values()))
+def test_single_probe_estimate_is_bitwise_the_outer_product(variant):
+    rng = np.random.default_rng(32)
+    net, theta, X = random_instance(rng, (3, 6, 4), "tanh", n_samples=3)
+    probe = est.sample_probe((3, 1) if variant == "lowrank" else (3, 4), "rademacher", rng)
+    g = est.hutchinson_gradient(net, theta, X, variant, probe=probe, rng=np.random.default_rng(1))
+    for storage, want in (("dense", np.outer(g, g)), ("diagonal", g * g)):
+        got = est.hutchinson_fim(net, theta, X, variant, probe=probe,
+                                 rng=np.random.default_rng(1), storage=storage)
+        assert np.array_equal(got.values, want)
+
+
+def test_monte_carlo_never_holds_a_stack_of_all_draws():
+    import tracemalloc
+
+    rng = np.random.default_rng(33)
+    net, theta, X = random_instance(rng, (20, 40, 5), "tanh", n_samples=8)
+    m = 4096
+    stack_bytes = 8 * m * net.dim  # 34 MB for the 1045 parameters
+    tracemalloc.start()
+    try:
+        result = est.mc_fim(net, theta, X, m, rng, storage="diagonal")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.meta["backward_passes"] == m
+    assert peak <= 8 * est.GRAM_BLOCK_FLOATS + 2**20  # one block plus small change
+    assert peak < stack_bytes / 3
+
+
+# --- backward passes counted on the tapes ---------------------------------------
+
+
+def test_backward_passes_are_counted_and_survive_a_round_trip(tmp_path):
+    rng = np.random.default_rng(34)
+    net, theta, X = random_instance(rng, (2, 5, 3), "tanh", n_samples=4)
+    n, C, m = X.shape[0], net.n_classes, 7
+    cases = {
+        "exact_def": (est.exact_fim_definition(net, theta, X), n * C),
+        "exact_pullback": (est.exact_fim_pullback(net, theta, X, "diagonal"), n * C),
+        "efim": (est.efim(net, theta, X, [0, 2, 1, 0]), n),
+        "mc": (est.mc_fim(net, theta, X, m, rng, "diagonal"), m),
+    }
+    for kind, (estimate, passes) in cases.items():
+        assert estimate.kind == kind
+        assert estimate.meta["backward_passes"] == passes
+        path = tmp_path / f"{kind}.fim"
+        est.save_estimate(estimate, path)
+        assert est.load_estimate(path).meta == estimate.meta
+
+
+def test_backward_passes_come_from_the_tapes(monkeypatch):
+    from fimlab import autodiff
+
+    rng = np.random.default_rng(35)
+    net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
+    real = autodiff.Tape.__init__
+
+    def init(self):  # every tape starts with one pass already on its counter
+        real(self)
+        self.backward_calls = 1
+
+    monkeypatch.setattr(autodiff.Tape, "__init__", init)
+    assert est.exact_fim_definition(net, theta, X).meta["backward_passes"] == 2 * 3 + 2
+    assert est.exact_fim_pullback(net, theta, X).meta["backward_passes"] == 2 * 3 + 2
+    assert est.efim(net, theta, X, [0, 1]).meta["backward_passes"] == 2 + 2
+    assert est.mc_fim(net, theta, X, 3, rng).meta["backward_passes"] == 3 + 3
+
+
+# --- non-finite input -----------------------------------------------------------
+
+
+def _entry_points():
+    from fimlab import bounds
+
+    rng = np.random.default_rng
+    return {
+        "exact_fim_definition": lambda net, theta, X: est.exact_fim_definition(net, theta, X),
+        "exact_fim_pullback": lambda net, theta, X: est.exact_fim_pullback(net, theta, X),
+        "efim": lambda net, theta, X: est.efim(net, theta, X, [0, 1]),
+        "mc_fim": lambda net, theta, X: est.mc_fim(net, theta, X, 2, rng(0)),
+        "hutchinson_gradient": lambda net, theta, X: est.hutchinson_gradient(net, theta, X, rng=rng(0)),
+        "hutchinson_fim": lambda net, theta, X: est.hutchinson_fim(net, theta, X, rng=rng(0)),
+        "variance_closed_form": lambda net, theta, X: est.variance_closed_form(net, theta, X),
+        "pullback_bounds": lambda net, theta, X: bounds.pullback_bounds(net, theta, X, 1),
+        "trace_bounds": lambda net, theta, X: bounds.trace_bounds(net, theta, X),
+        "tightness_report": lambda net, theta, X: bounds.tightness_report(net, theta, X),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_entry_points()))
+def test_non_finite_input_is_rejected_by_name(entry):
+    call = _entry_points()[entry]
+    rng = np.random.default_rng(36)
+    net, theta, X = random_instance(rng, (2, 4, 3), "tanh", n_samples=2)
+    call(net, theta, X)  # finite input runs
+    bad_theta = theta.copy()
+    bad_theta[3] = np.nan
+    with pytest.raises(ValueError, match=r"^theta has a non-finite entry"):
+        call(net, bad_theta, X)
+    bad_X = X.copy()
+    bad_X[1, 0] = np.inf
+    with pytest.raises(ValueError, match=r"^X has a non-finite entry"):
+        call(net, theta, bad_X)
