@@ -16,6 +16,8 @@ call.  The certificates stay in the core space.  A gap sum_x J_x^T A_x J_x
 equals Q (R A R^T) Q^T for the reduced QR factorization J^T = Q R of the
 stacked Jacobian, so its Frobenius and spectral norms are those of
 R A R^T, at most min(dim, B C) square, and come exactly from eigvalsh.
+The Loewner margin that checks a sandwich is exact too: one eigvalsh of the
+symmetrised difference.  Nothing here iterates towards an eigenvalue.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import _jacobian_stack
+from .estimators import DENSE_DIM_CAP, _jacobian_stack
 from .network import NetworkSpec, softmax
 from .simplex import simplex_matrix
 
@@ -38,11 +40,7 @@ __all__ = [
     "trace_bounds",
     "tightness_report",
     "loewner_margin",
-    "spectral_norm",
 ]
-
-EIGH_DIM_CAP = 512
-MARGIN_DIM_CAP = 4096
 
 
 class _CoreSpace(NamedTuple):
@@ -108,74 +106,26 @@ def trace_bounds(net: NetworkSpec, theta, X) -> TraceBounds:
     return _trace_chain(_core_space(net, theta, X))
 
 
-def spectral_norm(matrix: np.ndarray, iters: int = 100, rtol: float = 1e-9) -> float:
-    """Largest singular value via power iteration on the squared matrix.
-
-    Deterministic: the start vector comes from a fixed-seed generator.  The
-    Rayleigh estimate approaches the true norm from below.  Its one caller
-    is loewner_margin's shift beyond EIGH_DIM_CAP; the certificates take
-    their norms exactly in the core space instead.
-    """
-    M = np.asarray(matrix, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("spectral_norm expects a square matrix")
-    if not np.any(M):
-        return 0.0
-    M2 = M @ M.T
-    v = np.random.default_rng(0).normal(size=M.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = M2 @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        w = M2 @ v
-        lam = float(v @ w)
-        # residual-based stop: a small Rayleigh step alone can be a plateau
-        if float(np.linalg.norm(w - lam * v)) <= rtol * max(lam, 1e-300):
-            break
-    return float(np.sqrt(max(lam, 0.0)))
-
-
 def loewner_margin(A: np.ndarray, B: np.ndarray) -> float:
-    """Smallest eigenvalue of B - A; nonnegative iff A <= B in Loewner order."""
+    """Smallest eigenvalue of B - A; nonnegative iff A <= B in Loewner order.
+
+    Exact at every size: one eigvalsh of the symmetrised difference, capped
+    at DENSE_DIM_CAP like all dim x dim work.  A non-finite entry in A or B
+    raises ValueError: no eigenvalue of such a difference certifies an order.
+    """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("loewner_margin expects two square matrices of equal shape")
+    if A.shape[0] > DENSE_DIM_CAP:
+        raise ValueError(f"margin computation capped at dim {DENSE_DIM_CAP}, got {A.shape[0]}")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("loewner_margin expects finite matrices")
     D = B - A
     scale = max(1.0, float(np.max(np.abs(D))))
     if np.max(np.abs(D - D.T)) > 1e-10 * scale:
         raise ValueError("difference matrix is not symmetric")
-    D = (D + D.T) / 2.0
-    n = D.shape[0]
-    if n > MARGIN_DIM_CAP:
-        raise ValueError(f"margin computation capped at dim {MARGIN_DIM_CAP}")
-    if n <= EIGH_DIM_CAP:
-        return float(np.linalg.eigvalsh(D)[0])
-    # Shifted power iteration: lam_min(D) = c - lam_max(cI - D).  Shifting by
-    # the spectral norm (plus slack) keeps cI - D psd while keeping the shift
-    # tight; a loose shift would flatten the eigenvalue ratio and stall.
-    # Convergence still degrades when the bottom of the spectrum clusters.
-    c = spectral_norm(D) * (1.0 + 1e-12) + 1e-300
-    S = c * np.eye(n) - D
-    v = np.random.default_rng(0).normal(size=n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(1000):
-        w = S @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return c
-        v = w / norm
-        new = float(v @ (S @ v))
-        if lam > 0 and abs(new - lam) <= 1e-13 * new:
-            lam = new
-            break
-        lam = new
-    return c - lam
+    return float(np.linalg.eigvalsh((D + D.T) / 2.0)[0])
 
 
 @dataclass

@@ -75,8 +75,8 @@ CONFIG_DEFAULTS = {
     "k": 1,
 }
 
-# smallest allowed value of each integer key (hidden = 0 is the linear model);
-# lr must also be positive when train_steps > 0
+# smallest allowed value of each numeric key (hidden = 0 is the linear model);
+# epsilon must also be positive and finite, and lr positive when train_steps > 0
 CONFIG_MINIMUMS = {
     "d": 1,
     "classes": 2,
@@ -88,6 +88,7 @@ CONFIG_MINIMUMS = {
     "train_steps": 0,
     "trials": 2,
     "k": 1,
+    "separation": 0.0,
 }
 
 ESTIMATOR_KINDS = ("exact", "pullback", "efim", "mc", *est.PROBE_VARIANTS)
@@ -96,8 +97,9 @@ ESTIMATOR_KINDS = ("exact", "pullback", "efim", "mc", *est.PROBE_VARIANTS)
 def parse_config(path) -> dict:
     """Flat key=value config; comments with '#'; unknown keys rejected.
 
-    Values out of range (CONFIG_MINIMUMS, and lr <= 0 with training) raise
-    ValueError with the path and line number, like a value that does not parse.
+    Values out of range (CONFIG_MINIMUMS, epsilon not in (0, inf), lr <= 0
+    with training, NaN) raise ValueError with the path and line number, like
+    a value that does not parse.
     """
     cfg = dict(CONFIG_DEFAULTS)
     lines = {}
@@ -118,8 +120,10 @@ def parse_config(path) -> dict:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
         lines[key] = lineno
     for key, minimum in CONFIG_MINIMUMS.items():
-        if cfg[key] < minimum:  # the defaults are in range, so the key came from a line
+        if not cfg[key] >= minimum:  # NaN too; the defaults are in range, so the key came from a line
             raise ValueError(f"{path}:{lines[key]}: {key} must be at least {minimum}, got {cfg[key]}")
+    if not 0 < cfg["epsilon"] < np.inf:  # an infinite stabilizer zeroes every RelMAE
+        raise ValueError(f"{path}:{lines['epsilon']}: epsilon must be positive and finite, got {cfg['epsilon']}")
     if cfg["train_steps"] > 0 and not cfg["lr"] > 0:
         raise ValueError(f"{path}:{lines['lr']}: lr must be positive when train_steps > 0, got {cfg['lr']}")
     env_seed = os.environ.get("FIMLAB_SEED")

@@ -616,6 +616,8 @@ def empirical_probe_variance(
     eigen: str = "full",
 ) -> np.ndarray:
     """Sample variance of the diagonal estimate over independent probes."""
+    if n_trials < 2:
+        raise ValueError(f"a sample variance needs at least 2 trials, got {n_trials}")
     draws = np.empty((n_trials, as_flat(theta).size))
     for t in range(n_trials):
         est = hutchinson_fim(

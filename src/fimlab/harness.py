@@ -336,7 +336,7 @@ class BenchRow:
 def _batches(X, labels, cfg: BenchConfig):
     for j in range(cfg.n_batches):
         sel = slice(j * cfg.batch_size, (j + 1) * cfg.batch_size)
-        yield X[sel], (labels[sel] if labels is not None else None)
+        yield X[sel], labels[sel]
 
 
 def run_bench(net: NetworkSpec, theta, X, labels, cfg: BenchConfig) -> list[BenchRow]:
@@ -352,8 +352,10 @@ def run_bench(net: NetworkSpec, theta, X, labels, cfg: BenchConfig) -> list[Benc
     needed = cfg.batch_size * cfg.n_batches
     if X.shape[0] < needed:
         raise ValueError(f"need {needed} samples, got {X.shape[0]}")
+    if labels is None:
+        raise ValueError("the empirical FIM needs labels")
     X = X[:needed]
-    labels = np.asarray(labels, dtype=np.intp)[:needed] if labels is not None else None
+    labels = np.asarray(labels, dtype=np.intp)[:needed]
     names = list(dict.fromkeys(["efim", *cfg.estimators]))
     for name in names:
         if name != "efim" and name not in est.PROBE_VARIANTS:
@@ -374,8 +376,6 @@ def run_bench(net: NetworkSpec, theta, X, labels, cfg: BenchConfig) -> list[Benc
         start = time.perf_counter()
         for (xb, yb), rng in zip(_batches(X, labels, cfg), batch_rngs):
             if name == "efim":
-                if yb is None:
-                    raise ValueError("the empirical FIM needs labels")
                 part = est.efim(net, theta, xb, yb, storage="diagonal")
             else:
                 part = est.hutchinson_fim(

@@ -89,14 +89,21 @@ OUT_OF_RANGE = [
     ("n_samples", 0),
     ("d", 0),
     ("classes", 1),
+    ("separation", -3),
+    ("separation", "nan"),
+    ("epsilon", 0),
+    ("epsilon", "nan"),
+    ("epsilon", "inf"),
 ]
 
 
-@pytest.mark.parametrize("key,value", OUT_OF_RANGE, ids=[key for key, _ in OUT_OF_RANGE])
+@pytest.mark.parametrize("key,value", OUT_OF_RANGE,
+                         ids=[key if isinstance(value, int) else f"{key}-{value}"
+                              for key, value in OUT_OF_RANGE])
 def test_config_rejects_out_of_range_value(tmp_path, key, value):
     path = tmp_path / "c.cfg"
     path.write_text(f"# header\nseed = 1\n{key} = {value}\n")
-    with pytest.raises(ValueError, match=rf"c\.cfg:3: {key} must be at least"):
+    with pytest.raises(ValueError, match=rf"c\.cfg:3: {key} must be (at least|positive)"):
         parse_config(path)
 
 
@@ -112,7 +119,7 @@ def test_config_rejects_nonpositive_lr_with_training(tmp_path, lr):
 
 def test_config_accepts_the_edges_of_each_range(tmp_path):
     edges = dict(hidden=0, train_steps=0, trials=2, probes=1, k=1, batch_size=1,
-                 n_batches=1, n_samples=1, d=1, classes=2)
+                 n_batches=1, n_samples=1, d=1, classes=2, separation=0.0, epsilon=5e-324)
     cfg = parse_config(write_config(tmp_path / "c.cfg", **edges))
     assert {key: cfg[key] for key in edges} == edges
 

@@ -470,6 +470,14 @@ def test_gaussian_variance_simulation_sanity():
     assert emp[i] == pytest.approx(report.var_closed[i], rel=0.35)
 
 
+@pytest.mark.parametrize("n_trials", [0, 1])
+def test_empirical_variance_needs_two_trials(n_trials):
+    rng = np.random.default_rng(25)
+    net, theta, X = random_instance(rng, (2, 3), "none", n_samples=1)
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        est.empirical_probe_variance(net, theta, X, "full", n_trials=n_trials, rng=rng)
+
+
 def test_variance_rejects_unsupported():
     rng = np.random.default_rng(24)
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=1)

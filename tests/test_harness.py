@@ -284,6 +284,18 @@ def test_bench_requires_enough_samples():
         run_bench(net, theta, X, labels, cfg)
 
 
+def test_bench_rejects_unlabeled_data_before_the_truth(monkeypatch):
+    net, theta, X, _ = bench_setup()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact truth must not be computed for unlabeled data")
+
+    monkeypatch.setattr(est, "exact_fim_definition", refuse)
+    cfg = BenchConfig(batch_size=16, n_batches=2, estimators=("hutch",))
+    with pytest.raises(ValueError, match="needs labels"):
+        run_bench(net, theta, X, None, cfg)
+
+
 def test_bench_rejects_unknown_estimator():
     net, theta, X, labels = bench_setup()
     cfg = BenchConfig(batch_size=16, n_batches=2, estimators=("kfac",))
