@@ -4,15 +4,17 @@ A Tape records primitive operations append-only; each node stores its op
 name, parent indices and the cached forward value, so a tape can be replayed
 bit-exactly.  backward() seeds a scalar root and runs a single reverse sweep,
 accumulating adjoints into parameter leaves.  Constants never receive
-gradient; stop_gradient passes its value through unchanged and contributes
-exactly zero adjoint upstream.
+gradient.
 
 Each op is one entry of a rule table that pairs its forward rule with its
 adjoint rule; recording, replay() and backward() all read that table, so an
 op's maths is written exactly once.
 
 The op set is intentionally small: what a dense classifier forward pass, a
-log-softmax likelihood and sign-flipped probe sums need, nothing more.
+log-softmax likelihood and sign-flipped probe sums need, nothing more.  A
+probe's coefficients are computed off the tape from the forward values and
+enter as the constant weights of wsum, so no op exists to freeze a traced
+value.
 Matrix products go through np.einsum with optimize=False: unlike BLAS gemm,
 its accumulation order for row i does not depend on the number of rows, so a
 batched forward is bit-identical to stacked per-sample forwards.
@@ -40,13 +42,10 @@ __all__ = [
     "tanh",
     "relu",
     "exp",
-    "sqrt",
-    "clip",
     "log_softmax",
     "gather",
     "wsum",
     "total",
-    "stop_gradient",
     "backward",
     "gradient",
     "grad_check",
@@ -135,7 +134,7 @@ def parameter(tape: Tape, array) -> Value:
 # Rules, keyed by op name: (forward, adjoint).
 #   forward(ctx, *parent_values) -> value; replay() re-runs it from the record.
 #   adjoint(node, g, *parent_values) -> the adjoint of each parent: one array
-#   for a unary op, a pair for a binary op; None means no gradient.
+#   for a unary op, a pair for a binary op.
 # Shape checks live in the forward rules, so they run at record time.
 
 def _add_forward(ctx, a, b):
@@ -195,11 +194,6 @@ _RULES = {
     "tanh": (lambda ctx, a: np.tanh(a), lambda node, g, a: g * (1.0 - node.value**2)),
     "relu": (lambda ctx, a: np.maximum(a, 0.0), lambda node, g, a: g * (a > 0)),
     "exp": (lambda ctx, a: np.exp(a), lambda node, g, a: g * node.value),
-    "sqrt": (lambda ctx, a: np.sqrt(a), lambda node, g, a: g * 0.5 / node.value),
-    "clip": (
-        lambda ctx, a: np.clip(a, ctx[0], ctx[1]),
-        lambda node, g, a: g * ((a > node.ctx[0]) & (a < node.ctx[1])),
-    ),
     "log_softmax": (
         _log_softmax_forward,
         lambda node, g, a: g - np.exp(node.value) * np.sum(g, axis=-1, keepdims=True),
@@ -207,7 +201,6 @@ _RULES = {
     "gather": (_gather_forward, _gather_adjoint),
     "wsum": (lambda ctx, a: np.asarray(np.sum(a * ctx[0])), lambda node, g, a: g * node.ctx[0]),
     "total": (lambda ctx, a: np.asarray(np.sum(a)), lambda node, g, a: np.full_like(a, g)),
-    "stop": (lambda ctx, a: a.copy(), lambda node, g, a: None),
 }
 
 
@@ -249,16 +242,6 @@ def exp(a: Value) -> Value:
     return _unary("exp", a)
 
 
-def sqrt(a: Value) -> Value:
-    if np.any(a.data < 0):
-        raise ValueError("sqrt of negative operand")
-    return _unary("sqrt", a)
-
-
-def clip(a: Value, lo: float, hi: float) -> Value:
-    return _unary("clip", a, (float(lo), float(hi)))
-
-
 def log_softmax(a: Value) -> Value:
     """Row-wise log-softmax along the last axis, stabilized by max-subtraction."""
     return _unary("log_softmax", a)
@@ -293,11 +276,6 @@ def total(a: Value) -> Value:
     return _unary("total", a)
 
 
-def stop_gradient(a: Value) -> Value:
-    """Identity in the forward pass; the adjoint through this edge is zero."""
-    return _unary("stop", a)
-
-
 def _accumulate(adj: dict, idx: int, delta: np.ndarray):
     if idx in adj:
         adj[idx] = adj[idx] + delta
@@ -330,8 +308,7 @@ def backward(root: Value) -> dict[int, np.ndarray]:
         if len(node.parents) == 1:
             (a,) = node.parents
             da = adjoint(node, g, nodes[a].value)
-            if da is not None:
-                _accumulate(adj, a, da)
+            _accumulate(adj, a, da)
         else:
             a, b = node.parents
             da, db = adjoint(node, g, nodes[a].value, nodes[b].value)

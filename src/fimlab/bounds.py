@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import DENSE_DIM_CAP, _jacobian_stack
+from .estimators import DENSE_DIM_CAP, _core, _jacobian_stack
 from .network import NetworkSpec, softmax
 from .simplex import simplex_matrix
 
@@ -78,18 +78,16 @@ def pullback_bounds(net: NetworkSpec, theta, X, k: int) -> BoundPair:
     lower = sum_x sum over the k largest eigenpairs of lam_i J^T v_i v_i^T J
     upper = sum_x sum_y p_y (dz_y/dtheta)(dz_y/dtheta)^T
 
-    The lower bound has rank at most k * n_samples and equals the FIM at
-    k = C-1 because the remaining eigenvalue is zero.
+    These are the weighted Gram products of the low-rank and diagonal probe
+    cores.  The lower bound has rank at most k * n_samples and equals the
+    FIM at k = C-1 because the remaining eigenvalue is zero.
     """
     C = net.n_classes
     if not 1 <= k <= C - 1:
         raise ValueError(f"rank parameter must be in [1, {C - 1}], got {k}")
-    s = _core_space(net, theta, X)
-    top = s.V[:, :, C - k:]
-    proj = (top * s.lam[:, None, C - k:]) @ top.swapaxes(1, 2)
-    J = s.J.reshape(-1, s.J.shape[2])  # (B*C, dim): one GEMM per bound
-    lower = J.T @ (proj @ s.J).reshape(J.shape)
-    upper = J.T @ (s.p[:, :, None] * s.J).reshape(J.shape)
+    J, z = _jacobian_stack(net, theta, X)
+    lower = _core("lowrank", z, k=k).gram(J, "dense")
+    upper = _core("diag", z).gram(J, "dense")
     return BoundPair(lower=lower, upper=upper, k=k)
 
 
@@ -110,8 +108,9 @@ def loewner_margin(A: np.ndarray, B: np.ndarray) -> float:
     """Smallest eigenvalue of B - A; nonnegative iff A <= B in Loewner order.
 
     Exact at every size: one eigvalsh of the symmetrised difference, capped
-    at DENSE_DIM_CAP like all dim x dim work.  A non-finite entry in A or B
-    raises ValueError: no eigenvalue of such a difference certifies an order.
+    at DENSE_DIM_CAP like all dim x dim work.  A non-finite entry in A or B,
+    or a difference that overflows, raises ValueError: no eigenvalue of such
+    a difference certifies an order.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -121,11 +120,15 @@ def loewner_margin(A: np.ndarray, B: np.ndarray) -> float:
         raise ValueError(f"margin computation capped at dim {DENSE_DIM_CAP}, got {A.shape[0]}")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("loewner_margin expects finite matrices")
-    D = B - A
-    scale = max(1.0, float(np.max(np.abs(D))))
-    if np.max(np.abs(D - D.T)) > 1e-10 * scale:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        D = B - A
+        sym = (D + D.T) / 2.0
+        asym = np.max(np.abs(D - D.T))
+    if not np.isfinite(sym).all():
+        raise ValueError("loewner_margin: B - A is not finite (the difference overflows float64)")
+    if asym > 1e-10 * max(1.0, float(np.max(np.abs(D)))):
         raise ValueError("difference matrix is not symmetric")
-    return float(np.linalg.eigvalsh((D + D.T) / 2.0)[0])
+    return float(np.linalg.eigvalsh(sym)[0])
 
 
 @dataclass

@@ -76,7 +76,8 @@ CONFIG_DEFAULTS = {
 }
 
 # smallest allowed value of each numeric key (hidden = 0 is the linear model);
-# epsilon must also be positive and finite, and lr positive when train_steps > 0
+# separation must also be finite, and epsilon, lr and nu positive and finite
+# where they are used (lr when train_steps > 0, nu for the student_t generator)
 CONFIG_MINIMUMS = {
     "d": 1,
     "classes": 2,
@@ -97,9 +98,10 @@ ESTIMATOR_KINDS = ("exact", "pullback", "efim", "mc", *est.PROBE_VARIANTS)
 def parse_config(path) -> dict:
     """Flat key=value config; comments with '#'; unknown keys rejected.
 
-    Values out of range (CONFIG_MINIMUMS, epsilon not in (0, inf), lr <= 0
-    with training, NaN) raise ValueError with the path and line number, like
-    a value that does not parse.
+    Values out of range (CONFIG_MINIMUMS, an infinite separation, epsilon,
+    lr with training or nu with the student_t generator not in (0, inf), NaN)
+    raise ValueError with the path and line number, like a value that does
+    not parse.
     """
     cfg = dict(CONFIG_DEFAULTS)
     lines = {}
@@ -122,10 +124,15 @@ def parse_config(path) -> dict:
     for key, minimum in CONFIG_MINIMUMS.items():
         if not cfg[key] >= minimum:  # NaN too; the defaults are in range, so the key came from a line
             raise ValueError(f"{path}:{lines[key]}: {key} must be at least {minimum}, got {cfg[key]}")
-    if not 0 < cfg["epsilon"] < np.inf:  # an infinite stabilizer zeroes every RelMAE
-        raise ValueError(f"{path}:{lines['epsilon']}: epsilon must be positive and finite, got {cfg['epsilon']}")
-    if cfg["train_steps"] > 0 and not cfg["lr"] > 0:
-        raise ValueError(f"{path}:{lines['lr']}: lr must be positive when train_steps > 0, got {cfg['lr']}")
+    if not cfg["separation"] < np.inf:  # infinite blob means
+        raise ValueError(f"{path}:{lines['separation']}: separation must be at least 0.0 and finite, got inf")
+    for key, used, where in (
+        ("epsilon", True, ""),  # an infinite stabilizer zeroes every RelMAE
+        ("lr", cfg["train_steps"] > 0, " when train_steps > 0"),
+        ("nu", cfg["generator"] == "student_t", " for the student_t generator"),
+    ):
+        if used and not 0 < cfg[key] < np.inf:
+            raise ValueError(f"{path}:{lines[key]}: {key} must be positive and finite{where}, got {cfg[key]}")
     env_seed = os.environ.get("FIMLAB_SEED")
     if env_seed is not None:
         cfg["seed"] = int(env_seed)

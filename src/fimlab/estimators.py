@@ -4,21 +4,21 @@ Ground truth comes in two independently computed forms: the defining sum
 sum_x sum_y p(y|x) (dl/dtheta)(dl/dtheta)^T, and the pullback form
 sum_x J^T (diag(p) - p p^T) J through the per-sample Jacobian.  Alongside
 them: the empirical FIM at observed labels, the label-resampling Monte Carlo
-estimate, and a family of single-backward-pass probe estimators built from a
-randomly sign-flipped scalar
+estimate, and a family of single-backward-pass probe estimators.
 
-    h = sum over (sample, class) of  coeff * value * xi
-
-whose gradient g gives the rank-1 estimate g g^T.  Variants differ in what
-plays coeff/value: sqrt(p)~ with the log-likelihood (unbiased for the FIM),
-sqrt(zeta)~ with raw logits (diagonal-core target), top eigenpairs of the
-simplex FIM with logits (low-rank target), or 2*sqrt(p) carrying gradient
-(an equivalent unbiased form that needs no stop-gradient and no clamping).
-The ~ marks coefficients frozen by stop_gradient; only the likelihood or the
-logits carry gradient.  Each probe costs exactly one backward pass, counted
-on the tape and reported in the estimate metadata.  PROBE_VARIANTS is the
-one table of their names (hutch, hutch_diag, hutch_lowrank, hutch_sqrt);
-the CLI and the bench harness accept exactly those.
+Each probe variant writes its C x C core once (`_core`), as weights w (B, r)
+and output-space rows m_r with core = sum_r w_r m_r m_r^T: w = p with rows
+e_y - p (full), w = zeta (p or s(1-s)) with rows e_y (diag), or the top-k
+eigenpairs of diag(p) - p p^T (lowrank).  The probe is the logit-weighted sum
+z . M^T (sqrt(w) xi) with random signs (or Gaussians) xi, its weights taken
+off the tape from the forward values, so its gradient g needs no
+stop-gradient and no clamp; E[g g^T] = sum_x J_x^T core_x J_x.  The sqrt
+variant is the full core as 2 sum sqrt(p) xi through the log-softmax.  The
+same rows R = M J give the exact pullback and both Loewner bounds (one Gram
+product sum w R R^T each) and the closed-form variances (sums of w R^2 and
+w^2 R^4).  Each probe costs exactly one backward pass, counted on the tape
+and reported in the estimate metadata.  PROBE_VARIANTS is the one table of
+their names; the CLI and the bench harness accept exactly those.
 
 Every estimate but the pullback is a weighted sum of score outer products,
 sum_i w_i g_i g_i^T = G^T diag(w) G.  The rows g_i stream into a block of at
@@ -42,12 +42,13 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .network import NetworkSpec, as_flat, forward_logits, softmax
-from .simplex import simplex_matrix, symeig, top_eigenpair
+from .simplex import _canonical_sign, simplex_matrix, top_eigenpair
 
 __all__ = [
     "DENSE_DIM_CAP",
@@ -73,7 +74,6 @@ __all__ = [
 ]
 
 DENSE_DIM_CAP = 4096
-CLAMP_FLOOR = 1e-30
 # float64 entries in the block of gradient rows that one Gram product adds up (8 MB)
 GRAM_BLOCK_FLOATS = 2**20
 
@@ -313,11 +313,7 @@ def exact_fim_pullback(net: NetworkSpec, theta, X, storage: str = "dense") -> Fi
     _check_dense(storage, dim)
     passes = _PassCount()
     J, z = _jacobian_stack(net, theta, X, tape_out=passes)
-    K = simplex_matrix(softmax(z)) @ J  # (B, C, dim): core times Jacobian, per sample
-    if storage == "dense":
-        acc = J.reshape(-1, dim).T @ K.reshape(-1, dim)
-    else:
-        acc = np.einsum("bcd,bcd->d", J, K)
+    acc = _core("full", z).gram(J, storage)
     meta = {"n_samples": J.shape[0], "backward_passes": passes.total}
     return FimEstimate("exact_pullback", storage, acc, "sum", meta)
 
@@ -388,23 +384,74 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _eigen_route(eigen: str, k: int) -> str:
+    """The route the low-rank eigenpairs take: "power" serves k = 1 only, "full" (eigh) any k."""
+    if eigen not in ("power", "full"):
+        raise ValueError(f"unknown eigenpair route {eigen!r}; expected 'power' or 'full'")
+    return eigen if k == 1 else "full"
+
+
 def _lowrank_eigenpairs(
     probs: np.ndarray, k: int, eigen: str, rng: np.random.Generator | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k eigenpairs of the simplex FIM per sample: (lams (B,k), vecs (B,k,C))."""
+    """Top-k eigenpairs of the simplex FIM per sample, (lams (B,k), vecs (B,k,C)): a
+    power iteration per sample (route "power") or one batched eigh ("full")."""
     B, C = probs.shape
-    lams = np.empty((B, k))
-    vecs = np.empty((B, k, C))
-    for b in range(B):
-        if k == 1 and eigen == "power":
-            lam, v = top_eigenpair(probs[b], method="power", rng=rng)
-            lams[b, 0] = lam
-            vecs[b, 0] = v
-        else:
-            w, V = symeig(simplex_matrix(probs[b]))
-            lams[b] = w[C - k:]
-            vecs[b] = V[:, C - k:].T
-    return lams, vecs
+    if _eigen_route(eigen, k) == "power":
+        lams = np.empty((B, 1))
+        vecs = np.empty((B, 1, C))
+        for b in range(B):
+            lams[b, 0], vecs[b, 0] = top_eigenpair(probs[b], method="power", rng=rng)
+        return lams, vecs
+    w, V = np.linalg.eigh(simplex_matrix(probs))
+    return w[:, C - k:], _canonical_sign(V[:, :, C - k:]).swapaxes(1, 2)
+
+
+class _Core(NamedTuple):
+    """A probe variant's C x C core per sample, sum_r w_r m_r m_r^T; M stacks the rows m_r."""
+
+    w: np.ndarray  # (B, r) weights
+    p: np.ndarray | None = None  # full: rows e_r - p
+    V: np.ndarray | None = None  # lowrank: rows V[b] (k, C); with neither, rows e_r (diag)
+
+    def rows(self, Y: np.ndarray) -> np.ndarray:
+        """M Y (B, r, n) for a stack Y (B, C, n); the diagonal core's is Y itself."""
+        if self.V is not None:
+            return self.V @ Y
+        return Y if self.p is None else Y - np.einsum("bc,bcd->bd", self.p, Y)[:, None, :]
+
+    def logit_weights(self, c: np.ndarray) -> np.ndarray:
+        """M^T c (B, C) for coefficients c (B, r)."""
+        if self.V is not None:
+            return np.einsum("bk,bkc->bc", c, self.V)
+        return c if self.p is None else c - self.p * np.sum(c, axis=1, keepdims=True)
+
+    def gram(self, J: np.ndarray, storage: str) -> np.ndarray:
+        """sum over samples and rows of w R R^T with R = M J, or its diagonal."""
+        R = self.rows(J).reshape(-1, J.shape[2])
+        w = self.w.ravel()
+        if storage == "dense":
+            # two operands: U^T U on one buffer (U = sqrt(w) R) takes BLAS syrk, which
+            # ran 2.7x slower on 10 rows at dim 2085 (2-core x86 VM, one BLAS thread)
+            return (R.T * w) @ R
+        return np.einsum("r,rd,rd->d", w, R, R)
+
+
+def _core(variant: str, z: np.ndarray, *, k: int = 1, weights: str = "p", eigen: str = "full",
+          rng: np.random.Generator | None = None) -> _Core:
+    """The core of probe variant "full", "diag" or "lowrank" at logits z (B, C)."""
+    p = softmax(z)
+    if variant == "full":
+        return _Core(p, p=p)
+    if variant == "diag":
+        if weights == "bernoulli":
+            s = _sigmoid(z)
+            return _Core(s * (1.0 - s))
+        if weights != "p":
+            raise ValueError(f"unknown diagonal weights {weights!r}")
+        return _Core(p)
+    lams, V = _lowrank_eigenpairs(p, k, eigen, rng)
+    return _Core(lams, V=V)
 
 
 def hutchinson_gradient(
@@ -423,10 +470,10 @@ def hutchinson_gradient(
 ) -> np.ndarray:
     """Gradient of the probe scalar h for one probe; exactly one backward pass.
 
-    The coefficients (sqrt p, sqrt zeta, sqrt lambda and the eigenvectors)
-    are frozen: the first two via stop_gradient on traced probabilities, the
-    eigen quantities by construction off the tape.  Only the log-likelihood
-    (full / sqrt variants) or the raw logits (diag / lowrank) carry gradient.
+    For full, diag and lowrank, h weights the logits by M^T (sqrt(w) xi),
+    from the variant's core (`_core`) at the forward values; only the
+    logits carry gradient.  The sqrt variant traces 2 sum sqrt(p) xi
+    through the log-softmax instead.
     """
     X = _finite_inputs(theta, X)
     B = X.shape[0]
@@ -447,32 +494,15 @@ def hutchinson_gradient(
     xi = probe.entries
 
     logits = forward_logits(net, theta, X)
-    tape = logits.tape
-    if variant == "full":
-        lsm = ad.log_softmax(logits)
-        coeff = ad.sqrt(ad.clip(ad.stop_gradient(ad.exp(lsm)), CLAMP_FLOOR, 1.0))
-        h = ad.wsum(ad.mul(lsm, coeff), xi)
-    elif variant == "diag":
-        if weights == "p":
-            lsm = ad.log_softmax(logits)
-            coeff = ad.sqrt(ad.clip(ad.stop_gradient(ad.exp(lsm)), CLAMP_FLOOR, 1.0))
-        elif weights == "bernoulli":
-            s = _sigmoid(logits.data)
-            coeff = ad.constant(tape, np.sqrt(np.clip(s * (1.0 - s), CLAMP_FLOOR, 1.0)))
-        else:
-            raise ValueError(f"unknown diagonal weights {weights!r}")
-        h = ad.wsum(ad.mul(logits, coeff), xi)
-    elif variant == "lowrank":
-        lams, vecs = _lowrank_eigenpairs(softmax(logits.data), k, eigen, rng)
-        coeffs = np.sqrt(np.maximum(lams, 0.0))  # round-off can leave -1e-17
-        W = np.einsum("bk,bk,bkc->bc", coeffs, xi, vecs)
-        h = ad.wsum(logits, W)
-    else:  # sqrt
-        lsm = ad.log_softmax(logits)
-        h = ad.scale(ad.wsum(ad.exp(ad.scale(lsm, 0.5)), xi), 2.0)
+    if variant == "sqrt":
+        h = ad.scale(ad.wsum(ad.exp(ad.scale(ad.log_softmax(logits), 0.5)), xi), 2.0)
+    else:
+        core = _core(variant, logits.data, k=k, weights=weights, eigen=eigen, rng=rng)
+        # round-off can leave a low-rank eigenvalue at -1e-17
+        h = ad.wsum(logits, core.logit_weights(np.sqrt(np.maximum(core.w, 0.0)) * xi))
     g = ad.gradient(h)
     if tape_out is not None:
-        tape_out.append(tape)
+        tape_out.append(logits.tape)
     return g
 
 
@@ -524,7 +554,7 @@ def hutchinson_fim(
     }
     if variant == "lowrank":
         meta["k"] = k
-        meta["eigen"] = eigen
+        meta["eigen"] = _eigen_route(eigen, k)
     if variant == "diag":
         meta["weights"] = weights
     return FimEstimate(HUTCH_KINDS[variant], storage, acc, "sum", meta)
@@ -559,14 +589,12 @@ def variance_closed_form(
 ) -> VarianceReport:
     """Exact variance of the diagonal of a single-probe estimate.
 
-    Gaussian probes: Var = 2 T_ii^2 where T is the variant's target matrix.
-    Rademacher probes subtract the diagonal fourth-moment excess:
-
-        full:     2 F_ii^2  - 2 sum_{x,y} p^2      (dl_xy/dth_i)^4
-        diag:     2 T_ii^2  - 2 sum_{x,y} zeta^2   (dz_y/dth_i)^4
-        lowrank:  2 T_ii^2  - 2 sum_x    lam_max^2 (v_max . dz/dth_i)^4
-
-    Only rank 1 is supported for the low-rank variant.
+    With the variant's core weights w and rows R = M J (dl_xy/dth_i for
+    full, dz_y/dth_i for diag, v_max . dz/dth_i for lowrank), the target
+    diagonal is T_ii = sum_{x,r} w R_ri^2.  Gaussian probes give
+    Var = 2 T_ii^2; Rademacher probes subtract the fourth-moment excess,
+    Var = 2 T_ii^2 - 2 sum_{x,r} w^2 R_ri^4.  Only rank 1 is supported for
+    the low-rank variant.
     """
     if variant not in CLOSED_FORM_VARIANTS:
         raise ValueError(f"no closed-form variance for variant {variant!r}")
@@ -574,26 +602,11 @@ def variance_closed_form(
         raise ValueError("closed-form low-rank variance covers k = 1 only")
     if dist not in ("rademacher", "gaussian"):
         raise ValueError(f"unknown probe distribution {dist!r}")
-    if variant == "diag" and weights not in ("p", "bernoulli"):
-        raise ValueError(f"unknown diagonal weights {weights!r}")
     J, z = _jacobian_stack(net, theta, X)
-    p = softmax(z)
-    if variant == "full":
-        L = J - np.einsum("bc,bcd->bd", p, J)[:, None, :]  # rows dl_xy/dtheta = J[y] - p.J
-        L2 = L * L
-        target = np.einsum("bc,bcd->d", p, L2)
-        quartic = np.einsum("bc,bcd->d", p**2, L2 * L2)
-    elif variant == "diag":
-        s = _sigmoid(z)
-        zeta = p if weights == "p" else s * (1.0 - s)
-        J2 = J * J
-        target = np.einsum("bc,bcd->d", zeta, J2)
-        quartic = np.einsum("bc,bcd->d", zeta**2, J2 * J2)
-    else:
-        lam, V = np.linalg.eigh(simplex_matrix(p))
-        rows = np.einsum("bc,bcd->bd", V[:, :, -1], J)
-        target = lam[:, -1] @ (rows * rows)
-        quartic = lam[:, -1] ** 2 @ rows**4
+    core = _core(variant, z, weights=weights)
+    R2 = np.square(core.rows(J))
+    target = np.einsum("br,brd->d", core.w, R2)
+    quartic = np.einsum("br,brd->d", core.w**2, np.square(R2, out=R2))
     if dist == "gaussian":
         var = 2.0 * target**2
     else:  # round-off can leave a true 0 slightly negative

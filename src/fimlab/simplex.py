@@ -152,14 +152,12 @@ def diag_weight_fim(zeta) -> OutputFim:
 def _canonical_sign(V: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so the largest-magnitude entry is positive.
 
-    np.argmax returns the lowest index on ties, which fixes the tie-break.
+    V holds the eigenvectors as columns: one matrix (C, m) or a stack
+    (..., C, m).  np.argmax returns the lowest index on ties, which fixes
+    the tie-break.
     """
-    V = V.copy()
-    for j in range(V.shape[1]):
-        i = int(np.argmax(np.abs(V[:, j])))
-        if V[i, j] < 0:
-            V[:, j] = -V[:, j]
-    return V
+    i = np.argmax(np.abs(V), axis=-2)[..., None, :]
+    return np.where(np.take_along_axis(V, i, axis=-2) < 0, -V, V)
 
 
 def symeig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,10 +6,6 @@ import pytest
 from fimlab import autodiff as ad
 
 
-def scalar_param(tape, x):
-    return ad.parameter(tape, np.asarray(float(x)))
-
-
 # --- forward values ---------------------------------------------------------
 
 
@@ -74,27 +70,6 @@ def test_backward_rejects_nonscalar_root():
     theta = ad.parameter(tape, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         ad.backward(ad.mul(theta, theta))
-
-
-def test_stop_gradient_forward_identity_and_zero_adjoint():
-    tape = ad.Tape()
-    theta = scalar_param(tape, 3.0)
-    frozen = ad.stop_gradient(theta)
-    assert np.array_equal(frozen.data, theta.data)
-
-    # d/dtheta [stop(theta) * theta] = stop(theta) = 3, not 6
-    prod = ad.mul(frozen, theta)
-    g = ad.gradient(ad.total(prod))
-    assert np.array_equal(g, [3.0])
-
-
-def test_stop_gradient_kills_any_path():
-    tape = ad.Tape()
-    theta = scalar_param(tape, 0.7)
-    inner = ad.exp(ad.mul(theta, theta))
-    out = ad.total(ad.stop_gradient(inner))
-    g = ad.gradient(out)
-    assert np.array_equal(g, [0.0])  # exactly zero, not merely small
 
 
 def test_constants_never_receive_gradient():
@@ -246,25 +221,16 @@ def test_grad_check_three_layer_network_at_small_step():
         assert ad.grad_check(f, theta, step=1e-5) <= 1e-6
 
 
-def test_grad_check_relu_sqrt_clip_exp():
+def test_grad_check_relu_exp():
     rng = np.random.default_rng(7)
 
     def f(theta):
         tape = ad.Tape()
         th = ad.parameter(tape, theta)
-        pos = ad.exp(th)  # strictly positive, clip inactive
-        path = ad.sqrt(ad.clip(pos, 1e-30, 1e30))
-        return ad.total(ad.add(ad.relu(th), path))
+        return ad.total(ad.add(ad.relu(th), ad.exp(th)))
 
     theta = rng.normal(size=6) + 0.1  # keep relu away from its kink
     assert ad.grad_check(f, theta) <= 1e-6
-
-
-def test_sqrt_rejects_negative():
-    tape = ad.Tape()
-    v = ad.constant(tape, np.array([-1.0]))
-    with pytest.raises(ValueError):
-        ad.sqrt(v)
 
 
 def test_batch_matmul_rows_match_single_rows_bitwise():
@@ -295,8 +261,6 @@ RULE_CASES = {
     "tanh": (((6,),), lambda a: ad.wsum(ad.tanh(a), _W6)),
     "relu": (((6,),), lambda a: ad.wsum(ad.relu(a), _W6)),
     "exp": (((6,),), lambda a: ad.wsum(ad.exp(a), _W6)),
-    "sqrt": (((6,),), lambda a: ad.wsum(ad.sqrt(ad.mul(a, a)), _W6)),
-    "clip": (((6,),), lambda a: ad.wsum(ad.clip(a, -0.6, 0.6), _W6)),
     "log_softmax": (((2, 3),), lambda A: ad.wsum(ad.log_softmax(A), _W23)),
     "wsum": (((6,),), lambda a: ad.total(ad.tanh(ad.wsum(ad.mul(a, a), _W6)))),
     "total": (((6,),), lambda a: ad.wsum(ad.tanh(ad.total(ad.mul(a, a))), -2.5)),
@@ -304,22 +268,25 @@ RULE_CASES = {
         ((2, 3), (3,)),
         lambda A, a: ad.add(ad.wsum(ad.gather(A, [2, 0]), _W6[:2]), ad.gather(a, 1)),
     ),
-    "stop": (((6,),), lambda a: ad.total(ad.mul(ad.stop_gradient(a), a))),
 }
 
 # ops whose adjoint is known exactly, as a function of theta
 EXACT_ADJOINTS = {
     "gather": lambda theta: np.array([0, 0, _W6[0], _W6[1], 0, 0, 0, 1, 0], dtype=np.float64),
-    "stop": lambda theta: theta,  # d/da [stop(a) * a] = stop(a), not 2a
 }
+
+
+def test_rule_cases_cover_exactly_the_rule_table():
+    assert set(RULE_CASES) == set(ad._RULES)
+    assert set(EXACT_ADJOINTS) <= set(ad._RULES)
 
 
 @pytest.mark.parametrize("op", sorted(ad._RULES))
 def test_rule_table_op_replays_and_differentiates(op):
     shapes, build = RULE_CASES[op]
     sizes = [math.prod(s) for s in shapes]
-    # alternating signs, |theta| in [0.2, 1.5]: both relu branches, both
-    # clip bounds, and away from the relu kink and sqrt's zero
+    # alternating signs, |theta| in [0.2, 1.5]: both relu branches, and away
+    # from the relu kink
     n = sum(sizes)
     theta = np.random.default_rng(4).uniform(0.2, 1.5, size=n) * (-1.0) ** np.arange(n)
 

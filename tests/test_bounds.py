@@ -326,6 +326,12 @@ def test_margin_rejects_non_finite_entries(bad):
         loewner_margin(B, np.eye(3))
 
 
+def test_margin_rejects_an_overflowing_difference():
+    A = np.full((3, 3), 1e308)  # finite, but B - A = -2e308 is not
+    with pytest.raises(ValueError, match="overflows"):
+        loewner_margin(A, -A)
+
+
 def test_margin_cap_is_checked_before_the_difference(monkeypatch):
     monkeypatch.setattr(bounds, "DENSE_DIM_CAP", 4)
     A = np.zeros((5, 5))

@@ -94,7 +94,14 @@ OUT_OF_RANGE = [
     ("epsilon", 0),
     ("epsilon", "nan"),
     ("epsilon", "inf"),
+    ("separation", "inf"),
+    ("lr", "inf"),
+    ("nu", 0),
+    ("nu", "nan"),
+    ("nu", "inf"),
 ]
+# keys checked only where they are used, with the line that puts them to use
+USED_BY = {"lr": "train_steps = 10", "nu": "generator = student_t"}
 
 
 @pytest.mark.parametrize("key,value", OUT_OF_RANGE,
@@ -102,7 +109,7 @@ OUT_OF_RANGE = [
                               for key, value in OUT_OF_RANGE])
 def test_config_rejects_out_of_range_value(tmp_path, key, value):
     path = tmp_path / "c.cfg"
-    path.write_text(f"# header\nseed = 1\n{key} = {value}\n")
+    path.write_text(f"# header\nseed = 1\n{key} = {value}\n{USED_BY.get(key, '')}\n")
     with pytest.raises(ValueError, match=rf"c\.cfg:3: {key} must be (at least|positive)"):
         parse_config(path)
 

@@ -6,7 +6,7 @@ import pytest
 from fimlab import estimators as est
 from fimlab.bounds import pullback_bounds
 from fimlab.network import NetworkSpec, flatten, init_params, unflatten
-from fimlab.simplex import simplex_matrix
+from fimlab.simplex import simplex_matrix, symeig
 
 from helpers import enumeration_diag_moments, enumeration_mean, random_instance
 
@@ -402,6 +402,36 @@ def test_probe_argument_validation():
         est.hutchinson_fim(net, theta, X, "full")  # no probe, no rng
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_batched_eigh_route_matches_per_sample_eigenpairs(k):
+    P = np.random.default_rng(3).dirichlet(np.ones(4), size=6)
+    lams, vecs = est._lowrank_eigenpairs(P, k, "full", None)
+    for b, p in enumerate(P):
+        w, V = symeig(simplex_matrix(p))
+        assert np.allclose(lams[b], w[-k:], rtol=0, atol=1e-15)
+        assert np.allclose(vecs[b], V[:, -k:].T, rtol=0, atol=1e-15)
+
+
+def test_unknown_eigen_route_is_rejected():
+    rng = np.random.default_rng(18)
+    net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
+    with pytest.raises(ValueError, match="eigenpair route"):
+        est.hutchinson_fim(net, theta, X, "lowrank", rng=rng, eigen="bogus")
+
+
+@pytest.mark.parametrize("k,eigen,route", [(1, "power", "power"), (1, "full", "full"),
+                                           (2, "power", "full"), (2, "full", "full")])
+def test_meta_eigen_names_the_route_taken(monkeypatch, k, eigen, route):
+    rng = np.random.default_rng(18)
+    net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
+    calls = []
+    original = est.top_eigenpair
+    monkeypatch.setattr(est, "top_eigenpair", lambda *a, **kw: calls.append(1) or original(*a, **kw))
+    estimate = est.hutchinson_fim(net, theta, X, "lowrank", rng=rng, k=k, eigen=eigen)
+    assert estimate.meta["eigen"] == route
+    assert len(calls) == (X.shape[0] if route == "power" else 0)
+
+
 def test_diagonal_probe_estimates_are_nonnegative():
     rng = np.random.default_rng(19)
     net, theta, X = random_instance(rng, (2, 5, 3), "tanh", n_samples=3)
@@ -428,10 +458,11 @@ def test_full_variance_matches_enumeration():
 def test_diag_variance_matches_enumeration():
     rng = np.random.default_rng(21)
     net, theta, X = random_instance(rng, (3, 3), "none", n_samples=2)
-    mean, var = enumeration_diag_moments(net, theta, X, "diag", weights="p")
-    report = est.variance_closed_form(net, theta, X, "diag", "rademacher")
-    assert np.max(np.abs(var - report.var_closed)) <= 1e-10
-    assert np.max(np.abs(mean - report.fim_diag)) <= 1e-12
+    for weights in ("p", "bernoulli"):
+        mean, var = enumeration_diag_moments(net, theta, X, "diag", weights=weights)
+        report = est.variance_closed_form(net, theta, X, "diag", "rademacher", weights=weights)
+        assert np.max(np.abs(var - report.var_closed)) <= 1e-10
+        assert np.max(np.abs(mean - report.fim_diag)) <= 1e-12
 
 
 def test_lowrank_variance_matches_enumeration():

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from fimlab.simplex import (
     EmpiricalFim,
+    _canonical_sign,
     ProbVector,
     diag_weight_fim,
     empirical_fim_variance,
@@ -103,6 +104,20 @@ def test_spectrum_against_characteristic_polynomial():
 def test_spectrum_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         spectrum(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_canonical_sign_of_a_stack_matches_the_column_loop():
+    V = np.random.default_rng(5).normal(size=(4, 3, 3))
+    V[0, :, 1] = [0.5, -0.5, 0.1]  # a tie: the lowest index decides
+    V[1, :, 2] = [-0.1, -0.9, 0.9]
+    for b in range(4):
+        expected = V[b].copy()
+        for j in range(3):  # the column-by-column reference
+            i = int(np.argmax(np.abs(expected[:, j])))
+            if expected[i, j] < 0:
+                expected[:, j] = -expected[:, j]
+        assert np.array_equal(_canonical_sign(V)[b], expected)
+        assert np.array_equal(_canonical_sign(V[b]), expected)
 
 
 @settings(max_examples=60, deadline=None)
