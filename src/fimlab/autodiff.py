@@ -2,9 +2,12 @@
 
 A Tape records primitive operations append-only; each node stores its op
 name, parent indices and the cached forward value, so a tape can be replayed
-bit-exactly.  backward() seeds a scalar root and runs a single reverse sweep,
-accumulating adjoints into parameter leaves.  Constants never receive
-gradient.
+bit-exactly.  backward() seeds any node with an adjoint of its shape (a
+scalar root with 1 by default) and runs a single reverse sweep, accumulating
+adjoints into parameter leaves; the result is the gradient of
+sum(adjoint * root).  Seeding a one-hot row of the logits or log-softmax
+gives one Jacobian row without pushing a node onto the tape.  Constants never
+receive gradient.
 
 Each op is one entry of a rule table that pairs its forward rule with its
 adjoint rule; recording, replay() and backward() all read that table, so an
@@ -70,16 +73,20 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self._param_ids: list[int] = []
         self.backward_calls = 0
         self._counter_lock = threading.Lock()
 
     def _push(self, op: str, parents: tuple[int, ...], value: np.ndarray, ctx: tuple = ()) -> "Value":
         value = np.asarray(value, dtype=np.float64)
+        if op == "param":
+            self._param_ids.append(len(self.nodes))
         self.nodes.append(_Node(op, parents, value, ctx))
         return Value(self, len(self.nodes) - 1)
 
     def param_ids(self) -> list[int]:
-        return [i for i, n in enumerate(self.nodes) if n.op == "param"]
+        """Node ids of the parameter leaves, in creation order (a copy)."""
+        return list(self._param_ids)
 
     def replay(self) -> bool:
         """Re-run every recorded op; True iff all values reproduce bit-exactly."""
@@ -277,21 +284,33 @@ def total(a: Value) -> Value:
 
 
 def _accumulate(adj: dict, idx: int, delta: np.ndarray):
+    # copy on first insert: add passes one g to both parents, and a param's adjoint is returned
     if idx in adj:
         adj[idx] = adj[idx] + delta
     else:
         adj[idx] = np.array(delta, dtype=np.float64)
 
 
-def backward(root: Value) -> dict[int, np.ndarray]:
-    """Reverse sweep from a scalar root; returns {param node id: adjoint}."""
-    if root.data.shape != ():
-        raise ValueError(f"backward root must be a scalar, got shape {root.data.shape}")
+def backward(root: Value, adjoint=None) -> dict[int, np.ndarray]:
+    """One reverse sweep from `root`; returns {param node id: adjoint}.
+
+    The sweep starts at `root` with `adjoint`, an array of the root's shape,
+    and gives the gradient of sum(adjoint * root).  Without an adjoint the
+    root must be a scalar and the sweep starts from 1.
+    """
+    if adjoint is None:
+        if root.data.shape != ():
+            raise ValueError(f"backward root must be a scalar, got shape {root.data.shape}")
+        seed = np.ones(())
+    else:
+        seed = np.array(adjoint, dtype=np.float64)  # a copy: a param root returns it
+        if seed.shape != root.data.shape:
+            raise ValueError(f"adjoint shape {seed.shape} != root shape {root.data.shape}")
     tape = root.tape
     nodes = tape.nodes
     with tape._counter_lock:
         tape.backward_calls += 1
-    adj: dict[int, np.ndarray] = {root.idx: np.ones(())}
+    adj: dict[int, np.ndarray] = {root.idx: seed}
     grads: dict[int, np.ndarray] = {}
     for i in range(root.idx, -1, -1):
         g = adj.pop(i, None)
@@ -320,12 +339,13 @@ def backward(root: Value) -> dict[int, np.ndarray]:
     return grads
 
 
-def gradient(root: Value) -> np.ndarray:
-    """Flat gradient of a scalar over all parameter leaves, in creation order.
+def gradient(root: Value, adjoint=None) -> np.ndarray:
+    """Flat gradient of sum(adjoint * root) over all parameter leaves, in creation order.
 
-    Parameters the root does not depend on contribute exact zeros.
+    Without an adjoint the root must be a scalar (see backward).  Parameters
+    the root does not depend on contribute exact zeros.
     """
-    grads = backward(root)
+    grads = backward(root, adjoint)
     tape = root.tape
     parts = []
     for i in tape.param_ids():

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import DENSE_DIM_CAP, _core, _jacobian_stack
+from .estimators import DENSE_DIM_CAP, _check_rank, _core, _jacobian_stack
 from .network import NetworkSpec, softmax
 from .simplex import simplex_matrix
 
@@ -82,9 +82,7 @@ def pullback_bounds(net: NetworkSpec, theta, X, k: int) -> BoundPair:
     cores.  The lower bound has rank at most k * n_samples and equals the
     FIM at k = C-1 because the remaining eigenvalue is zero.
     """
-    C = net.n_classes
-    if not 1 <= k <= C - 1:
-        raise ValueError(f"rank parameter must be in [1, {C - 1}], got {k}")
+    _check_rank(k, net.n_classes)
     J, z = _jacobian_stack(net, theta, X)
     lower = _core("lowrank", z, k=k).gram(J, "dense")
     upper = _core("diag", z).gram(J, "dense")
@@ -183,8 +181,7 @@ def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> Tig
     over the label of each sample.
     """
     C = net.n_classes
-    if not 1 <= k <= C - 1:
-        raise ValueError(f"rank parameter must be in [1, {C - 1}], got {k}")
+    _check_rank(k, C)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     B = X.shape[0]
     if labels is not None:

@@ -4,7 +4,10 @@ Ground truth comes in two independently computed forms: the defining sum
 sum_x sum_y p(y|x) (dl/dtheta)(dl/dtheta)^T, and the pullback form
 sum_x J^T (diag(p) - p p^T) J through the per-sample Jacobian.  Alongside
 them: the empirical FIM at observed labels, the label-resampling Monte Carlo
-estimate, and a family of single-backward-pass probe estimators.
+estimate, and a family of single-backward-pass probe estimators.  A
+per-sample Jacobian or set of log-likelihood gradients is C reverse sweeps
+of one forward tape, each seeded with a one-hot adjoint at the logits or the
+log-softmax, so the sweeps add no node to the tape.
 
 Each probe variant writes its C x C core once (`_core`), as weights w (B, r)
 and output-space rows m_r with core = sum_r w_r m_r m_r^T: w = p with rows
@@ -235,37 +238,41 @@ class _PassCount:
         self.total += tape.backward_calls
 
 
-def loglik_gradients(net: NetworkSpec, theta, x, *, tape_out=None) -> tuple[np.ndarray, np.ndarray]:
-    """(p, G) for one sample: G[y] = d log p(y|x) / d theta.  C backward passes.
+def _one_hot_rows(C: int) -> np.ndarray:
+    """(C, 1, C): row c seeds a reverse sweep of a (1, C) node with e_c."""
+    return np.eye(C)[:, None, :]
 
-    With `tape_out` (a list, or anything with an append method), the
-    sample's tape is appended to it once its passes are done, so a caller
-    can count them on the tape.
+
+def loglik_gradients(net: NetworkSpec, theta, x, *, tape_out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(p, G) for one sample: G[y] = d log p(y|x) / d theta.
+
+    C backward passes of one forward tape, each seeded at the log-softmax
+    with e_y, so no node is added per class.  With `tape_out` (a list, or
+    anything with an append method), the sample's tape is appended to it
+    once its passes are done, so a caller can count them on the tape.
     """
     logits = forward_logits(net, theta, np.asarray(x, dtype=np.float64)[None, :])
     lsm = ad.log_softmax(logits)
     p = np.exp(lsm.data[0])
-    C = net.n_classes
-    G = np.empty((C, as_flat(theta).size))
-    for y in range(C):
-        ly = ad.total(ad.gather(lsm, np.array([y])))
-        G[y] = ad.gradient(ly)
+    G = np.empty((net.n_classes, as_flat(theta).size))
+    for y, e_y in enumerate(_one_hot_rows(net.n_classes)):
+        G[y] = ad.gradient(lsm, e_y)
     if tape_out is not None:
         tape_out.append(logits.tape)
     return p, G
 
 
 def jacobian_and_logits(net: NetworkSpec, theta, x, *, tape_out=None) -> tuple[np.ndarray, np.ndarray]:
-    """(J, z) for one sample: J[i] = dz_i/dtheta.  C backward passes.
+    """(J, z) for one sample: J[i] = dz_i/dtheta.
 
-    With `tape_out`, the sample's tape is appended to it, as in
+    C backward passes of one forward tape, each seeded at the logits with
+    e_i.  With `tape_out`, the sample's tape is appended to it, as in
     loglik_gradients.
     """
     logits = forward_logits(net, theta, np.asarray(x, dtype=np.float64)[None, :])
-    C = net.n_classes
-    J = np.empty((C, as_flat(theta).size))
-    for i in range(C):
-        J[i] = ad.gradient(ad.total(ad.gather(logits, np.array([i]))))
+    J = np.empty((net.n_classes, as_flat(theta).size))
+    for i, e_i in enumerate(_one_hot_rows(net.n_classes)):
+        J[i] = ad.gradient(logits, e_i)
     if tape_out is not None:
         tape_out.append(logits.tape)
     return J, logits.data[0]
@@ -329,11 +336,12 @@ def efim(net: NetworkSpec, theta, X, labels, storage: str = "dense") -> FimEstim
     dim = net.dim
     _check_dense(storage, dim)
     passes = _PassCount()
+    one_hot = _one_hot_rows(net.n_classes)
 
     def rows():
         for x, y in zip(X, labels):
             lsm = ad.log_softmax(forward_logits(net, theta, x[None, :]))
-            g = ad.gradient(ad.total(ad.gather(lsm, np.array([int(y)]))))
+            g = ad.gradient(lsm, one_hot[y])
             passes.append(lsm.tape)
             yield 1.0, g
 
@@ -360,13 +368,14 @@ def mc_fim(
     dim = net.dim
     _check_dense(storage, dim)
     passes = _PassCount()
+    one_hot = _one_hot_rows(net.n_classes)
 
     def rows():
         for _ in range(m):
             x = X[int(rng.integers(X.shape[0]))]
             lsm = ad.log_softmax(forward_logits(net, theta, x[None, :]))
             y = _sample_label(np.exp(lsm.data[0]), rng)
-            g = ad.gradient(ad.total(ad.gather(lsm, np.array([y]))))
+            g = ad.gradient(lsm, one_hot[y])
             passes.append(lsm.tape)
             yield 1.0 / m, g
 
@@ -384,10 +393,21 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eigen_route(eigen: str, k: int) -> str:
-    """The route the low-rank eigenpairs take: "power" serves k = 1 only, "full" (eigh) any k."""
+def _check_options(weights: str, eigen: str = "full") -> None:
+    """Reject unknown diagonal `weights` and eigenpair routes, whatever the variant."""
+    if weights not in ("p", "bernoulli"):
+        raise ValueError(f"unknown diagonal weights {weights!r}; expected 'p' or 'bernoulli'")
     if eigen not in ("power", "full"):
         raise ValueError(f"unknown eigenpair route {eigen!r}; expected 'power' or 'full'")
+
+
+def _check_rank(k: int, C: int) -> None:
+    if not 1 <= k <= C - 1:
+        raise ValueError(f"rank parameter must be in [1, {C - 1}], got {k}")
+
+
+def _eigen_route(eigen: str, k: int) -> str:
+    """The route the low-rank eigenpairs take: "power" serves k = 1 only, "full" (eigh) any k."""
     return eigen if k == 1 else "full"
 
 
@@ -439,7 +459,10 @@ class _Core(NamedTuple):
 
 def _core(variant: str, z: np.ndarray, *, k: int = 1, weights: str = "p", eigen: str = "full",
           rng: np.random.Generator | None = None) -> _Core:
-    """The core of probe variant "full", "diag" or "lowrank" at logits z (B, C)."""
+    """The core of probe variant "full", "diag" or "lowrank" at logits z (B, C).
+
+    `weights` and `eigen` are checked by the public callers (`_check_options`).
+    """
     p = softmax(z)
     if variant == "full":
         return _Core(p, p=p)
@@ -447,8 +470,6 @@ def _core(variant: str, z: np.ndarray, *, k: int = 1, weights: str = "p", eigen:
         if weights == "bernoulli":
             s = _sigmoid(z)
             return _Core(s * (1.0 - s))
-        if weights != "p":
-            raise ValueError(f"unknown diagonal weights {weights!r}")
         return _Core(p)
     lams, V = _lowrank_eigenpairs(p, k, eigen, rng)
     return _Core(lams, V=V)
@@ -475,6 +496,7 @@ def hutchinson_gradient(
     logits carry gradient.  The sqrt variant traces 2 sum sqrt(p) xi
     through the log-softmax instead.
     """
+    _check_options(weights, eigen)
     X = _finite_inputs(theta, X)
     B = X.shape[0]
     C = net.n_classes
@@ -482,8 +504,8 @@ def hutchinson_gradient(
         raise ValueError(f"unknown variant {variant!r}")
     if variant != "diag" and C < 2:
         raise ValueError("categorical estimators need at least 2 classes")
-    if variant == "lowrank" and not 1 <= k <= C - 1:
-        raise ValueError(f"rank parameter must be in [1, {C - 1}], got {k}")
+    if variant == "lowrank":
+        _check_rank(k, C)
     probe_shape = (B, k) if variant == "lowrank" else (B, C)
     if probe is None:
         if rng is None:
@@ -590,20 +612,21 @@ def variance_closed_form(
     """Exact variance of the diagonal of a single-probe estimate.
 
     With the variant's core weights w and rows R = M J (dl_xy/dth_i for
-    full, dz_y/dth_i for diag, v_max . dz/dth_i for lowrank), the target
+    full, dz_y/dth_i for diag, v_r . dz/dth_i for lowrank), the target
     diagonal is T_ii = sum_{x,r} w R_ri^2.  Gaussian probes give
     Var = 2 T_ii^2; Rademacher probes subtract the fourth-moment excess,
-    Var = 2 T_ii^2 - 2 sum_{x,r} w^2 R_ri^4.  Only rank 1 is supported for
-    the low-rank variant.
+    Var = 2 T_ii^2 - 2 sum_{x,r} w^2 R_ri^4.  The low-rank variant takes
+    any rank k in [1, C-1].
     """
     if variant not in CLOSED_FORM_VARIANTS:
         raise ValueError(f"no closed-form variance for variant {variant!r}")
-    if variant == "lowrank" and k != 1:
-        raise ValueError("closed-form low-rank variance covers k = 1 only")
+    _check_options(weights)
+    if variant == "lowrank":
+        _check_rank(k, net.n_classes)
     if dist not in ("rademacher", "gaussian"):
         raise ValueError(f"unknown probe distribution {dist!r}")
     J, z = _jacobian_stack(net, theta, X)
-    core = _core(variant, z, weights=weights)
+    core = _core(variant, z, k=k, weights=weights)
     R2 = np.square(core.rows(J))
     target = np.einsum("br,brd->d", core.w, R2)
     quartic = np.einsum("br,brd->d", core.w**2, np.square(R2, out=R2))

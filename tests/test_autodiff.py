@@ -72,6 +72,55 @@ def test_backward_rejects_nonscalar_root():
         ad.backward(ad.mul(theta, theta))
 
 
+def test_seeded_sweep_rejects_a_mismatched_adjoint():
+    tape = ad.Tape()
+    theta = ad.parameter(tape, np.array([1.0, 2.0]))
+    sq = ad.mul(theta, theta)
+    with pytest.raises(ValueError, match="adjoint shape"):
+        ad.backward(sq, np.ones(3))
+    with pytest.raises(ValueError, match="adjoint shape"):
+        ad.gradient(ad.total(sq), np.ones(2))
+    with pytest.raises(ValueError, match="must be a scalar"):
+        ad.gradient(sq)
+    assert tape.backward_calls == 0
+
+
+def test_seeded_sweep_is_the_gradient_of_the_weighted_sum():
+    rng = np.random.default_rng(4)
+    tape = ad.Tape()
+    theta = ad.parameter(tape, rng.normal(size=(2, 3)))
+    out = ad.tanh(ad.mul(theta, theta))
+    w = rng.normal(size=(2, 3))
+    assert np.array_equal(ad.gradient(out, w), ad.gradient(ad.wsum(out, w)))
+    assert tape.backward_calls == 2
+
+
+def test_seeded_sweep_does_not_alias_the_adjoint():
+    tape = ad.Tape()
+    a = ad.parameter(tape, np.array([1.0, 2.0]))
+    b = ad.parameter(tape, np.array([3.0, 4.0]))
+    seed = np.array([5.0, 6.0])
+    for root in (a, ad.add(a, b)):  # a param root returns its seed; add passes it on
+        grads = ad.backward(root, seed)
+        for g in grads.values():
+            assert np.array_equal(g, seed)
+            g[0] = -1.0
+        assert np.array_equal(seed, [5.0, 6.0])
+
+
+def test_param_ids_match_a_scan_and_are_a_copy():
+    tape = ad.Tape()
+    W = ad.parameter(tape, np.ones((2, 2)))
+    c = ad.constant(tape, np.ones(2))
+    ad.matmul(ad.constant(tape, np.ones((1, 2))), W)
+    b = ad.parameter(tape, np.ones(2))
+    ad.add(b, c)
+    ids = tape.param_ids()
+    assert ids == [i for i, n in enumerate(tape.nodes) if n.op == "param"] == [W.idx, b.idx]
+    ids.append(99)
+    assert tape.param_ids() == [W.idx, b.idx]
+
+
 def test_constants_never_receive_gradient():
     tape = ad.Tape()
     c = ad.constant(tape, np.array([1.0, 2.0]))

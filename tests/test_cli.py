@@ -244,6 +244,14 @@ def test_variance_offers_exactly_the_closed_form_variants(tmp_path, variant):
     assert json.loads(out.read_text())["variant"] == variant
 
 
+def test_variance_lowrank_at_rank_two(tmp_path):
+    cfg = write_config(tmp_path / "c.cfg", trials=4, **{**SMALL, "k": 2})
+    out = tmp_path / "var.json"
+    assert main(["variance", "--config", str(cfg), "--variant", "lowrank", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert min(payload["var_closed"]) >= 0.0
+
+
 def test_variance_rejects_a_variant_without_closed_form(tmp_path):
     cfg = write_config(tmp_path / "c.cfg", trials=4, **SMALL)
     assert "sqrt" in est.PROBE_VARIANTS.values() and "sqrt" not in est.CLOSED_FORM_VARIANTS

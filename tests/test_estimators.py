@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from fimlab import autodiff as ad
 from fimlab import estimators as est
 from fimlab.bounds import pullback_bounds
-from fimlab.network import NetworkSpec, flatten, init_params, unflatten
+from fimlab.network import NetworkSpec, flatten, forward_logits, init_params, unflatten
 from fimlab.simplex import simplex_matrix, symeig
 
 from helpers import enumeration_diag_moments, enumeration_mean, random_instance
@@ -15,6 +16,45 @@ def scalar_binary_model():
     """One input feeding two logits; at theta = 0 this is a fair coin."""
     net = NetworkSpec((1, 2), "none")
     return net, np.zeros(net.dim)
+
+
+# --- seeded reverse sweeps ------------------------------------------------------
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu", "none"])
+@pytest.mark.parametrize("C", [2, 4, 10])
+def test_seeded_sweeps_equal_gather_total_roots_bitwise(activation, C):
+    # a one-hot adjoint is what gather + total fed back, so every row is the same bits
+    rng = np.random.default_rng(C)
+    net = NetworkSpec((3, 5, C), activation)
+    theta = init_params(net, rng)
+    x = rng.normal(size=(1, 3))
+    logits = forward_logits(net, theta, x)
+    lsm = ad.log_softmax(logits)
+    for i, e_i in enumerate(np.eye(C)[:, None, :]):
+        seeded = ad.gradient(logits, e_i)
+        rooted = ad.gradient(ad.total(ad.gather(logits, np.array([i]))))
+        assert seeded.tobytes() == rooted.tobytes()
+        seeded = ad.gradient(lsm, e_i)
+        rooted = ad.gradient(ad.total(ad.gather(lsm, np.array([i]))))
+        assert seeded.tobytes() == rooted.tobytes()
+
+
+@pytest.mark.parametrize("C", [2, 4, 10])
+def test_per_sample_sweeps_push_no_node(C):
+    rng = np.random.default_rng(C)
+    net = NetworkSpec((3, 5, C), "tanh")
+    theta = init_params(net, rng)
+    x = rng.normal(size=3)
+    forward_nodes = len(forward_logits(net, theta, x[None, :]).tape.nodes)
+    tapes = []
+    est.jacobian_and_logits(net, theta, x, tape_out=tapes)
+    assert len(tapes[0].nodes) == forward_nodes
+    assert tapes[0].backward_calls == C
+    tapes = []
+    est.loglik_gradients(net, theta, x, tape_out=tapes)
+    assert len(tapes[0].nodes) == forward_nodes + 1  # the log-softmax
+    assert tapes[0].backward_calls == C
 
 
 # --- exact oracles ------------------------------------------------------------
@@ -468,10 +508,11 @@ def test_diag_variance_matches_enumeration():
 def test_lowrank_variance_matches_enumeration():
     rng = np.random.default_rng(22)
     net, theta, X = random_instance(rng, (2, 4), "none", n_samples=3)
-    mean, var = enumeration_diag_moments(net, theta, X, "lowrank", k=1, eigen="full")
-    report = est.variance_closed_form(net, theta, X, "lowrank", "rademacher")
-    assert np.max(np.abs(var - report.var_closed)) <= 1e-10
-    assert np.max(np.abs(mean - report.fim_diag)) <= 1e-12
+    for k in (1, 2, 3):  # every rank in [1, C-1]
+        mean, var = enumeration_diag_moments(net, theta, X, "lowrank", k=k, eigen="full")
+        report = est.variance_closed_form(net, theta, X, "lowrank", "rademacher", k=k)
+        assert np.max(np.abs(var - report.var_closed)) <= 1e-10
+        assert np.max(np.abs(mean - report.fim_diag)) <= 1e-12
 
 
 @pytest.mark.parametrize("variant", ["diag", "lowrank"])
@@ -509,13 +550,27 @@ def test_empirical_variance_needs_two_trials(n_trials):
         est.empirical_probe_variance(net, theta, X, "full", n_trials=n_trials, rng=rng)
 
 
+@pytest.mark.parametrize("variant", ["full", "diag", "lowrank", "sqrt"])
+@pytest.mark.parametrize("option", [{"weights": "bogus"}, {"eigen": "bogus"}])
+def test_unknown_weights_and_eigen_rejected_for_every_variant(variant, option):
+    rng = np.random.default_rng(26)
+    net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
+    with pytest.raises(ValueError, match="'bogus'"):
+        est.hutchinson_fim(net, theta, X, variant, rng=rng, **option)
+    with pytest.raises(ValueError, match="'bogus'"):
+        est.hutchinson_gradient(net, theta, X, variant, rng=rng, **option)
+    if variant != "sqrt" and "weights" in option:
+        with pytest.raises(ValueError, match="'bogus'"):
+            est.variance_closed_form(net, theta, X, variant, **option)
+
+
 def test_variance_rejects_unsupported():
     rng = np.random.default_rng(24)
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=1)
     with pytest.raises(ValueError):
         est.variance_closed_form(net, theta, X, "sqrt")
-    with pytest.raises(ValueError):
-        est.variance_closed_form(net, theta, X, "lowrank", k=2)
+    with pytest.raises(ValueError, match="rank parameter"):
+        est.variance_closed_form(net, theta, X, "lowrank", k=net.n_classes)
 
 
 # --- trace, EMA, serialization ---------------------------------------------------------
