@@ -161,15 +161,7 @@ class TightnessReport:
     per_sample_efim_bounds: tuple  # per sample: (1 + |p|^2) sigma_max^2
 
     def to_json(self) -> str:
-        payload = {
-            key: (
-                [list(item) if isinstance(item, tuple) else item for item in value]
-                if isinstance(value, tuple)
-                else value
-            )
-            for key, value in self.__dict__.items()
-        }
-        return json.dumps(payload, indent=2)
+        return json.dumps(self.__dict__, indent=2)
 
 
 def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> TightnessReport:

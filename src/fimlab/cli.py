@@ -11,8 +11,8 @@ Subcommands:
   inspect     print the header of a serialized estimate (JSON)
 
 Configs are flat key=value text files ('#' starts a comment); unknown keys
-are rejected.  The FIMLAB_SEED environment variable overrides the config
-seed.  All outputs are reproducible from (config, seed).
+and bad values are rejected.  The FIMLAB_SEED environment variable overrides
+the config seed.  All outputs are reproducible from (config, seed).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import csv
 import json
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -29,118 +30,100 @@ import numpy as np
 from . import estimators as est
 from . import harness as hz
 from . import simplex as sx
-from .network import NetworkSpec, init_params
-
-CONFIG_KEYS = {
-    "seed": int,
-    "generator": str,
-    "d": int,
-    "classes": int,
-    "hidden": int,
-    "activation": str,
-    "n_samples": int,
-    "separation": float,
-    "nu": float,
-    "batch_size": int,
-    "n_batches": int,
-    "estimators": lambda s: tuple(part.strip() for part in s.split(",") if part.strip()),
-    "probes": int,
-    "epsilon": float,
-    "train_steps": int,
-    "lr": float,
-    "storage": str,
-    "trials": int,
-    "k": int,
-}
-
-CONFIG_DEFAULTS = {
-    "seed": 0,
-    "generator": "blobs",
-    "d": 2,
-    "classes": 3,
-    "hidden": 0,
-    "activation": "tanh",
-    "n_samples": 512,
-    "separation": 2.0,
-    "nu": 6.0,
-    "batch_size": 64,
-    "n_batches": 8,
-    "estimators": hz.BenchConfig.estimators,
-    "probes": 1,
-    "epsilon": 1e-12,
-    "train_steps": 0,
-    "lr": 0.1,
-    "storage": "diagonal",
-    "trials": 200,
-    "k": 1,
-}
-
-# smallest allowed value of each numeric key (hidden = 0 is the linear model);
-# separation must also be finite, and epsilon, lr and nu positive and finite
-# where they are used (lr when train_steps > 0, nu for the student_t generator)
-CONFIG_MINIMUMS = {
-    "d": 1,
-    "classes": 2,
-    "hidden": 0,
-    "n_samples": 1,
-    "batch_size": 1,
-    "n_batches": 1,
-    "probes": 1,
-    "train_steps": 0,
-    "trials": 2,
-    "k": 1,
-    "separation": 0.0,
-}
+from .network import ACTIVATIONS, NetworkSpec, init_params
 
 ESTIMATOR_KINDS = ("exact", "pullback", "efim", "mc", *est.PROBE_VARIANTS)
 
 
-def parse_config(path) -> dict:
-    """Flat key=value config; comments with '#'; unknown keys rejected.
+# A config key's row: the parser of its text, its default and its check.
+# check(value, cfg) returns what is wrong with the value (the words after the
+# key in the error message) or None.  Every default passes its check.
+Key = namedtuple("Key", "parse default check")
 
-    Values out of range (CONFIG_MINIMUMS, an infinite separation, epsilon,
-    lr with training or nu with the student_t generator not in (0, inf), NaN)
-    raise ValueError with the path and line number, like a value that does
-    not parse.
-    """
-    cfg = dict(CONFIG_DEFAULTS)
-    lines = {}
+
+def _at_least(minimum):  # and finite
+    return lambda value, cfg: None if minimum <= value < np.inf else (  # NaN fails too
+        f"must be at least {minimum}{' and finite' if value == np.inf else ''}, got {value}")
+
+
+def _positive(where="", used=lambda cfg: True):  # and finite, where the value is used
+    return lambda value, cfg: None if not used(cfg) or 0 < value < np.inf else (
+        f"must be positive and finite{where}, got {value}")
+
+
+def _one_of(choices):  # each name, for a tuple of names
+    def check(value, cfg):
+        bad = [name for name in (value if isinstance(value, tuple) else (value,)) if name not in choices]
+        return f"must be one of {', '.join(choices)}, got {bad[0]!r}" if bad else None
+    return check
+
+
+CONFIG = {
+    "seed": Key(int, 0, _at_least(0)),
+    "generator": Key(str, "blobs", _one_of(("blobs", "student_t"))),
+    "d": Key(int, 2, _at_least(1)),
+    "classes": Key(int, 3, _at_least(2)),
+    "hidden": Key(int, 0, _at_least(0)),  # 0 is the linear model
+    "activation": Key(str, "tanh", _one_of(ACTIVATIONS)),
+    "n_samples": Key(int, 512, _at_least(1)),
+    "separation": Key(float, 2.0, _at_least(0.0)),  # infinite blob means
+    "nu": Key(float, 6.0, _positive(" for the student_t generator", lambda cfg: cfg["generator"] == "student_t")),
+    "batch_size": Key(int, 64, _at_least(1)),
+    "n_batches": Key(int, 8, _at_least(1)),
+    "estimators": Key(lambda s: tuple(part.strip() for part in s.split(",") if part.strip()),
+                      hz.BenchConfig.estimators, _one_of(("efim", *est.PROBE_VARIANTS))),
+    "probes": Key(int, 1, _at_least(1)),
+    "epsilon": Key(float, 1e-12, _positive()),  # an infinite stabilizer zeroes every RelMAE
+    "train_steps": Key(int, 0, _at_least(0)),
+    "lr": Key(float, 0.1, _positive(" when train_steps > 0", lambda cfg: cfg["train_steps"] > 0)),
+    "storage": Key(str, "diagonal", _one_of(("diagonal", "dense"))),
+    "trials": Key(int, 200, _at_least(2)),
+    "k": Key(int, 1, _at_least(1)),
+}
+
+
+def _entries(path):
+    """(location, key, text) for each key=value line of the file, then for FIMLAB_SEED."""
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in CONFIG_KEYS:
+        key, text = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        yield f"{path}:{lineno}", key, text
+    if "FIMLAB_SEED" in os.environ:
+        yield "FIMLAB_SEED", "seed", os.environ["FIMLAB_SEED"]
+
+
+def parse_config(path) -> dict:
+    """Flat key=value config; comments with '#'; unknown keys rejected.
+
+    Each key's text goes through its CONFIG parser, then every key's check
+    runs.  A value that does not parse or fails its check raises ValueError
+    with the path and line number, or with the name FIMLAB_SEED when that
+    variable, which overrides the config seed, holds it.  lr is checked only
+    when train_steps > 0 and nu only for the student_t generator.
+    """
+    cfg = {key: row.default for key, row in CONFIG.items()}
+    where = {}
+    for at, key, text in _entries(path):
         try:
-            cfg[key] = CONFIG_KEYS[key](value)
+            cfg[key] = CONFIG[key].parse(text)
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
-        lines[key] = lineno
-    for key, minimum in CONFIG_MINIMUMS.items():
-        if not cfg[key] >= minimum:  # NaN too; the defaults are in range, so the key came from a line
-            raise ValueError(f"{path}:{lines[key]}: {key} must be at least {minimum}, got {cfg[key]}")
-    if not cfg["separation"] < np.inf:  # infinite blob means
-        raise ValueError(f"{path}:{lines['separation']}: separation must be at least 0.0 and finite, got inf")
-    for key, used, where in (
-        ("epsilon", True, ""),  # an infinite stabilizer zeroes every RelMAE
-        ("lr", cfg["train_steps"] > 0, " when train_steps > 0"),
-        ("nu", cfg["generator"] == "student_t", " for the student_t generator"),
-    ):
-        if used and not 0 < cfg[key] < np.inf:
-            raise ValueError(f"{path}:{lines[key]}: {key} must be positive and finite{where}, got {cfg[key]}")
-    env_seed = os.environ.get("FIMLAB_SEED")
-    if env_seed is not None:
-        cfg["seed"] = int(env_seed)
+            raise ValueError(f"{at}: bad value for {key!r}: {text!r}") from exc
+        where[key] = at
+    for key, row in CONFIG.items():
+        problem = row.check(cfg[key], cfg)
+        if problem:
+            raise ValueError(f"{where[key]}: {key} {problem}")
     return cfg
 
 
 def _build_instance(cfg: dict):
-    """(task, X, labels, net, theta) from a parsed config."""
+    """(X, labels, net, theta) from a parsed config."""
     task = hz.SyntheticTask(
         generator=cfg["generator"],
         n_samples=cfg["n_samples"],
@@ -160,7 +143,7 @@ def _build_instance(cfg: dict):
         theta = hz.train_sgd(net, (X, labels), cfg["train_steps"], cfg["lr"], seed=cfg["seed"]).theta
     else:
         theta = init_params(net, np.random.default_rng(cfg["seed"]))
-    return task, X, labels, net, theta
+    return X, labels, net, theta
 
 
 def _fmt(x) -> str:
@@ -193,7 +176,7 @@ def cmd_core_probe(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = parse_config(args.config)
-    _, X, labels, net, theta = _build_instance(cfg)
+    X, labels, net, theta = _build_instance(cfg)
     storage = cfg["storage"]
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
     kind = args.estimator
@@ -224,14 +207,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = parse_config(args.config)
-    _, X, labels, net, theta = _build_instance(cfg)
-    bench_cfg = hz.BenchConfig(
-        batch_size=cfg["batch_size"],
-        n_batches=cfg["n_batches"],
-        estimators=cfg["estimators"],
-        epsilon=cfg["epsilon"],
-        seed=cfg["seed"],
-    )
+    X, labels, net, theta = _build_instance(cfg)
+    bench_cfg = hz.BenchConfig(**{key: cfg[key] for key in ("batch_size", "n_batches", "estimators", "epsilon", "seed")})
     rows = hz.run_bench(net, theta, X, labels, bench_cfg)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -250,7 +227,7 @@ def cmd_bench(args) -> int:
 
 def cmd_variance(args) -> int:
     cfg = parse_config(args.config)
-    _, X, labels, net, theta = _build_instance(cfg)
+    X, labels, net, theta = _build_instance(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(2)[1])
     report = est.variance_closed_form(net, theta, X, args.variant, dist=args.dist, k=cfg["k"])
     empirical = est.empirical_probe_variance(
@@ -277,8 +254,7 @@ def cmd_variance(args) -> int:
 
 
 def cmd_cv_demo(args) -> int:
-    seed = args.seed
-    report = hz.cv_demo(args.nu, args.m, args.trials, np.random.default_rng(seed))
+    report = hz.cv_demo(args.nu, args.m, args.trials, np.random.default_rng(args.seed))
     print(f"nu = {_fmt(report.nu)}, m = {report.m}, trials = {report.trials}")
     print(f"moment ratio E(x^4)/E(x^2)^2: formula = {_fmt(report.ratio_formula)}")
     print(f"  importance-sampling estimate = {_fmt(report.ratio_importance)}")

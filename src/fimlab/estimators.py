@@ -154,6 +154,8 @@ class ProbeVector:
             raise ValueError(f"unknown probe distribution {self.dist!r}")
         if self.dist == "rademacher" and not np.all(np.abs(e) == 1.0):
             raise ValueError("rademacher probe entries must be +-1")
+        if self.dist == "gaussian" and not np.isfinite(e).all():
+            raise ValueError("gaussian probe entries must be finite")
         object.__setattr__(self, "entries", e)
 
 
@@ -597,7 +599,6 @@ class VarianceReport:
     fim_diag: np.ndarray  # the estimator's target diagonal
     var_closed: np.ndarray
     cv: np.ndarray  # sqrt(var)/target, nan where the target vanishes
-    var_empirical: np.ndarray | None = None
 
 
 def variance_closed_form(
@@ -627,7 +628,8 @@ def variance_closed_form(
         raise ValueError(f"unknown probe distribution {dist!r}")
     J, z = _jacobian_stack(net, theta, X)
     core = _core(variant, z, k=k, weights=weights)
-    R2 = np.square(core.rows(J))
+    R2 = core.rows(J)
+    np.square(R2, out=R2)  # R's own buffer; the diag core's is J, not used after this
     target = np.einsum("br,brd->d", core.w, R2)
     quartic = np.einsum("br,brd->d", core.w**2, np.square(R2, out=R2))
     if dist == "gaussian":
@@ -665,16 +667,22 @@ def empirical_probe_variance(
 
 
 def ema_update(acc: FimEstimate, new: FimEstimate, beta: float) -> FimEstimate:
-    """Exponential moving average: beta * acc + (1 - beta) * new."""
+    """Exponential moving average: beta * acc + (1 - beta) * new, of one kind.
+
+    The probe counts and backward passes of the two are summed.
+    """
     if not 0.0 <= beta < 1.0:
         raise ValueError("decay must lie in [0, 1)")
+    if acc.kind != new.kind:
+        raise ValueError(f"cannot blend estimates of different kinds: {acc.kind!r} and {new.kind!r}")
     if acc.storage != new.storage or acc.values.shape != new.values.shape:
         raise ValueError("cannot blend estimates with different storage or shape")
     if acc.normalization != new.normalization:
         raise ValueError("cannot blend estimates with different normalization")
     meta = dict(acc.meta)
     meta["ema_beta"] = beta
-    meta["probe_count"] = acc.meta.get("probe_count", 0) + new.meta.get("probe_count", 0)
+    for key in ("probe_count", "backward_passes"):
+        meta[key] = acc.meta.get(key, 0) + new.meta.get(key, 0)
     return FimEstimate(acc.kind, acc.storage, beta * acc.values + (1.0 - beta) * new.values,
                        acc.normalization, meta)
 
@@ -754,7 +762,8 @@ def load_estimate(path) -> FimEstimate:
 
     The payload length is checked against the header's shape before the one
     float64 array is allocated, and read straight into it; a truncated or
-    padded payload raises ValueError with both byte counts.
+    padded payload raises ValueError with both byte counts.  Every bad
+    header raises ValueError naming the file.
     """
     with open(path, "rb") as fh:
         header, offset = _read_header(fh, path)
@@ -774,6 +783,12 @@ def load_estimate(path) -> FimEstimate:
             meta = header["meta"]
         else:  # unversioned files kept four meta keys at the top level
             meta = {key: header.get(key) for key in LEGACY_META_KEYS}
+        if type(header["kind"]) is not str:
+            raise ValueError(f"kind {header['kind']!r} is not a string")
+        if type(meta) is not dict:
+            raise ValueError(f"meta {meta!r} is not a JSON object")
         return FimEstimate(header["kind"], header["storage"], values, header["normalization"], meta)
     except KeyError as exc:
         raise ValueError(f"{path}: the header has no {exc.args[0]!r}") from None
+    except ValueError as exc:  # the header's kind, meta, storage or normalization, or a shape they refuse
+        raise ValueError(f"{path}: {exc}") from None

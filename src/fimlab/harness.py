@@ -156,8 +156,8 @@ def relmae(estimate: est.FimEstimate, truth: est.FimEstimate, eps: float = 1e-12
     mean_i |est_ii - F_ii| / (F_ii + eps).  Both estimates must be diagonal,
     equal-dimensional, and carry the same sum/mean normalization flag.
     """
-    if eps <= 0:
-        raise ValueError("the stabilizer must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"the stabilizer must be positive and finite, got {eps}")
     if estimate.storage != "diagonal" or truth.storage != "diagonal":
         raise ValueError("RelMAE compares diagonal estimates")
     if estimate.dim != truth.dim:
@@ -320,8 +320,8 @@ class BenchConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.n_batches < 1:
             raise ValueError("batch size and batch count must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("the stabilizer must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"the stabilizer must be positive and finite, got {self.epsilon}")
 
 
 @dataclass

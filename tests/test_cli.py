@@ -1,11 +1,14 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fimlab import estimators as est
-from fimlab.cli import ESTIMATOR_KINDS, main, parse_config
+from fimlab import harness as hz
+from fimlab.cli import CONFIG, ESTIMATOR_KINDS, main, parse_config
 
 
 def write_config(path, **overrides):
@@ -68,6 +71,29 @@ def test_env_seed_override(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path / "c.cfg", seed=11)
     monkeypatch.setenv("FIMLAB_SEED", "99")
     assert parse_config(cfg_path)["seed"] == 99
+
+
+@pytest.mark.parametrize("value, message", [
+    ("abc", "FIMLAB_SEED: bad value for 'seed': 'abc'"),
+    ("-3", "FIMLAB_SEED: seed must be at least 0, got -3"),
+])
+def test_env_seed_is_checked_by_name(tmp_path, monkeypatch, value, message):
+    cfg_path = write_config(tmp_path / "c.cfg", seed=11)
+    monkeypatch.setenv("FIMLAB_SEED", value)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_config(cfg_path)
+
+
+def test_readme_config_table_matches_the_config_rows(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)`\s*\| `([^`]*)`", readme.split("### Config files", 1)[1], re.M)
+    assert [key for key, _ in rows] == list(CONFIG)
+    for key, text in rows:
+        assert CONFIG[key].parse(text) == CONFIG[key].default, key
+    monkeypatch.delenv("FIMLAB_SEED", raising=False)
+    path = tmp_path / "empty.cfg"
+    path.write_text("")
+    assert parse_config(path) == {key: row.default for key, row in CONFIG.items()}  # every default passes
 
 
 def test_cli_error_exits_2(tmp_path, capsys):
@@ -138,6 +164,36 @@ def test_out_of_range_config_exits_2(tmp_path, capsys):
     assert code == 2
     assert "hidden must be at least 0" in capsys.readouterr().err
     assert not (tmp_path / "e.fim").exists()
+
+
+# values outside their key's rule: each stops the run at its line, before any data is made
+OUT_OF_RULE = [
+    ("seed = -1", "seed must be at least 0, got -1"),
+    ("generator = gauss", "generator must be one of blobs, student_t, got 'gauss'"),
+    ("activation = sigmoid", "activation must be one of tanh, relu, none, got 'sigmoid'"),
+    ("activation = sigmoid\nhidden = 0", "activation must be one of tanh, relu, none, got 'sigmoid'"),
+    ("storage = sparse", "storage must be one of diagonal, dense, got 'sparse'"),
+    ("estimators = efim,kfac",
+     "estimators must be one of efim, hutch, hutch_diag, hutch_lowrank, hutch_sqrt, got 'kfac'"),
+]
+
+
+@pytest.mark.parametrize("lines, message", OUT_OF_RULE, ids=[lines for lines, _ in OUT_OF_RULE])
+def test_config_rejects_a_value_out_of_its_rule_before_any_work(tmp_path, capsys, monkeypatch, lines, message):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"# header\nn_samples = 64\n{lines}\n")
+    with pytest.raises(ValueError, match=re.escape(f"c.cfg:3: {message}")):
+        parse_config(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no data may be generated from a rejected config")
+
+    monkeypatch.setattr(hz, "gen_task", refuse)
+    out = tmp_path / "out"
+    for argv in (["estimate", "--estimator", "hutch"], ["bench"], ["variance"]):
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- subcommands -----------------------------------------------------------------

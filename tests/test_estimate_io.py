@@ -127,6 +127,14 @@ def test_unknown_format_is_rejected(tmp_path, header):
      "bad shape"),
     (b'{"format": 1, "kind": "efim", "storage": "diagonal", "normalization": "sum", "shape": [0]}\n',
      "has no 'meta'"),
+    (b'{"format": 1, "kind": "efim", "storage": "dense", "normalization": "sum", "shape": [0], "meta": {}}\n',
+     "dense storage needs a square matrix"),
+    (b'{"format": 1, "kind": "efim", "storage": "diagonal", "normalization": "avg", "shape": [0], "meta": {}}\n',
+     "unknown normalization 'avg'"),
+    (b'{"format": 1, "kind": 5, "storage": "diagonal", "normalization": "sum", "shape": [0], "meta": {}}\n',
+     "kind 5 is not a string"),
+    (b'{"format": 1, "kind": "efim", "storage": "diagonal", "normalization": "sum", "shape": [0], "meta": 5}\n',
+     "meta 5 is not a JSON object"),
 ])
 def test_malformed_header_is_rejected(tmp_path, line, problem):
     path = tmp_path / "bad.fim"

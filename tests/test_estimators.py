@@ -265,6 +265,9 @@ def test_gaussian_probe_variance():
 def test_probe_validation():
     with pytest.raises(ValueError):
         est.ProbeVector(np.array([0.5, 1.0]), "rademacher")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="gaussian probe entries must be finite"):
+            est.ProbeVector(np.array([0.5, bad]), "gaussian")
     with pytest.raises(ValueError):
         est.sample_probe((4,), "uniform", np.random.default_rng(0))
 
@@ -530,6 +533,24 @@ def test_rademacher_variance_is_never_negative(variant):
         assert np.max(report.var_closed) <= 1e-12 * np.max(report.fim_diag) ** 2
 
 
+@pytest.mark.parametrize("variant, stacks", [("full", 2), ("diag", 1)])
+def test_closed_form_variance_squares_its_rows_in_place(variant, stacks):
+    # the (B, C, dim) Jacobian stack, the full core's rows R (the diag core's
+    # rows are the stack itself), and no third stack for their squares
+    import tracemalloc
+
+    rng = np.random.default_rng(27)
+    net, theta, X = random_instance(rng, (16, 16, 50), "tanh", n_samples=16)
+    stack_bytes = 8 * 16 * net.n_classes * net.dim  # 7.2 MB
+    tracemalloc.start()
+    try:
+        est.variance_closed_form(net, theta, X, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= stacks * stack_bytes + 2**20
+
+
 def test_gaussian_variance_simulation_sanity():
     rng = np.random.default_rng(23)
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
@@ -609,11 +630,12 @@ def test_trace_single_parameter_is_first_diagonal():
 
 
 def test_ema_zero_decay_returns_new():
-    a = est.FimEstimate("hutch_full", "diagonal", np.ones(3), "sum", {"probe_count": 1})
-    b = est.FimEstimate("hutch_full", "diagonal", np.full(3, 5.0), "sum", {"probe_count": 1})
+    a = est.FimEstimate("hutch_full", "diagonal", np.ones(3), "sum", {"probe_count": 1, "backward_passes": 1})
+    b = est.FimEstimate("hutch_full", "diagonal", np.full(3, 5.0), "sum", {"probe_count": 1, "backward_passes": 1})
     out = est.ema_update(a, b, beta=0.0)
     assert np.array_equal(out.values, b.values)
     assert out.meta["probe_count"] == 2
+    assert out.meta["backward_passes"] == 2
 
 
 def test_ema_validates_inputs():
@@ -626,6 +648,9 @@ def test_ema_validates_inputs():
         est.ema_update(a, c, 0.5)
     with pytest.raises(ValueError):
         est.ema_update(a, a, 1.0)
+    efim = est.FimEstimate("efim", "diagonal", np.ones(3), "sum", {})
+    with pytest.raises(ValueError, match="different kinds: 'hutch_full' and 'efim'"):
+        est.ema_update(a, efim, 0.5)
 
 
 def test_probe_averaging_variance_drops_like_one_over_j():

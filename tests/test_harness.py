@@ -127,8 +127,11 @@ def test_relmae_rejects_mismatches():
     dense = est.FimEstimate("exact_def", "dense", np.eye(2), "sum", {})
     with pytest.raises(ValueError):
         relmae(dense, truth)
-    with pytest.raises(ValueError):
-        relmae(truth, truth, eps=0.0)
+    for eps in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="stabilizer must be positive and finite"):
+            relmae(truth, truth, eps=eps)
+        with pytest.raises(ValueError, match="stabilizer must be positive and finite"):
+            BenchConfig(epsilon=eps)
 
 
 def test_exhaustive_probe_mean_has_zero_relmae():
