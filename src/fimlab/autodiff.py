@@ -16,8 +16,8 @@ op's maths is written exactly once.
 The op set is intentionally small: what a dense classifier forward pass, a
 log-softmax likelihood and sign-flipped probe sums need, nothing more.  A
 probe's coefficients are computed off the tape from the forward values and
-enter as the constant weights of wsum, so no op exists to freeze a traced
-value.
+enter as the adjoint that seeds its reverse sweep, so no op exists to freeze
+a traced value.
 Matrix products go through np.einsum with optimize=False: unlike BLAS gemm,
 its accumulation order for row i does not depend on the number of rows, so a
 batched forward is bit-identical to stacked per-sample forwards.

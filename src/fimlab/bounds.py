@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import DENSE_DIM_CAP, _check_rank, _core, _jacobian_stack
+from .estimators import DENSE_DIM_CAP, _check_labels, _check_rank, _core, _jacobian_stack
 from .network import NetworkSpec, softmax
 from .simplex import simplex_matrix
 
@@ -177,11 +177,7 @@ def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> Tig
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     B = X.shape[0]
     if labels is not None:
-        labels = np.asarray(labels, dtype=np.intp)
-        if labels.shape != (B,):
-            raise ValueError("need exactly one label per sample")
-        if np.any(labels < 0) or np.any(labels >= C):
-            raise ValueError("label out of range")
+        labels = _check_labels(labels, B, C)
     s = _core_space(net, theta, X)
     sq = np.sum(s.p * s.p, axis=1)
     q = np.sort(s.p, axis=1)

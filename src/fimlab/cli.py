@@ -60,7 +60,7 @@ def _one_of(choices):  # each name, for a tuple of names
 
 CONFIG = {
     "seed": Key(int, 0, _at_least(0)),
-    "generator": Key(str, "blobs", _one_of(("blobs", "student_t"))),
+    "generator": Key(str, "blobs", _one_of(hz.GENERATORS)),
     "d": Key(int, 2, _at_least(1)),
     "classes": Key(int, 3, _at_least(2)),
     "hidden": Key(int, 0, _at_least(0)),  # 0 is the linear model
@@ -76,7 +76,7 @@ CONFIG = {
     "epsilon": Key(float, 1e-12, _positive()),  # an infinite stabilizer zeroes every RelMAE
     "train_steps": Key(int, 0, _at_least(0)),
     "lr": Key(float, 0.1, _positive(" when train_steps > 0", lambda cfg: cfg["train_steps"] > 0)),
-    "storage": Key(str, "diagonal", _one_of(("diagonal", "dense"))),
+    "storage": Key(str, "diagonal", _one_of(est.STORAGES)),
     "trials": Key(int, 200, _at_least(2)),
     "k": Key(int, 1, _at_least(1)),
 }
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("variance", help="closed-form vs empirical probe variance (JSON)")
     p.add_argument("--config", required=True)
     p.add_argument("--variant", default="full", choices=est.CLOSED_FORM_VARIANTS)
-    p.add_argument("--dist", default="rademacher", choices=("rademacher", "gaussian"))
+    p.add_argument("--dist", default="rademacher", choices=est.PROBE_DISTS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_variance)
 

@@ -12,16 +12,18 @@ log-softmax, so the sweeps add no node to the tape.
 Each probe variant writes its C x C core once (`_core`), as weights w (B, r)
 and output-space rows m_r with core = sum_r w_r m_r m_r^T: w = p with rows
 e_y - p (full), w = zeta (p or s(1-s)) with rows e_y (diag), or the top-k
-eigenpairs of diag(p) - p p^T (lowrank).  The probe is the logit-weighted sum
-z . M^T (sqrt(w) xi) with random signs (or Gaussians) xi, its weights taken
-off the tape from the forward values, so its gradient g needs no
-stop-gradient and no clamp; E[g g^T] = sum_x J_x^T core_x J_x.  The sqrt
-variant is the full core as 2 sum sqrt(p) xi through the log-softmax.  The
-same rows R = M J give the exact pullback and both Loewner bounds (one Gram
-product sum w R R^T each) and the closed-form variances (sums of w R^2 and
-w^2 R^4).  Each probe costs exactly one backward pass, counted on the tape
-and reported in the estimate metadata.  PROBE_VARIANTS is the one table of
-their names; the CLI and the bench harness accept exactly those.
+eigenpairs of diag(p) - p p^T (lowrank).  One pipeline (`_probe_gradients`)
+serves the probe gradient, the probe estimate and the empirical variance:
+one forward pass and one core per call, then one reverse sweep per probe,
+seeded at the logits with M^T (sqrt(w) xi) for random signs (or Gaussians)
+xi.  The weights come off the tape from the forward values, so a probe
+gradient g needs no stop-gradient and no clamp; E[g g^T] = sum_x J_x^T
+core_x J_x.  The sqrt variant, the full core as 2 sum sqrt(p) xi through the
+log-softmax, seeds exp(0.5 log_softmax) with 2 xi.  The same rows R = M J
+give the exact pullback and both Loewner bounds (one Gram product sum
+w R R^T each) and the closed-form variances (sums of w R^2 and w^2 R^4).
+PROBE_VARIANTS, STORAGES and PROBE_DISTS are the one table of each set of
+names; the CLI and the bench harness accept exactly those.
 
 Every estimate but the pullback is a weighted sum of score outer products,
 sum_i w_i g_i g_i^T = G^T diag(w) G.  The rows g_i stream into a block of at
@@ -36,7 +38,7 @@ resampled inputs, and every estimate carries a `normalization` flag so the
 two can never be compared silently.  Each estimate records the backward
 passes counted on its tapes in meta["backward_passes"].  The estimators,
 the closed-form variances and the bounds reject a non-finite theta or X by
-name.
+name, and refuse a label that is not an integer in [0, C) (`_check_labels`).
 """
 
 from __future__ import annotations
@@ -90,6 +92,9 @@ PROBE_VARIANTS = {
 HUTCH_KINDS = {variant: f"hutch_{variant}" for variant in PROBE_VARIANTS.values()}
 # the probe variants variance_closed_form covers; `fimlab variance --variant` offers these
 CLOSED_FORM_VARIANTS = ("full", "diag", "lowrank")
+# the one tuple each of estimate storages and probe distributions; the CLI offers these
+STORAGES = ("diagonal", "dense")
+PROBE_DISTS = ("rademacher", "gaussian")
 
 # estimate files: version of the header written by save_estimate, payload dtype,
 # and the meta keys the unversioned format kept at the top level of its header
@@ -110,7 +115,7 @@ class FimEstimate:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.storage not in ("dense", "diagonal"):
+        if self.storage not in STORAGES:
             raise ValueError(f"unknown storage {self.storage!r}")
         if self.normalization not in ("sum", "mean"):
             raise ValueError(f"unknown normalization {self.normalization!r}")
@@ -150,7 +155,7 @@ class ProbeVector:
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=np.float64)
-        if self.dist not in ("rademacher", "gaussian"):
+        if self.dist not in PROBE_DISTS:
             raise ValueError(f"unknown probe distribution {self.dist!r}")
         if self.dist == "rademacher" and not np.all(np.abs(e) == 1.0):
             raise ValueError("rademacher probe entries must be +-1")
@@ -161,19 +166,19 @@ class ProbeVector:
 
 def sample_probe(shape, dist: str, rng: np.random.Generator) -> ProbeVector:
     """Fresh independent probe entries of the given shape."""
+    if dist not in PROBE_DISTS:
+        raise ValueError(f"unknown probe distribution {dist!r}")
     if dist == "rademacher":
         entries = rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
-    elif dist == "gaussian":
-        entries = rng.normal(size=shape)
     else:
-        raise ValueError(f"unknown probe distribution {dist!r}")
+        entries = rng.normal(size=shape)
     return ProbeVector(entries=entries, dist=dist)
 
 
 def _check_dense(storage: str, dim: int):
     if storage == "dense" and dim > DENSE_DIM_CAP:
         raise ValueError(f"dense storage capped at dim {DENSE_DIM_CAP}, got {dim}")
-    if storage not in ("dense", "diagonal"):
+    if storage not in STORAGES:
         raise ValueError(f"unknown storage {storage!r}")
 
 
@@ -189,6 +194,20 @@ def _finite_inputs(theta, X) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("X has a non-finite entry (NaN or infinity)")
     return X
+
+
+def _check_labels(labels, n_samples: int, C: int) -> np.ndarray:
+    """The labels as intp, once they are n_samples integers in [0, C); 0.7 is refused, not cut to 0."""
+    y = np.asarray(labels)
+    if y.shape != (n_samples,):
+        raise ValueError("need exactly one label per sample")
+    if y.dtype.kind not in "biu":
+        bad = y[~(np.floor(y) == y)] if y.dtype.kind == "f" else y  # NaN is not integral either
+        if bad.size:
+            raise ValueError(f"label {bad.tolist()[0]!r} is not an integer")
+    if np.any(y < 0) or np.any(y >= C):
+        raise ValueError("label out of range")
+    return y.astype(np.intp)
 
 
 def _gram(rows, n_rows: int, dim: int, storage: str) -> np.ndarray:
@@ -330,11 +349,7 @@ def exact_fim_pullback(net: NetworkSpec, theta, X, storage: str = "dense") -> Fi
 def efim(net: NetworkSpec, theta, X, labels, storage: str = "dense") -> FimEstimate:
     """Empirical FIM at observed labels: sum over (x, y) of g_xy g_xy^T."""
     X = _finite_inputs(theta, X)
-    labels = np.asarray(labels, dtype=np.intp)
-    if labels.shape != (X.shape[0],):
-        raise ValueError("need exactly one label per sample")
-    if np.any(labels < 0) or np.any(labels >= net.n_classes):
-        raise ValueError("label out of range")
+    labels = _check_labels(labels, X.shape[0], net.n_classes)
     dim = net.dim
     _check_dense(storage, dim)
     passes = _PassCount()
@@ -395,12 +410,22 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_options(weights: str, eigen: str = "full") -> None:
-    """Reject unknown diagonal `weights` and eigenpair routes, whatever the variant."""
+def _check_probe_args(variant: str, C: int, k: int, weights: str, eigen: str, dist: str) -> None:
+    """Reject an unknown variant, diagonal `weights`, eigenpair route or probe
+    distribution whatever the variant, C < 2 but for diag, and a low-rank k
+    outside [1, C-1]."""
     if weights not in ("p", "bernoulli"):
         raise ValueError(f"unknown diagonal weights {weights!r}; expected 'p' or 'bernoulli'")
     if eigen not in ("power", "full"):
         raise ValueError(f"unknown eigenpair route {eigen!r}; expected 'power' or 'full'")
+    if variant not in HUTCH_KINDS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant != "diag" and C < 2:
+        raise ValueError("categorical estimators need at least 2 classes")
+    if variant == "lowrank":
+        _check_rank(k, C)
+    if dist not in PROBE_DISTS:
+        raise ValueError(f"unknown probe distribution {dist!r}")
 
 
 def _check_rank(k: int, C: int) -> None:
@@ -463,7 +488,7 @@ def _core(variant: str, z: np.ndarray, *, k: int = 1, weights: str = "p", eigen:
           rng: np.random.Generator | None = None) -> _Core:
     """The core of probe variant "full", "diag" or "lowrank" at logits z (B, C).
 
-    `weights` and `eigen` are checked by the public callers (`_check_options`).
+    `weights` and `eigen` are checked by the public callers (`_check_probe_args`).
     """
     p = softmax(z)
     if variant == "full":
@@ -477,82 +502,69 @@ def _core(variant: str, z: np.ndarray, *, k: int = 1, weights: str = "p", eigen:
     return _Core(lams, V=V)
 
 
-def hutchinson_gradient(
-    net: NetworkSpec,
-    theta,
-    X,
-    variant: str = "full",
-    *,
-    probe: ProbeVector | None = None,
-    rng: np.random.Generator | None = None,
-    dist: str = "rademacher",
-    k: int = 1,
-    weights: str = "p",
-    eigen: str = "power",
-    tape_out: list | None = None,
-) -> np.ndarray:
-    """Gradient of the probe scalar h for one probe; exactly one backward pass.
+def _probe_gradients(net: NetworkSpec, theta, X, variant: str, n: int, probe: ProbeVector | None,
+                     rng: np.random.Generator | None, dist: str, k: int, weights: str, eigen: str):
+    """(tape, gradients): the checks, one forward pass and one core, then n probe gradients.
 
-    For full, diag and lowrank, h weights the logits by M^T (sqrt(w) xi),
-    from the variant's core (`_core`) at the forward values; only the
-    logits carry gradient.  The sqrt variant traces 2 sum sqrt(p) xi
-    through the log-softmax instead.
+    The first probe (or the given one) is taken before the core, whose power
+    route draws from the same rng; later probes are drawn as the generator
+    runs.  Each gradient is one reverse sweep of the one tape: for full, diag
+    and lowrank seeded at the logits with M^T (sqrt(w) xi) from the core, for
+    sqrt at exp(0.5 log_softmax) with 2 xi.
     """
-    _check_options(weights, eigen)
+    _check_probe_args(variant, net.n_classes, k, weights, eigen, dist)
     X = _finite_inputs(theta, X)
-    B = X.shape[0]
-    C = net.n_classes
-    if variant not in HUTCH_KINDS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant != "diag" and C < 2:
-        raise ValueError("categorical estimators need at least 2 classes")
-    if variant == "lowrank":
-        _check_rank(k, C)
-    probe_shape = (B, k) if variant == "lowrank" else (B, C)
+    probe_shape = (X.shape[0], k if variant == "lowrank" else net.n_classes)
     if probe is None:
         if rng is None:
             raise ValueError("need a probe or an rng to draw one")
         probe = sample_probe(probe_shape, dist, rng)
     if probe.entries.shape != probe_shape:
         raise ValueError(f"probe shape {probe.entries.shape} != expected {probe_shape}")
-    xi = probe.entries
-
     logits = forward_logits(net, theta, X)
     if variant == "sqrt":
-        h = ad.scale(ad.wsum(ad.exp(ad.scale(ad.log_softmax(logits), 0.5)), xi), 2.0)
+        root, core = ad.exp(ad.scale(ad.log_softmax(logits), 0.5)), None
     else:
-        core = _core(variant, logits.data, k=k, weights=weights, eigen=eigen, rng=rng)
-        # round-off can leave a low-rank eigenvalue at -1e-17
-        h = ad.wsum(logits, core.logit_weights(np.sqrt(np.maximum(core.w, 0.0)) * xi))
-    g = ad.gradient(h)
-    if tape_out is not None:
-        tape_out.append(logits.tape)
-    return g
+        root, core = logits, _core(variant, logits.data, k=k, weights=weights, eigen=eigen, rng=rng)
+        sqrt_w = np.sqrt(np.maximum(core.w, 0.0))  # round-off can leave a low-rank eigenvalue at -1e-17
+
+    def gradients():
+        xi = probe.entries
+        for i in range(n):
+            if i:
+                xi = sample_probe(probe_shape, dist, rng).entries
+            yield ad.gradient(root, 2.0 * xi if core is None else core.logit_weights(sqrt_w * xi))
+
+    return logits.tape, gradients()
+
+
+def hutchinson_gradient(
+    net: NetworkSpec, theta, X, variant: str = "full", *, probe: ProbeVector | None = None,
+    rng: np.random.Generator | None = None, dist: str = "rademacher", k: int = 1, weights: str = "p",
+    eigen: str = "power",
+) -> np.ndarray:
+    """Gradient of the probe scalar h for one probe; exactly one backward pass.
+
+    For full, diag and lowrank, h weights the logits by M^T (sqrt(w) xi),
+    from the variant's core (`_core`) at the forward values; only the
+    logits carry gradient.  The sqrt variant's h is 2 sum sqrt(p) xi through
+    the log-softmax.  h itself is never recorded: its adjoint seeds the sweep.
+    """
+    return next(_probe_gradients(net, theta, X, variant, 1, probe, rng, dist, k, weights, eigen)[1])
 
 
 def hutchinson_fim(
-    net: NetworkSpec,
-    theta,
-    X,
-    variant: str = "full",
-    *,
-    rng: np.random.Generator | None = None,
-    probe: ProbeVector | None = None,
-    n_probes: int = 1,
-    dist: str = "rademacher",
-    k: int = 1,
-    weights: str = "p",
-    eigen: str = "power",
-    storage: str = "dense",
-    seed=None,
-    dataset_id=None,
+    net: NetworkSpec, theta, X, variant: str = "full", *, rng: np.random.Generator | None = None,
+    probe: ProbeVector | None = None, n_probes: int = 1, dist: str = "rademacher", k: int = 1,
+    weights: str = "p", eigen: str = "power", storage: str = "dense", seed=None, dataset_id=None,
 ) -> FimEstimate:
     """Probe estimate of the FIM (or of its diagonal/low-rank targets).
 
     Averages `n_probes` independent rank-1 estimates g g^T, each from a fresh
-    probe and a single backward pass; pass an explicit `probe` to pin the
-    randomness (then n_probes must be 1).  The tape's backward-pass counter
-    is recorded in meta["backward_passes"].
+    probe and one reverse sweep of a single forward tape, all through one
+    core (on the power route, one set of low-rank eigenpairs); pass an
+    explicit `probe` to pin the randomness (then n_probes must be 1).  The
+    tape's backward-pass counter is recorded in meta["backward_passes"].
     """
     dim = as_flat(theta).size
     _check_dense(storage, dim)
@@ -560,21 +572,14 @@ def hutchinson_fim(
         raise ValueError("an explicit probe fixes n_probes = 1")
     if n_probes < 1:
         raise ValueError("need at least one probe")
-    passes = _PassCount()
-    rows = (
-        (1.0 / n_probes, hutchinson_gradient(
-            net, theta, X, variant,
-            probe=probe, rng=rng, dist=dist, k=k, weights=weights, eigen=eigen, tape_out=passes,
-        ))
-        for _ in range(n_probes)
-    )
-    acc = _gram(rows, n_probes, dim, storage)
+    tape, grads = _probe_gradients(net, theta, X, variant, n_probes, probe, rng, dist, k, weights, eigen)
+    acc = _gram(((1.0 / n_probes, g) for g in grads), n_probes, dim, storage)
     meta = {
         "probe_count": n_probes,
         "probe_dist": probe.dist if probe is not None else dist,
         "seed": seed,
         "dataset_id": dataset_id,
-        "backward_passes": passes.total,
+        "backward_passes": tape.backward_calls,
     }
     if variant == "lowrank":
         meta["k"] = k
@@ -621,11 +626,7 @@ def variance_closed_form(
     """
     if variant not in CLOSED_FORM_VARIANTS:
         raise ValueError(f"no closed-form variance for variant {variant!r}")
-    _check_options(weights)
-    if variant == "lowrank":
-        _check_rank(k, net.n_classes)
-    if dist not in ("rademacher", "gaussian"):
-        raise ValueError(f"unknown probe distribution {dist!r}")
+    _check_probe_args(variant, net.n_classes, k, weights, "full", dist)
     J, z = _jacobian_stack(net, theta, X)
     core = _core(variant, z, k=k, weights=weights)
     R2 = core.rows(J)
@@ -642,34 +643,26 @@ def variance_closed_form(
 
 
 def empirical_probe_variance(
-    net: NetworkSpec,
-    theta,
-    X,
-    variant: str,
-    n_trials: int,
-    rng: np.random.Generator,
-    dist: str = "rademacher",
-    k: int = 1,
-    weights: str = "p",
-    eigen: str = "full",
+    net: NetworkSpec, theta, X, variant: str, n_trials: int, rng: np.random.Generator,
+    dist: str = "rademacher", k: int = 1, weights: str = "p", eigen: str = "full",
 ) -> np.ndarray:
-    """Sample variance of the diagonal estimate over independent probes."""
+    """Sample variance of the diagonal estimate g * g over n_trials independent
+    probes, all through one forward pass and one core."""
     if n_trials < 2:
         raise ValueError(f"a sample variance needs at least 2 trials, got {n_trials}")
+    _, grads = _probe_gradients(net, theta, X, variant, n_trials, None, rng, dist, k, weights, eigen)
     draws = np.empty((n_trials, as_flat(theta).size))
-    for t in range(n_trials):
-        est = hutchinson_fim(
-            net, theta, X, variant, rng=rng, dist=dist, k=k, weights=weights,
-            eigen=eigen, storage="diagonal",
-        )
-        draws[t] = est.values
+    for t, g in enumerate(grads):
+        np.square(g, out=draws[t])
     return draws.var(axis=0, ddof=1)
 
 
 def ema_update(acc: FimEstimate, new: FimEstimate, beta: float) -> FimEstimate:
     """Exponential moving average: beta * acc + (1 - beta) * new, of one kind.
 
-    The probe counts and backward passes of the two are summed.
+    The probe counts and backward passes of the two are summed where both
+    carry one; where either lacks it (or holds None, as an unversioned file
+    may), the blend has none, so an unknown count stays unknown.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("decay must lie in [0, 1)")
@@ -682,7 +675,10 @@ def ema_update(acc: FimEstimate, new: FimEstimate, beta: float) -> FimEstimate:
     meta = dict(acc.meta)
     meta["ema_beta"] = beta
     for key in ("probe_count", "backward_passes"):
-        meta[key] = acc.meta.get(key, 0) + new.meta.get(key, 0)
+        if acc.meta.get(key) is not None and new.meta.get(key) is not None:
+            meta[key] = acc.meta[key] + new.meta[key]
+        else:
+            meta.pop(key, None)
     return FimEstimate(acc.kind, acc.storage, beta * acc.values + (1.0 - beta) * new.values,
                        acc.normalization, meta)
 

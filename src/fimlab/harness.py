@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 ZERO_ATOM_THRESHOLD = 1e-300
+GENERATORS = ("blobs", "student_t")  # the one tuple of task generators; the CLI offers these
 
 
 class TrainingDiverged(RuntimeError):
@@ -66,7 +67,7 @@ class SyntheticTask:
     nu: float = 5.0
 
     def __post_init__(self):
-        if self.generator not in ("blobs", "student_t"):
+        if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
@@ -129,7 +130,7 @@ def train_sgd(
     if labels is None:
         raise ValueError("training needs labels")
     X = np.asarray(X, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
+    labels = est._check_labels(labels, X.shape[0], net.n_classes)
     theta = init_params(net, np.random.default_rng(seed))
     losses = np.empty(steps)
     B = X.shape[0]
@@ -355,7 +356,7 @@ def run_bench(net: NetworkSpec, theta, X, labels, cfg: BenchConfig) -> list[Benc
     if labels is None:
         raise ValueError("the empirical FIM needs labels")
     X = X[:needed]
-    labels = np.asarray(labels, dtype=np.intp)[:needed]
+    labels = est._check_labels(np.asarray(labels)[:needed], needed, net.n_classes)
     names = list(dict.fromkeys(["efim", *cfg.estimators]))
     for name in names:
         if name != "efim" and name not in est.PROBE_VARIANTS:

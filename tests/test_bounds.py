@@ -228,6 +228,13 @@ def test_report_rejects_labels_of_the_wrong_length():
         tightness_report(net, theta, X, k=1, labels=np.array([0, 1, 3]))
 
 
+def test_report_refuses_labels_that_are_not_integers():
+    rng = np.random.default_rng(19)
+    net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
+    with pytest.raises(ValueError, match="^label 0.7 is not an integer$"):
+        tightness_report(net, theta, X, k=1, labels=[0.7, 1.9])
+
+
 def _dense_gaps(net, theta, X, k, labels):
     """The report's gaps from dim x dim matrices, norms by numpy directly."""
     fim = upper = lower = efim = 0.0

@@ -196,6 +196,15 @@ def test_config_rejects_a_value_out_of_its_rule_before_any_work(tmp_path, capsys
     assert not out.exists()
 
 
+def test_choice_sets_are_read_from_their_owner_tuples(capsys):
+    for key, owner in (("storage", est.STORAGES), ("generator", hz.GENERATORS)):
+        assert all(CONFIG[key].check(name, {}) is None for name in owner)
+        assert CONFIG[key].check("bogus", {}) == f"must be one of {', '.join(owner)}, got 'bogus'"
+    with pytest.raises(SystemExit):
+        main(["variance", "--help"])
+    assert f"--dist {{{','.join(est.PROBE_DISTS)}}}" in capsys.readouterr().out
+
+
 # --- subcommands -----------------------------------------------------------------
 
 

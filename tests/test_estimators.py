@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -180,6 +181,25 @@ def test_efim_rejects_bad_labels():
     net, theta = scalar_binary_model()
     with pytest.raises(ValueError):
         est.efim(net, theta, np.array([[1.0]]), np.array([2]))
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([0.7, 1.9], "label 0.7 is not an integer"),
+    ([1.0, np.nan], "label nan is not an integer"),
+    (["0", "1"], "label '0' is not an integer"),
+    ([0.0, np.inf], "label out of range"),
+])
+def test_efim_refuses_labels_that_are_not_integers(labels, message):
+    net, theta = scalar_binary_model()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        est.efim(net, theta, np.array([[1.0], [2.0]]), labels)
+
+
+def test_integral_float_labels_are_the_integer_labels():
+    rng = np.random.default_rng(37)
+    net, theta, X = random_instance(rng, (2, 3), "none", n_samples=3)
+    want = est.efim(net, theta, X, np.array([2, 0, 1]))
+    assert np.array_equal(est.efim(net, theta, X, [2.0, 0.0, 1.0]).values, want.values)
 
 
 # --- Monte Carlo ----------------------------------------------------------------
@@ -638,6 +658,18 @@ def test_ema_zero_decay_returns_new():
     assert out.meta["backward_passes"] == 2
 
 
+def test_ema_keeps_a_count_only_where_both_inputs_carry_it():
+    bare = est.FimEstimate("exact_def", "diagonal", np.ones(2), "sum", {})
+    assert est.ema_update(bare, bare, 0.5).meta == {"ema_beta": 0.5}
+    counted = est.FimEstimate("exact_def", "diagonal", np.ones(2), "sum", {"probe_count": 3, "backward_passes": 6})
+    for a, b in ((bare, counted), (counted, bare)):
+        meta = est.ema_update(a, b, 0.5).meta
+        assert "probe_count" not in meta and "backward_passes" not in meta
+    assert est.ema_update(counted, counted, 0.5).meta == {"probe_count": 6, "backward_passes": 12, "ema_beta": 0.5}
+    legacy = est.FimEstimate("exact_def", "diagonal", np.ones(2), "sum", {"probe_count": None})  # unversioned file
+    assert "probe_count" not in est.ema_update(legacy, counted, 0.5).meta
+
+
 def test_ema_validates_inputs():
     a = est.FimEstimate("hutch_full", "diagonal", np.ones(3), "sum", {})
     b = est.FimEstimate("hutch_full", "dense", np.eye(3), "sum", {})
@@ -744,6 +776,17 @@ def _reference_terms(kind, net, theta, X, labels, seed):
             p, G = est.loglik_gradients(net, theta, X[int(rng.integers(X.shape[0]))])
             terms.append((1.0 / GRAM_M, G[est._sample_label(p, rng)]))
         return terms
+    if kind == "hutch_lowrank":
+        # the first probe, then the one core (its power route draws start vectors), then the
+        # later probes; every probe's sweep goes through the same eigenpairs
+        probe = est.sample_probe((X.shape[0], 1), "rademacher", rng)
+        core_rng = copy.deepcopy(rng)
+        terms = [(1.0 / GRAM_PROBES, est.hutchinson_gradient(net, theta, X, "lowrank", probe=probe, rng=rng))]
+        for _ in range(GRAM_PROBES - 1):
+            probe = est.sample_probe((X.shape[0], 1), "rademacher", rng)
+            g = est.hutchinson_gradient(net, theta, X, "lowrank", probe=probe, rng=copy.deepcopy(core_rng))
+            terms.append((1.0 / GRAM_PROBES, g))
+        return terms
     return [(1.0 / GRAM_PROBES, est.hutchinson_gradient(net, theta, X, est.PROBE_VARIANTS[kind], rng=rng))
             for _ in range(GRAM_PROBES)]
 
@@ -809,6 +852,100 @@ def test_monte_carlo_never_holds_a_stack_of_all_draws():
     assert peak < stack_bytes / 3
 
 
+# --- one probe pipeline: checks, forward pass and core once per call ------------
+
+
+@pytest.mark.parametrize("variant", list(est.PROBE_VARIANTS.values()))
+def test_probe_estimates_run_one_forward_pass_and_one_core(monkeypatch, variant):
+    rng = np.random.default_rng(38)
+    net, theta, X = random_instance(rng, (2, 4, 3), "tanh", n_samples=3)
+    calls = {"forward": 0, "core": 0, "eigenpairs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(est, "forward_logits", counted("forward", est.forward_logits))
+    monkeypatch.setattr(est, "_core", counted("core", est._core))
+    monkeypatch.setattr(est, "_lowrank_eigenpairs", counted("eigenpairs", est._lowrank_eigenpairs))
+    once = {"forward": 1, "core": 0 if variant == "sqrt" else 1, "eigenpairs": int(variant == "lowrank")}
+    est.hutchinson_fim(net, theta, X, variant, rng=rng, n_probes=5)
+    assert calls == once
+    calls.update(dict.fromkeys(calls, 0))
+    est.empirical_probe_variance(net, theta, X, variant, n_trials=6, rng=rng, eigen="power")
+    assert calls == once
+
+
+@pytest.mark.parametrize("variant, eigen", [("full", "power"), ("diag", "power"), ("sqrt", "power"),
+                                            ("lowrank", "full")])
+def test_multi_probe_estimate_is_bitwise_the_per_probe_loop(variant, eigen):
+    # where no core draws from the rng, one tape swept n times gives the bits of
+    # n single-probe calls, each with its own forward pass and core
+    rng = np.random.default_rng(39)
+    net, theta, X = random_instance(rng, (3, 5, 4), "relu", n_samples=5)
+    n, dim = 4, net.dim
+    for storage in ("dense", "diagonal"):
+        for dist in ("rademacher", "gaussian"):
+            got = est.hutchinson_fim(net, theta, X, variant, rng=np.random.default_rng(3), n_probes=n,
+                                     dist=dist, k=2, eigen=eigen, storage=storage)
+            draw = np.random.default_rng(3)
+            shape = (X.shape[0], 2 if variant == "lowrank" else net.n_classes)
+            rows = ((1.0 / n, est.hutchinson_gradient(net, theta, X, variant, k=2, eigen=eigen,
+                                                      probe=est.sample_probe(shape, dist, draw)))
+                    for _ in range(n))
+            assert np.array_equal(got.values, est._gram(rows, n, dim, storage))
+
+
+def test_power_route_probes_share_one_set_of_eigenpairs(monkeypatch):
+    rng = np.random.default_rng(40)
+    net, theta, X = random_instance(rng, (2, 4, 3), "tanh", n_samples=3)
+    seen = []
+    original = est._lowrank_eigenpairs
+    monkeypatch.setattr(est, "_lowrank_eigenpairs", lambda *a: seen.append(original(*a)) or seen[-1])
+    n = 3
+    got = est.hutchinson_fim(net, theta, X, "lowrank", rng=np.random.default_rng(4), n_probes=n)
+    assert len(seen) == 1 and got.meta["eigen"] == "power"
+    lams, V = seen[0]
+    # every probe's gradient, rebuilt from the one set of eigenpairs by the per-sample Jacobians
+    J, _ = est._jacobian_stack(net, theta, X)
+    draw = np.random.default_rng(4)
+    xis = [est.sample_probe((3, 1), "rademacher", draw).entries]
+    original(est.softmax(forward_logits(net, theta, X).data), 1, "power", draw)  # the core's draws
+    xis += [est.sample_probe((3, 1), "rademacher", draw).entries for _ in range(n - 1)]
+    want = np.zeros((net.dim, net.dim))
+    for xi in xis:
+        g = np.einsum("bc,bcd->d", np.einsum("bk,bkc->bc", np.sqrt(lams) * xi, V), J)
+        want += np.outer(g, g) / n
+    assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_empirical_variance_is_bitwise_a_per_trial_estimate_loop():
+    rng = np.random.default_rng(41)
+    net, theta, X = random_instance(rng, (3, 4, 3), "tanh", n_samples=4)
+    for variant in est.PROBE_VARIANTS.values():
+        got = est.empirical_probe_variance(net, theta, X, variant, n_trials=5, rng=np.random.default_rng(6))
+        draw = np.random.default_rng(6)
+        trials = [est.hutchinson_fim(net, theta, X, variant, rng=draw, eigen="full", storage="diagonal").values
+                  for _ in range(5)]
+        assert np.array_equal(got, np.var(trials, axis=0, ddof=1))
+
+
+@pytest.mark.parametrize("variant", ["full", "sqrt"])
+def test_seeded_probe_sweep_equals_the_traced_probe_scalar_bitwise(variant):
+    rng = np.random.default_rng(42)
+    net, theta, X = random_instance(rng, (3, 5, 4), "tanh", n_samples=3)
+    probe = est.sample_probe((3, 4), "rademacher", rng)
+    logits = forward_logits(net, theta, X)
+    if variant == "sqrt":
+        h = ad.scale(ad.wsum(ad.exp(ad.scale(ad.log_softmax(logits), 0.5)), probe.entries), 2.0)
+    else:
+        core = est._core("full", logits.data)
+        h = ad.wsum(logits, core.logit_weights(np.sqrt(core.w) * probe.entries))
+    assert np.array_equal(est.hutchinson_gradient(net, theta, X, variant, probe=probe), ad.gradient(h))
+
+
 # --- backward passes counted on the tapes ---------------------------------------
 
 
@@ -846,6 +983,9 @@ def test_backward_passes_come_from_the_tapes(monkeypatch):
     assert est.exact_fim_pullback(net, theta, X).meta["backward_passes"] == 2 * 3 + 2
     assert est.efim(net, theta, X, [0, 1]).meta["backward_passes"] == 2 + 2
     assert est.mc_fim(net, theta, X, 3, rng).meta["backward_passes"] == 3 + 3
+    for variant in est.PROBE_VARIANTS.values():  # one tape, one sweep per probe
+        estimate = est.hutchinson_fim(net, theta, X, variant, rng=rng, n_probes=4, k=1)
+        assert estimate.meta["backward_passes"] == 4 + 1
 
 
 # --- non-finite input -----------------------------------------------------------

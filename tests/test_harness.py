@@ -299,6 +299,26 @@ def test_bench_rejects_unlabeled_data_before_the_truth(monkeypatch):
         run_bench(net, theta, X, None, cfg)
 
 
+def test_bench_refuses_labels_that_are_not_integers(monkeypatch):
+    net, theta, X, labels = bench_setup()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact truth must not be computed for bad labels")
+
+    monkeypatch.setattr(est, "exact_fim_definition", refuse)
+    cfg = BenchConfig(batch_size=16, n_batches=2, estimators=("hutch",))
+    bad = labels.astype(np.float64)
+    bad[5] = 1.5
+    with pytest.raises(ValueError, match=r"^label 1.5 is not an integer$"):
+        run_bench(net, theta, X, bad, cfg)
+
+
+def test_training_refuses_labels_that_are_not_integers():
+    net = NetworkSpec((1, 2), "none")
+    with pytest.raises(ValueError, match="^label 0.7 is not an integer$"):
+        train_sgd(net, (np.array([[1.0], [2.0]]), [0.7, 1.0]), steps=1, lr=0.1, seed=0)
+
+
 def test_bench_rejects_unknown_estimator():
     net, theta, X, labels = bench_setup()
     cfg = BenchConfig(batch_size=16, n_batches=2, estimators=("kfac",))
