@@ -201,10 +201,7 @@ def _check_labels(labels, n_samples: int, C: int) -> np.ndarray:
     y = np.asarray(labels)
     if y.shape != (n_samples,):
         raise ValueError("need exactly one label per sample")
-    if y.dtype.kind not in "biu":
-        bad = y[~(np.floor(y) == y)] if y.dtype.kind == "f" else y  # NaN is not integral either
-        if bad.size:
-            raise ValueError(f"label {bad.tolist()[0]!r} is not an integer")
+    ad._check_integral(y, "label")
     if np.any(y < 0) or np.any(y >= C):
         raise ValueError("label out of range")
     return y.astype(np.intp)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fimlab import autodiff as ad
+from fimlab.network import NetworkSpec, forward_logits, init_params
 
 
 # --- forward values ---------------------------------------------------------
@@ -44,6 +45,25 @@ def test_shape_mismatch_rejected_at_record_time():
     c = ad.constant(tape, np.ones((2, 2)))
     with pytest.raises(ValueError):
         ad.matmul(a, c)
+
+
+def test_gather_refuses_non_integral_indices():
+    tape = ad.Tape()
+    A = ad.constant(tape, np.arange(6.0).reshape(2, 3))
+    a = ad.constant(tape, np.arange(3.0))
+    for operand, bad, message in (
+        (A, [0.7, 1.9], "gather index 0.7 is not an integer"),
+        (A, [1.0, np.nan], "gather index nan is not an integer"),
+        (a, 0.7, "gather index 0.7 is not an integer"),
+        (a, np.nan, "gather index nan is not an integer"),
+        (A, [0.0, np.inf], "gather index out of range"),  # inf is integral, and out of any range
+        (a, np.inf, "gather index out of range"),
+        (a, [1], "gather on a vector needs one index"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ad.gather(operand, bad)
+    assert np.array_equal(ad.gather(A, [2.0, 0.0]).data, [2.0, 3.0])
+    assert float(ad.gather(a, 2.0).data) == 2.0
 
 
 def test_cross_tape_operands_rejected():
@@ -100,12 +120,13 @@ def test_seeded_sweep_does_not_alias_the_adjoint():
     a = ad.parameter(tape, np.array([1.0, 2.0]))
     b = ad.parameter(tape, np.array([3.0, 4.0]))
     seed = np.array([5.0, 6.0])
-    for root in (a, ad.add(a, b)):  # a param root returns its seed; add passes it on
+    # a param root returns its seed; add passes one adjoint on to both parents
+    for root, scale in ((a, {a.idx: 1.0}), (ad.add(a, b), {a.idx: 1.0, b.idx: 1.0}), (ad.add(a, a), {a.idx: 2.0})):
         grads = ad.backward(root, seed)
-        for g in grads.values():
-            assert np.array_equal(g, seed)
-            g[0] = -1.0
-        assert np.array_equal(seed, [5.0, 6.0])
+        assert {i: g.tolist() for i, g in grads.items()} == {i: (c * seed).tolist() for i, c in scale.items()}
+        arrays = [seed, *grads.values()]
+        for i, x in enumerate(arrays):
+            assert not any(np.shares_memory(x, y) for y in arrays[i + 1 :])
 
 
 def test_param_ids_match_a_scan_and_are_a_copy():
@@ -128,6 +149,47 @@ def test_constants_never_receive_gradient():
     loss = ad.total(ad.mul(c, theta))
     grads = ad.backward(loss)
     assert set(grads) == {theta.idx}
+
+
+def _spy_matmul_adjoints(monkeypatch):
+    """Count the calls of each matmul adjoint rule: {"a": n, "b": n}."""
+    forward, adjoint_a, adjoint_b = ad._RULES["matmul"]
+    calls = {"a": 0, "b": 0}
+
+    def spy(key, rule):
+        def counted(*args):
+            calls[key] += 1
+            return rule(*args)
+        return counted
+
+    monkeypatch.setitem(ad._RULES, "matmul", (forward, spy("a", adjoint_a), spy("b", adjoint_b)))
+    return calls
+
+
+def test_sweep_forms_no_adjoint_for_a_constant_operand(monkeypatch):
+    calls = _spy_matmul_adjoints(monkeypatch)
+    tape = ad.Tape()
+    X = ad.constant(tape, np.ones((4, 3)))
+    W = ad.parameter(tape, np.ones((3, 2)))
+    grads = ad.backward(ad.total(ad.matmul(X, W)))
+    assert set(grads) == {W.idx}
+    assert calls == {"a": 0, "b": 1}
+    # a two-layer forward: only the hidden layer's matmul needs its left adjoint
+    net = NetworkSpec((3, 5, 2), "tanh")
+    logits = forward_logits(net, init_params(net, np.random.default_rng(0)), np.ones((4, 3)))
+    ad.backward(logits, np.ones((4, 2)))
+    assert calls == {"a": 1, "b": 3}
+
+
+def test_constant_root_starts_no_sweep_but_counts_one(monkeypatch):
+    calls = _spy_matmul_adjoints(monkeypatch)
+    tape = ad.Tape()
+    W = ad.parameter(tape, np.ones((3, 2)))
+    root = ad.total(ad.matmul(ad.constant(tape, np.ones((4, 3))), ad.constant(tape, np.ones((3, 2)))))
+    assert ad.backward(root) == {}
+    assert np.array_equal(ad.gradient(root), np.zeros(W.data.size))
+    assert calls == {"a": 0, "b": 0}
+    assert tape.backward_calls == 2
 
 
 def test_gradient_covers_unused_parameters_with_zeros():
@@ -292,6 +354,57 @@ def test_batch_matmul_rows_match_single_rows_bitwise():
         t = ad.Tape()
         row = ad.matmul(ad.constant(t, X[i : i + 1]), ad.constant(t, W)).data
         assert np.array_equal(full[i : i + 1], row)
+
+
+def _einsum_reference_sweep(root, seed):
+    """{param id: adjoint} by a plain reverse walk that forms every adjoint,
+    constants' included, with the matmul adjoints through einsum."""
+    nodes = root.tape.nodes
+    adj = {root.idx: np.asarray(seed, dtype=np.float64)}
+    grads = {}
+    for i in range(root.idx, -1, -1):
+        g = adj.pop(i, None)
+        node = nodes[i]
+        if g is None or node.op == "const":
+            continue
+        if node.op == "param":
+            grads[i] = g
+            continue
+        values = [nodes[j].value for j in node.parents]
+        if node.op == "matmul":
+            a, b = values
+            deltas = (np.einsum("ik,jk->ij", g, b, optimize=False), np.einsum("ij,ik->jk", a, g, optimize=False))
+        else:
+            deltas = [rule(node, g, *values) for rule in ad._RULES[node.op][1:]]
+        for j, delta in zip(node.parents, deltas):
+            adj[j] = adj[j] + delta if j in adj else delta
+    return grads
+
+
+@pytest.mark.parametrize("rows", (1, 64, 512))
+@pytest.mark.parametrize("activation", ("tanh", "relu", "none"))
+def test_blas_sweep_matches_an_einsum_reference_sweep(activation, rows):
+    rng = np.random.default_rng(rows)
+    net = NetworkSpec((10, 32, 5), activation)
+    theta = init_params(net, rng)
+    X = rng.normal(size=(rows, 10))
+    logits = forward_logits(net, theta, X)
+    lsm = ad.log_softmax(logits)
+    labels = rng.integers(5, size=rows)
+    p = np.exp(lsm.data)
+    one_hot = np.zeros((rows, 5))
+    one_hot[:, 2] = 1.0
+    sweeps = [
+        (ad.total(ad.gather(lsm, labels)), None),  # scalar root, seeded with 1
+        (lsm, one_hot),  # one Jacobian row per sample
+        (logits, np.sqrt(p) * rng.choice([-1.0, 1.0], size=(rows, 5))),  # a probe's seed
+    ]
+    for root, seed in sweeps:
+        grads = ad.backward(root, seed)
+        reference = _einsum_reference_sweep(root, 1.0 if seed is None else seed)
+        assert set(grads) == set(reference) == set(root.tape.param_ids())
+        for i, ref in reference.items():
+            assert np.max(np.abs(grads[i] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 # --- the rule table, op by op -------------------------------------------------

@@ -1,0 +1,26 @@
+"""Golden outputs: every `fimlab estimate` kind and the `fimlab variance` JSON
+on two fixed configs, against the files in tests/golden/ (written by
+tests/golden/write.py)."""
+
+import pytest
+
+from golden.write import HERE, commands, compare, write
+
+RTOL = 1e-13  # payloads, relative to the golden's largest entry; headers must be equal
+
+
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    write(out)
+    return out
+
+
+@pytest.mark.parametrize("name", commands())
+def test_output_matches_its_golden_file(name, fresh, record_property):
+    identical, drift = compare(fresh / name, HERE / name)
+    # bitwise equality is reported, not required: another BLAS may sum in another order
+    record_property("bitwise", identical)
+    record_property("relative_drift", drift)
+    print(f"{name}: {'bitwise' if identical else 'differs'}, relative drift {drift:.3e}")
+    assert drift <= RTOL
