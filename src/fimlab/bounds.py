@@ -54,7 +54,7 @@ class _CoreSpace(NamedTuple):
 
 
 def _core_space(net: NetworkSpec, theta, X) -> _CoreSpace:
-    J, z = _jacobian_stack(net, theta, X)
+    J, z, _ = _jacobian_stack(net, theta, X)
     p = softmax(z)
     core = simplex_matrix(p)
     lam, V = np.linalg.eigh(core)
@@ -83,7 +83,7 @@ def pullback_bounds(net: NetworkSpec, theta, X, k: int) -> BoundPair:
     FIM at k = C-1 because the remaining eigenvalue is zero.
     """
     _check_rank(k, net.n_classes)
-    J, z = _jacobian_stack(net, theta, X)
+    J, z, _ = _jacobian_stack(net, theta, X)
     lower = _core("lowrank", z, k=k).gram(J, "dense")
     upper = _core("diag", z).gram(J, "dense")
     return BoundPair(lower=lower, upper=upper, k=k)

@@ -78,7 +78,8 @@ CONFIG = {
     "lr": Key(float, 0.1, _positive(" when train_steps > 0", lambda cfg: cfg["train_steps"] > 0)),
     "storage": Key(str, "diagonal", _one_of(est.STORAGES)),
     "trials": Key(int, 200, _at_least(2)),
-    "k": Key(int, 1, _at_least(1)),
+    "k": Key(int, 1, lambda value, cfg: _at_least(1)(value, cfg) or (  # a rank in [1, classes - 1]
+        None if value < cfg["classes"] else f"must be at most classes - 1 = {cfg['classes'] - 1}, got {value}")),
 }
 
 
@@ -105,7 +106,8 @@ def parse_config(path) -> dict:
     runs.  A value that does not parse or fails its check raises ValueError
     with the path and line number, or with the name FIMLAB_SEED when that
     variable, which overrides the config seed, holds it.  lr is checked only
-    when train_steps > 0 and nu only for the student_t generator.
+    when train_steps > 0, nu only for the student_t generator, and k against
+    classes.
     """
     cfg = {key: row.default for key, row in CONFIG.items()}
     where = {}

@@ -4,10 +4,12 @@ Ground truth comes in two independently computed forms: the defining sum
 sum_x sum_y p(y|x) (dl/dtheta)(dl/dtheta)^T, and the pullback form
 sum_x J^T (diag(p) - p p^T) J through the per-sample Jacobian.  Alongside
 them: the empirical FIM at observed labels, the label-resampling Monte Carlo
-estimate, and a family of single-backward-pass probe estimators.  A
-per-sample Jacobian or set of log-likelihood gradients is C reverse sweeps
-of one forward tape, each seeded with a one-hot adjoint at the logits or the
-log-softmax, so the sweeps add no node to the tape.
+estimate, and a family of single-backward-pass probe estimators.  Every
+per-sample row (Jacobian, score, efim or Monte Carlo row) comes from one
+routine, `_sample_sweeps`: one forward tape per sample, rooted at the logits
+or the log-softmax, then one reverse sweep per one-hot seed (every class, or
+one given class), which adds no node to the tape.  The Monte Carlo estimate
+takes all its draws first, x then y per draw, from one batched forward pass.
 
 Each probe variant writes its C x C core once (`_core`), as weights w (B, r)
 and output-space rows m_r with core = sum_r w_r m_r m_r^T: w = p with rows
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -242,73 +245,68 @@ def _add_block(acc: np.ndarray, w: np.ndarray, G: np.ndarray, storage: str) -> N
         acc += np.dot(w, np.square(G, out=G))  # the block is refilled after this
 
 
-class _PassCount:
-    """A `tape_out` that sums each tape's backward passes instead of keeping it.
+def _sample_sweeps(net: NetworkSpec, theta, xs, classes=None, *, log_softmax: bool = False):
+    """Per sample x of xs: (root row, gradient rows, backward passes on its tape).
 
-    A kept tape holds all its forward values: m Monte Carlo draws would
-    hold m tapes at once.  Tapes are handed over after their last sweep.
+    Every per-sample row comes from here: one forward tape of x, whose root
+    is the logits or (with log_softmax) the log-softmax, then one reverse
+    sweep per one-hot seed, for every class or for classes[b] alone.  A seed
+    adds no node to the tape; the passes are read off the tape's counter.
     """
-
-    def __init__(self):
-        self.total = 0
-
-    def append(self, tape: ad.Tape) -> None:
-        self.total += tape.backward_calls
-
-
-def _one_hot_rows(C: int) -> np.ndarray:
-    """(C, 1, C): row c seeds a reverse sweep of a (1, C) node with e_c."""
-    return np.eye(C)[:, None, :]
-
-
-def loglik_gradients(net: NetworkSpec, theta, x, *, tape_out=None) -> tuple[np.ndarray, np.ndarray]:
-    """(p, G) for one sample: G[y] = d log p(y|x) / d theta.
-
-    C backward passes of one forward tape, each seeded at the log-softmax
-    with e_y, so no node is added per class.  With `tape_out` (a list, or
-    anything with an append method), the sample's tape is appended to it
-    once its passes are done, so a caller can count them on the tape.
-    """
-    logits = forward_logits(net, theta, np.asarray(x, dtype=np.float64)[None, :])
-    lsm = ad.log_softmax(logits)
-    p = np.exp(lsm.data[0])
-    G = np.empty((net.n_classes, as_flat(theta).size))
-    for y, e_y in enumerate(_one_hot_rows(net.n_classes)):
-        G[y] = ad.gradient(lsm, e_y)
-    if tape_out is not None:
-        tape_out.append(logits.tape)
-    return p, G
+    seeds = np.eye(net.n_classes)[:, None, :]  # seeds[y] is e_y for a (1, C) root
+    for b, x in enumerate(xs):
+        root = forward_logits(net, theta, x[None, :])
+        if log_softmax:
+            root = ad.log_softmax(root)
+        if classes is None:
+            rows = [ad.gradient(root, e) for e in seeds]
+        else:
+            rows = [ad.gradient(root, seeds[classes[b]])]
+        yield root.data[0], rows, root.tape.backward_calls
 
 
-def jacobian_and_logits(net: NetworkSpec, theta, x, *, tape_out=None) -> tuple[np.ndarray, np.ndarray]:
-    """(J, z) for one sample: J[i] = dz_i/dtheta.
-
-    C backward passes of one forward tape, each seeded at the logits with
-    e_i.  With `tape_out`, the sample's tape is appended to it, as in
-    loglik_gradients.
-    """
-    logits = forward_logits(net, theta, np.asarray(x, dtype=np.float64)[None, :])
-    J = np.empty((net.n_classes, as_flat(theta).size))
-    for i, e_i in enumerate(_one_hot_rows(net.n_classes)):
-        J[i] = ad.gradient(logits, e_i)
-    if tape_out is not None:
-        tape_out.append(logits.tape)
-    return J, logits.data[0]
+def loglik_gradients(net: NetworkSpec, theta, x) -> tuple[np.ndarray, np.ndarray]:
+    """(p, G) for one sample: G[y] = d log p(y|x) / d theta, C sweeps of one tape at the log-softmax."""
+    ((lsm, G, _),) = _sample_sweeps(net, theta, [np.asarray(x, dtype=np.float64)], log_softmax=True)
+    return np.exp(lsm), np.array(G)
 
 
-def _jacobian_stack(net: NetworkSpec, theta, X, tape_out=None) -> tuple[np.ndarray, np.ndarray]:
-    """(J, z) stacked over samples: J (B, C, dim) and logits z (B, C).
+def jacobian_and_logits(net: NetworkSpec, theta, x) -> tuple[np.ndarray, np.ndarray]:
+    """(J, z) for one sample: J[i] = dz_i/dtheta, C sweeps of one tape at the logits."""
+    ((z, J, _),) = _sample_sweeps(net, theta, [np.asarray(x, dtype=np.float64)])
+    return np.array(J), z
 
-    One jacobian_and_logits call, so C backward passes, per sample; the
-    pullback, the closed-form variances and the bounds all start here, and
-    so does their check that theta and X are finite.
-    """
+
+def _jacobian_stack(net: NetworkSpec, theta, X) -> tuple[np.ndarray, np.ndarray, int]:
+    """(J, z, passes): J (B, C, dim), logits z (B, C) and the backward passes
+    on the tapes.  The pullback, the closed-form variances and the bounds all
+    start here, and so does their check that theta and X are finite."""
     X = _finite_inputs(theta, X)
     J = np.empty((X.shape[0], net.n_classes, as_flat(theta).size))
     z = np.empty((X.shape[0], net.n_classes))
-    for b, x in enumerate(X):
-        J[b], z[b] = jacobian_and_logits(net, theta, x, tape_out=tape_out)
-    return J, z
+    passes = 0
+    for b, (z_b, rows, n) in enumerate(_sample_sweeps(net, theta, X)):
+        z[b], J[b] = z_b, rows
+        passes += n
+    return J, z, passes
+
+
+def _score_gram(net: NetworkSpec, theta, xs, n_rows: int, storage: str, classes=None, weight=1.0):
+    """(`_gram` of the scores of xs, backward passes on their tapes): with classes, one
+    row of the given weight per sample; without, every class's row, weighted by p(y|x)."""
+    passes = 0
+
+    def rows():
+        nonlocal passes
+        for lsm, G, n in _sample_sweeps(net, theta, xs, classes, log_softmax=True):
+            passes += n
+            if classes is None:
+                yield from zip(np.exp(lsm), G)
+            else:
+                yield weight, G[0]
+
+    acc = _gram(rows(), n_rows, net.dim, storage)
+    return acc, passes
 
 
 def exact_fim_definition(net: NetworkSpec, theta, X, storage: str = "dense") -> FimEstimate:
@@ -316,17 +314,9 @@ def exact_fim_definition(net: NetworkSpec, theta, X, storage: str = "dense") -> 
     X = _finite_inputs(theta, X)
     if net.n_classes < 2:
         raise ValueError("categorical estimators need at least 2 classes")
-    dim = net.dim
-    _check_dense(storage, dim)
-    passes = _PassCount()
-
-    def rows():
-        for x in X:
-            p, G = loglik_gradients(net, theta, x, tape_out=passes)
-            yield from zip(p, G)
-
-    acc = _gram(rows(), X.shape[0] * net.n_classes, dim, storage)
-    meta = {"n_samples": X.shape[0], "backward_passes": passes.total}
+    _check_dense(storage, net.dim)
+    acc, passes = _score_gram(net, theta, X, X.shape[0] * net.n_classes, storage)
+    meta = {"n_samples": X.shape[0], "backward_passes": passes}
     return FimEstimate("exact_def", storage, acc, "sum", meta)
 
 
@@ -334,12 +324,10 @@ def exact_fim_pullback(net: NetworkSpec, theta, X, storage: str = "dense") -> Fi
     """Ground truth through the Jacobian: sum_x J^T (diag(p) - p p^T) J."""
     if net.n_classes < 2:
         raise ValueError("categorical estimators need at least 2 classes")
-    dim = net.dim
-    _check_dense(storage, dim)
-    passes = _PassCount()
-    J, z = _jacobian_stack(net, theta, X, tape_out=passes)
+    _check_dense(storage, net.dim)
+    J, z, passes = _jacobian_stack(net, theta, X)
     acc = _core("full", z).gram(J, storage)
-    meta = {"n_samples": J.shape[0], "backward_passes": passes.total}
+    meta = {"n_samples": J.shape[0], "backward_passes": passes}
     return FimEstimate("exact_pullback", storage, acc, "sum", meta)
 
 
@@ -347,20 +335,9 @@ def efim(net: NetworkSpec, theta, X, labels, storage: str = "dense") -> FimEstim
     """Empirical FIM at observed labels: sum over (x, y) of g_xy g_xy^T."""
     X = _finite_inputs(theta, X)
     labels = _check_labels(labels, X.shape[0], net.n_classes)
-    dim = net.dim
-    _check_dense(storage, dim)
-    passes = _PassCount()
-    one_hot = _one_hot_rows(net.n_classes)
-
-    def rows():
-        for x, y in zip(X, labels):
-            lsm = ad.log_softmax(forward_logits(net, theta, x[None, :]))
-            g = ad.gradient(lsm, one_hot[y])
-            passes.append(lsm.tape)
-            yield 1.0, g
-
-    acc = _gram(rows(), X.shape[0], dim, storage)
-    meta = {"n_samples": X.shape[0], "backward_passes": passes.total}
+    _check_dense(storage, net.dim)
+    acc, passes = _score_gram(net, theta, X, X.shape[0], storage, labels)
+    meta = {"n_samples": X.shape[0], "backward_passes": passes}
     return FimEstimate("efim", storage, acc, "sum", meta)
 
 
@@ -374,27 +351,22 @@ def mc_fim(
     """Monte Carlo estimate: average of g g^T at x drawn uniformly, y ~ p(y|x).
 
     Mean-normalized: its expectation is the exact FIM divided by the number
-    of samples in X.
+    of samples in X.  Every draw is taken first, from one batched forward
+    pass (no sweep), x then y per draw; then one sweep per draw.
     """
+    m = _check_int(m, "m")
     if m < 1:
         raise ValueError("need at least one draw")
     X = _finite_inputs(theta, X)
-    dim = net.dim
-    _check_dense(storage, dim)
-    passes = _PassCount()
-    one_hot = _one_hot_rows(net.n_classes)
-
-    def rows():
-        for _ in range(m):
-            x = X[int(rng.integers(X.shape[0]))]
-            lsm = ad.log_softmax(forward_logits(net, theta, x[None, :]))
-            y = _sample_label(np.exp(lsm.data[0]), rng)
-            g = ad.gradient(lsm, one_hot[y])
-            passes.append(lsm.tape)
-            yield 1.0 / m, g
-
-    acc = _gram(rows(), m, dim, storage)
-    meta = {"n_samples": X.shape[0], "probe_count": m, "backward_passes": passes.total}
+    _check_dense(storage, net.dim)
+    p = np.exp(ad.log_softmax(forward_logits(net, theta, X)).data)
+    rows = np.empty(m, dtype=np.intp)
+    labels = np.empty(m, dtype=np.intp)
+    for t in range(m):
+        rows[t] = rng.integers(X.shape[0])
+        labels[t] = _sample_label(p[rows[t]], rng)
+    acc, passes = _score_gram(net, theta, (X[i] for i in rows), m, storage, labels, 1.0 / m)
+    meta = {"n_samples": X.shape[0], "probe_count": m, "backward_passes": passes}
     return FimEstimate("mc", storage, acc, "mean", meta)
 
 
@@ -425,8 +397,18 @@ def _check_probe_args(variant: str, C: int, k: int, weights: str, eigen: str, di
         raise ValueError(f"unknown probe distribution {dist!r}")
 
 
+def _check_int(value, name: str) -> int:
+    """value as an int if operator.index takes it and it is no bool; else ValueError naming it."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_rank(k: int, C: int) -> None:
-    if not 1 <= k <= C - 1:
+    if not 1 <= _check_int(k, "k") <= C - 1:
         raise ValueError(f"rank parameter must be in [1, {C - 1}], got {k}")
 
 
@@ -563,6 +545,7 @@ def hutchinson_fim(
     explicit `probe` to pin the randomness (then n_probes must be 1).  The
     tape's backward-pass counter is recorded in meta["backward_passes"].
     """
+    n_probes = _check_int(n_probes, "n_probes")
     dim = as_flat(theta).size
     _check_dense(storage, dim)
     if probe is not None and n_probes != 1:
@@ -624,7 +607,7 @@ def variance_closed_form(
     if variant not in CLOSED_FORM_VARIANTS:
         raise ValueError(f"no closed-form variance for variant {variant!r}")
     _check_probe_args(variant, net.n_classes, k, weights, "full", dist)
-    J, z = _jacobian_stack(net, theta, X)
+    J, z, _ = _jacobian_stack(net, theta, X)
     core = _core(variant, z, k=k, weights=weights)
     R2 = core.rows(J)
     np.square(R2, out=R2)  # R's own buffer; the diag core's is J, not used after this
@@ -645,6 +628,7 @@ def empirical_probe_variance(
 ) -> np.ndarray:
     """Sample variance of the diagonal estimate g * g over n_trials independent
     probes, all through one forward pass and one core."""
+    n_trials = _check_int(n_trials, "n_trials")
     if n_trials < 2:
         raise ValueError(f"a sample variance needs at least 2 trials, got {n_trials}")
     _, grads = _probe_gradients(net, theta, X, variant, n_trials, None, rng, dist, k, weights, eigen)

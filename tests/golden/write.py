@@ -7,7 +7,8 @@ For each config in this directory (`dense.cfg`, `diagonal.cfg`) the golden
 set holds the `fimlab estimate` file of every estimator kind and the
 `fimlab variance` JSON of the full, diag and lowrank variants.  `--check`
 prints, per output, whether a fresh run is byte-identical and its largest
-payload difference relative to the golden's largest entry.  Rewrite the
+payload difference relative to the golden's largest entry, and exits 1 when
+any difference exceeds RTOL, the limit tests/test_golden.py holds them to.  Rewrite the
 files only when a change alters the numbers on purpose, and list each one
 in CHANGES.md with that difference and the reason.
 """
@@ -33,6 +34,7 @@ CONFIGS = ("dense", "diagonal")
 VARIANCE_VARIANTS = ("full", "diag", "lowrank")
 # variance JSON keys computed from the instance; the others are compared exactly
 VARIANCE_PAYLOAD = ("fim_diag", "var_closed", "var_empirical", "max_cv")
+RTOL = 1e-13  # payloads, relative to the golden's largest entry; headers must be equal
 
 
 def commands() -> dict[str, list[str]]:
@@ -105,8 +107,8 @@ def main() -> int:
             identical, drift = compare(Path(tmp) / name, HERE / name)
             worst = max(worst, drift)
             print(f"{name:<32} {'bitwise' if identical else 'differs'}  {drift:.3e}")
-    print(f"largest relative payload difference: {worst:.3e}")
-    return 0
+    print(f"largest relative payload difference: {worst:.3e} (limit {RTOL:.0e})")
+    return 0 if worst <= RTOL else 1
 
 
 if __name__ == "__main__":

@@ -173,6 +173,7 @@ OUT_OF_RULE = [
     ("activation = sigmoid", "activation must be one of tanh, relu, none, got 'sigmoid'"),
     ("activation = sigmoid\nhidden = 0", "activation must be one of tanh, relu, none, got 'sigmoid'"),
     ("storage = sparse", "storage must be one of diagonal, dense, got 'sparse'"),
+    ("k = 3\nclasses = 3", "k must be at most classes - 1 = 2, got 3"),
     ("estimators = efim,kfac",
      "estimators must be one of efim, hutch, hutch_diag, hutch_lowrank, hutch_sqrt, got 'kfac'"),
 ]

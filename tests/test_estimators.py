@@ -1,12 +1,13 @@
 import copy
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from fimlab import autodiff as ad
 from fimlab import estimators as est
-from fimlab.bounds import pullback_bounds
+from fimlab.bounds import pullback_bounds, tightness_report
 from fimlab.network import NetworkSpec, flatten, forward_logits, init_params, unflatten
 from fimlab.simplex import simplex_matrix, symeig
 
@@ -42,20 +43,25 @@ def test_seeded_sweeps_equal_gather_total_roots_bitwise(activation, C):
 
 
 @pytest.mark.parametrize("C", [2, 4, 10])
-def test_per_sample_sweeps_push_no_node(C):
+def test_per_sample_sweeps_push_no_node(monkeypatch, C):
     rng = np.random.default_rng(C)
     net = NetworkSpec((3, 5, C), "tanh")
     theta = init_params(net, rng)
     x = rng.normal(size=3)
     forward_nodes = len(forward_logits(net, theta, x[None, :]).tape.nodes)
     tapes = []
-    est.jacobian_and_logits(net, theta, x, tape_out=tapes)
-    assert len(tapes[0].nodes) == forward_nodes
-    assert tapes[0].backward_calls == C
-    tapes = []
-    est.loglik_gradients(net, theta, x, tape_out=tapes)
-    assert len(tapes[0].nodes) == forward_nodes + 1  # the log-softmax
-    assert tapes[0].backward_calls == C
+    real = ad.Tape.__init__
+
+    def init(self):  # keep every tape the call makes
+        real(self)
+        tapes.append(self)
+
+    monkeypatch.setattr(ad.Tape, "__init__", init)
+    est.jacobian_and_logits(net, theta, x)
+    assert [(len(t.nodes), t.backward_calls) for t in tapes] == [(forward_nodes, C)]
+    tapes.clear()
+    est.loglik_gradients(net, theta, x)
+    assert [(len(t.nodes), t.backward_calls) for t in tapes] == [(forward_nodes + 1, C)]  # the log-softmax
 
 
 # --- exact oracles ------------------------------------------------------------
@@ -909,7 +915,7 @@ def test_power_route_probes_share_one_set_of_eigenpairs(monkeypatch):
     assert len(seen) == 1 and got.meta["eigen"] == "power"
     lams, V = seen[0]
     # every probe's gradient, rebuilt from the one set of eigenpairs by the per-sample Jacobians
-    J, _ = est._jacobian_stack(net, theta, X)
+    J, _, _ = est._jacobian_stack(net, theta, X)
     draw = np.random.default_rng(4)
     xis = [est.sample_probe((3, 1), "rademacher", draw).entries]
     original(est.softmax(forward_logits(net, theta, X).data), 1, "power", draw)  # the core's draws
@@ -986,6 +992,71 @@ def test_backward_passes_come_from_the_tapes(monkeypatch):
     for variant in est.PROBE_VARIANTS.values():  # one tape, one sweep per probe
         estimate = est.hutchinson_fim(net, theta, X, variant, rng=rng, n_probes=4, k=1)
         assert estimate.meta["backward_passes"] == 4 + 1
+
+
+def test_counted_sweeps_equal_meta_and_the_closed_form(monkeypatch):
+    from fimlab import harness
+
+    rng = np.random.default_rng(37)
+    net, theta, X = random_instance(rng, (2, 4, 3), "tanh", n_samples=5)
+    n, C, m = X.shape[0], net.n_classes, 6
+    sweeps = []
+    real = ad.backward
+    monkeypatch.setattr(ad, "backward", lambda *a, **kw: sweeps.append(1) or real(*a, **kw))
+    calls = {
+        "exact_def": (lambda: est.exact_fim_definition(net, theta, X, "diagonal"), n * C),
+        "exact_pullback": (lambda: est.exact_fim_pullback(net, theta, X), n * C),
+        "efim": (lambda: est.efim(net, theta, X, [0, 2, 1, 1, 0]), n),
+        "mc": (lambda: est.mc_fim(net, theta, X, m, rng), m),
+    }
+    for variant in est.PROBE_VARIANTS.values():
+        for n_probes in (1, 3):
+            calls[f"{variant}.{n_probes}"] = (
+                lambda v=variant, k=n_probes: est.hutchinson_fim(net, theta, X, v, rng=rng, n_probes=k), n_probes)
+    for name, (call, closed_form) in calls.items():
+        sweeps.clear()
+        passes = call().meta["backward_passes"]
+        assert (len(sweeps), passes) == (closed_form, closed_form), name
+
+    cfg = harness.BenchConfig(batch_size=4, n_batches=2)
+    X, labels = rng.normal(size=(8, 2)), rng.integers(0, C, size=8)
+    sweeps.clear()
+    rows = harness.run_bench(net, theta, X, labels, cfg)
+    per_batch = {"efim": cfg.batch_size}  # a probe estimate: one sweep per batch
+    for row in rows:
+        assert row.backward_passes == cfg.n_batches * per_batch.get(row.estimator, 1), row.estimator
+    assert len(sweeps) == 8 * C + sum(row.backward_passes for row in rows)  # the exact truth, then the rows
+
+
+INTEGER_ARGS = {
+    "mc_fim.m": lambda net, theta, X, v: est.mc_fim(net, theta, X, v, np.random.default_rng(0)),
+    "hutchinson_fim.n_probes": lambda net, theta, X, v: est.hutchinson_fim(
+        net, theta, X, rng=np.random.default_rng(0), n_probes=v),
+    "empirical_probe_variance.n_trials": lambda net, theta, X, v: est.empirical_probe_variance(
+        net, theta, X, "full", v, np.random.default_rng(0)),
+    "hutchinson_fim.k": lambda net, theta, X, v: est.hutchinson_fim(
+        net, theta, X, "lowrank", rng=np.random.default_rng(0), k=v),
+    "variance_closed_form.k": lambda net, theta, X, v: est.variance_closed_form(net, theta, X, "lowrank", k=v),
+    "pullback_bounds.k": lambda net, theta, X, v: pullback_bounds(net, theta, X, v),
+    "tightness_report.k": lambda net, theta, X, v: tightness_report(net, theta, X, k=v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(2.0), "2"])
+@pytest.mark.parametrize("entry", list(INTEGER_ARGS))
+def test_integer_arguments_fail_at_the_boundary(monkeypatch, entry, value):
+    call = INTEGER_ARGS[entry]
+    rng = np.random.default_rng(39)
+    net, theta, X = random_instance(rng, (2, 4, 4), "tanh", n_samples=3)
+    call(net, theta, X, np.int64(2))  # any integer type runs
+    name = entry.split(".")[1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no forward pass may run before the arguments are checked")
+
+    monkeypatch.setattr(est, "forward_logits", refuse)
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        call(net, theta, X, value)
 
 
 # --- non-finite input -----------------------------------------------------------

@@ -4,9 +4,7 @@ tests/golden/write.py)."""
 
 import pytest
 
-from golden.write import HERE, commands, compare, write
-
-RTOL = 1e-13  # payloads, relative to the golden's largest entry; headers must be equal
+from golden.write import HERE, RTOL, commands, compare, write
 
 
 @pytest.fixture(scope="module")
