@@ -1,8 +1,7 @@
 """Estimator shoot-out on a trained Gaussian-blobs classifier.
 
 Trains a small MLP, then compares diagonal FIM estimators (one probe per
-batch) against the exact diagonal, printing RelMAE and speed relative to the
-empirical FIM.
+batch) against the exact diagonal, printing RelMAE and backward passes.
 
 Usage: python scripts/bench_blobs.py [--seed 0] [--steps 400] [--probes 64]
 """
@@ -30,9 +29,9 @@ def main() -> int:
 
     cfg = BenchConfig(batch_size=64, n_batches=8, seed=args.seed)
     rows = run_bench(net, theta, X, labels, cfg)
-    print(f"{'estimator':<16}{'relmae':>10}{'seconds':>10}{'speedup':>9}{'backwards':>11}")
+    print(f"{'estimator':<16}{'relmae':>10}{'backwards':>11}")
     for r in rows:
-        print(f"{r.estimator:<16}{r.relmae:>10.4f}{r.seconds:>10.4f}{r.speedup_vs_efim:>9.2f}{r.backward_passes:>11d}")
+        print(f"{r.estimator:<16}{r.relmae:>10.4f}{r.backward_passes:>11d}")
 
     truth = est.exact_fim_definition(net, theta, X[: cfg.batch_size], storage="diagonal")
     averaged = est.hutchinson_fim(

@@ -4,7 +4,7 @@ Subcommands:
   core-probe  print the top-eigenvalue bracket, envelope errors and
               worst-label error for one probability vector
   estimate    run a configured estimator and serialize the result
-  bench       RelMAE + speed table over the configured estimators (CSV)
+  bench       RelMAE and backward passes of the configured estimators (CSV)
   variance    closed-form probe variance vs an empirical check (JSON)
   cv-demo     heavy-tailed Monte Carlo pathology report
   hist        log-axis histogram of a serialized diagonal estimate (CSV)
@@ -195,8 +195,7 @@ def cmd_estimate(args) -> int:
     elif kind in est.PROBE_VARIANTS:
         result = est.hutchinson_fim(
             net, theta, X, est.PROBE_VARIANTS[kind],
-            rng=rng, n_probes=cfg["probes"], k=cfg["k"],
-            storage=storage, seed=cfg["seed"], dataset_id=cfg["generator"],
+            rng=rng, n_probes=cfg["probes"], k=cfg["k"], storage=storage,
         )
     else:
         raise ValueError(f"unknown estimator {kind!r}")
@@ -215,12 +214,9 @@ def cmd_bench(args) -> int:
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
-        writer.writerow(["estimator", "relmae", "seconds", "speedup_vs_efim", "backward_passes"])
+        writer.writerow(["estimator", "relmae", "backward_passes"])
         for row in rows:
-            writer.writerow(
-                [row.estimator, _fmt(row.relmae), _fmt(row.seconds),
-                 _fmt(row.speedup_vs_efim), row.backward_passes]
-            )
+            writer.writerow([row.estimator, _fmt(row.relmae), row.backward_passes])
     finally:
         if args.out:
             out.close()
@@ -299,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("bench", help="RelMAE and speed table (CSV)")
+    p = sub.add_parser("bench", help="RelMAE and backward-pass table (CSV)")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
@@ -334,7 +330,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,19 +13,20 @@ takes all its draws first, x then y per draw, from one batched forward pass.
 
 Each probe variant writes its C x C core once (`_core`), as weights w (B, r)
 and output-space rows m_r with core = sum_r w_r m_r m_r^T: w = p with rows
-e_y - p (full), w = zeta (p or s(1-s)) with rows e_y (diag), or the top-k
-eigenpairs of diag(p) - p p^T (lowrank).  One pipeline (`_probe_gradients`)
-serves the probe gradient, the probe estimate and the empirical variance:
-one forward pass and one core per call, then one reverse sweep per probe,
-seeded at the logits with M^T (sqrt(w) xi) for random signs (or Gaussians)
-xi.  The weights come off the tape from the forward values, so a probe
-gradient g needs no stop-gradient and no clamp; E[g g^T] = sum_x J_x^T
-core_x J_x.  The sqrt variant, the full core as 2 sum sqrt(p) xi through the
-log-softmax, seeds exp(0.5 log_softmax) with 2 xi.  The same rows R = M J
-give the exact pullback and both Loewner bounds (one Gram product sum
-w R R^T each) and the closed-form variances (sums of w R^2 and w^2 R^4).
-PROBE_VARIANTS, STORAGES and PROBE_DISTS are the one table of each set of
-names; the CLI and the bench harness accept exactly those.
+e_y - p (full and sqrt), w = zeta (p or s(1-s)) with rows e_y (diag), or the
+top-k eigenpairs of diag(p) - p p^T (lowrank).  One pipeline
+(`_probe_gradients`) serves the probe gradient, the probe estimate and the
+empirical variance: one forward pass and one core per call, then one reverse
+sweep per probe, seeded at the logits with M^T (sqrt(w) xi) for random signs
+(or Gaussians) xi.  The weights come off the tape from the forward values,
+so a probe gradient g needs no stop-gradient and no clamp; E[g g^T] =
+sum_x J_x^T core_x J_x.  The sqrt variant's scalar is 2 sum sqrt(p) xi, and
+d(2 sqrt(p_y))/dz = sqrt(p_y) (e_y - p), so its logit adjoint is the full
+core's M^T (sqrt(w) xi) and its gradient is bitwise the full variant's.  The
+same rows R = M J give the exact pullback and both Loewner bounds (one Gram
+product sum w R R^T each) and the closed-form variances (sums of w R^2 and
+w^2 R^4).  PROBE_VARIANTS, STORAGES and PROBE_DISTS are the one table of
+each set of names; the CLI and the bench harness accept exactly those.
 
 Every estimate but the pullback is a weighted sum of score outer products,
 sum_i w_i g_i g_i^T = G^T diag(w) G.  The rows g_i stream into a block of at
@@ -465,12 +466,12 @@ class _Core(NamedTuple):
 
 def _core(variant: str, z: np.ndarray, *, k: int = 1, weights: str = "p", eigen: str = "full",
           rng: np.random.Generator | None = None) -> _Core:
-    """The core of probe variant "full", "diag" or "lowrank" at logits z (B, C).
+    """The core of a probe variant at logits z (B, C); "sqrt" takes the full core.
 
     `weights` and `eigen` are checked by the public callers (`_check_probe_args`).
     """
     p = softmax(z)
-    if variant == "full":
+    if variant in ("full", "sqrt"):
         return _Core(p, p=p)
     if variant == "diag":
         if weights == "bernoulli":
@@ -487,9 +488,8 @@ def _probe_gradients(net: NetworkSpec, theta, X, variant: str, n: int, probe: Pr
 
     The first probe (or the given one) is taken before the core, whose power
     route draws from the same rng; later probes are drawn as the generator
-    runs.  Each gradient is one reverse sweep of the one tape: for full, diag
-    and lowrank seeded at the logits with M^T (sqrt(w) xi) from the core, for
-    sqrt at exp(0.5 log_softmax) with 2 xi.
+    runs.  Each gradient is one reverse sweep of the one tape, seeded at the
+    logits with M^T (sqrt(w) xi) from the core.
     """
     _check_probe_args(variant, net.n_classes, k, weights, eigen, dist)
     X = _finite_inputs(theta, X)
@@ -501,18 +501,15 @@ def _probe_gradients(net: NetworkSpec, theta, X, variant: str, n: int, probe: Pr
     if probe.entries.shape != probe_shape:
         raise ValueError(f"probe shape {probe.entries.shape} != expected {probe_shape}")
     logits = forward_logits(net, theta, X)
-    if variant == "sqrt":
-        root, core = ad.exp(ad.scale(ad.log_softmax(logits), 0.5)), None
-    else:
-        root, core = logits, _core(variant, logits.data, k=k, weights=weights, eigen=eigen, rng=rng)
-        sqrt_w = np.sqrt(np.maximum(core.w, 0.0))  # round-off can leave a low-rank eigenvalue at -1e-17
+    core = _core(variant, logits.data, k=k, weights=weights, eigen=eigen, rng=rng)
+    sqrt_w = np.sqrt(np.maximum(core.w, 0.0))  # round-off can leave a low-rank eigenvalue at -1e-17
 
     def gradients():
         xi = probe.entries
         for i in range(n):
             if i:
                 xi = sample_probe(probe_shape, dist, rng).entries
-            yield ad.gradient(root, 2.0 * xi if core is None else core.logit_weights(sqrt_w * xi))
+            yield ad.gradient(logits, core.logit_weights(sqrt_w * xi))
 
     return logits.tape, gradients()
 
@@ -524,10 +521,11 @@ def hutchinson_gradient(
 ) -> np.ndarray:
     """Gradient of the probe scalar h for one probe; exactly one backward pass.
 
-    For full, diag and lowrank, h weights the logits by M^T (sqrt(w) xi),
-    from the variant's core (`_core`) at the forward values; only the
-    logits carry gradient.  The sqrt variant's h is 2 sum sqrt(p) xi through
-    the log-softmax.  h itself is never recorded: its adjoint seeds the sweep.
+    h weights the logits by M^T (sqrt(w) xi), from the variant's core
+    (`_core`) at the forward values; only the logits carry gradient.  The
+    sqrt variant's h, 2 sum sqrt(p) xi, has the full core's logit gradient,
+    so its g is bitwise the full variant's.  h itself is never recorded: its
+    adjoint seeds the sweep.
     """
     return next(_probe_gradients(net, theta, X, variant, 1, probe, rng, dist, k, weights, eigen)[1])
 
@@ -535,7 +533,7 @@ def hutchinson_gradient(
 def hutchinson_fim(
     net: NetworkSpec, theta, X, variant: str = "full", *, rng: np.random.Generator | None = None,
     probe: ProbeVector | None = None, n_probes: int = 1, dist: str = "rademacher", k: int = 1,
-    weights: str = "p", eigen: str = "power", storage: str = "dense", seed=None, dataset_id=None,
+    weights: str = "p", eigen: str = "power", storage: str = "dense",
 ) -> FimEstimate:
     """Probe estimate of the FIM (or of its diagonal/low-rank targets).
 
@@ -557,8 +555,6 @@ def hutchinson_fim(
     meta = {
         "probe_count": n_probes,
         "probe_dist": probe.dist if probe is not None else dist,
-        "seed": seed,
-        "dataset_id": dataset_id,
         "backward_passes": tape.backward_calls,
     }
     if variant == "lowrank":

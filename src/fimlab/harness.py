@@ -6,8 +6,8 @@ trainer is plain full-batch gradient descent on the mean cross-entropy,
 deterministic given the task seed.  Evaluation compares diagonal FIM
 estimates against the exact diagonal via the relative mean absolute error
 RelMAE = mean_i |est_ii - F_ii| / (F_ii + eps), batch by batch with one
-fresh probe per batch, and reports wall-clock speed relative to the
-empirical FIM.
+fresh probe per batch, and counts each estimator's backward passes; wall
+time is the layered benchmark's to measure (perfbench/).
 
 The coefficient-of-variation demo simulates the naive scalar Monte Carlo
 estimate (1/4m) sum x^2 under Student-t inputs: its CV scales with
@@ -21,7 +21,6 @@ the naive estimate alongside for contrast.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,8 +328,6 @@ class BenchConfig:
 class BenchRow:
     estimator: str
     relmae: float
-    seconds: float
-    speedup_vs_efim: float
     backward_passes: int
 
 
@@ -341,13 +338,13 @@ def _batches(X, labels, cfg: BenchConfig):
 
 
 def run_bench(net: NetworkSpec, theta, X, labels, cfg: BenchConfig) -> list[BenchRow]:
-    """RelMAE and speed of each configured estimator on a batched dataset.
+    """RelMAE and backward passes of each configured estimator on a batched dataset.
 
     Ground truth is the exact diagonal FIM summed over all batches.  Probe
     estimators draw one fresh probe per batch from a per-batch child seed, so
-    the whole table is reproducible from (config, seed).  Speed is normalized
-    to the empirical FIM, which is also always timed.  Each configured name
-    is "efim" or a probe name of estimators.PROBE_VARIANTS; others are rejected.
+    the whole table is reproducible from (config, seed).  The empirical FIM is
+    always the first row, the baseline.  Each configured name is "efim" or a
+    probe name of estimators.PROBE_VARIANTS; others are rejected.
     """
     X = np.asarray(X, dtype=np.float64)
     needed = cfg.batch_size * cfg.n_batches
@@ -367,14 +364,12 @@ def run_bench(net: NetworkSpec, theta, X, labels, cfg: BenchConfig) -> list[Benc
         truth += est.exact_fim_definition(net, theta, xb, storage="diagonal").values
     truth_est = est.FimEstimate("exact_def", "diagonal", truth, "sum", {})
 
-    timings: dict[str, float] = {}
-    rows: dict[str, BenchRow] = {}
+    rows = []
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(names))
     for name, seq in zip(names, seeds):
         batch_rngs = [np.random.default_rng(s) for s in seq.spawn(cfg.n_batches)]
         diag = np.zeros(net.dim)
         passes = 0
-        start = time.perf_counter()
         for (xb, yb), rng in zip(_batches(X, labels, cfg), batch_rngs):
             if name == "efim":
                 part = est.efim(net, theta, xb, yb, storage="diagonal")
@@ -384,17 +379,6 @@ def run_bench(net: NetworkSpec, theta, X, labels, cfg: BenchConfig) -> list[Benc
                 )
             passes += part.meta["backward_passes"]
             diag += part.values
-        elapsed = time.perf_counter() - start
-        timings[name] = elapsed
         combined = est.FimEstimate(name, "diagonal", diag, "sum", {"seed": cfg.seed})
-        rows[name] = BenchRow(
-            estimator=name,
-            relmae=relmae(combined, truth_est, cfg.epsilon),
-            seconds=elapsed,
-            speedup_vs_efim=0.0,
-            backward_passes=passes,
-        )
-    base = timings["efim"]
-    for row in rows.values():
-        row.speedup_vs_efim = base / row.seconds if row.seconds > 0 else float("inf")
-    return list(rows.values())
+        rows.append(BenchRow(name, relmae(combined, truth_est, cfg.epsilon), passes))
+    return rows

@@ -119,7 +119,7 @@ def init_params(net: NetworkSpec, rng: np.random.Generator) -> np.ndarray:
     return flat
 
 
-def forward_logits(net: NetworkSpec, theta, X, tape: ad.Tape | None = None) -> ad.Value:
+def forward_logits(net: NetworkSpec, theta, X) -> ad.Value:
     """Traced batch forward pass; returns the (B, C) logits Value.
 
     Parameter leaves are created in flat layout order, so ad.gradient() on
@@ -131,7 +131,7 @@ def forward_logits(net: NetworkSpec, theta, X, tape: ad.Tape | None = None) -> a
     if X.shape[1] != net.n_inputs:
         raise ValueError(f"X has {X.shape[1]} features, network expects {net.n_inputs}")
     weights, biases = unflatten(net, theta)
-    tape = tape if tape is not None else ad.Tape()
+    tape = ad.Tape()
     h = ad.constant(tape, X)
     n_layers = len(weights)
     for k, (W, b) in enumerate(zip(weights, biases)):

@@ -4,8 +4,9 @@
     PYTHONPATH=src python tests/golden/write.py --check    # compare, write nothing
 
 For each config in this directory (`dense.cfg`, `diagonal.cfg`) the golden
-set holds the `fimlab estimate` file of every estimator kind and the
-`fimlab variance` JSON of the full, diag and lowrank variants.  `--check`
+set holds the `fimlab estimate` file of every estimator kind, the `fimlab
+variance` JSON of the full, diag and lowrank variants and the `fimlab bench`
+CSV.  `--check`
 prints, per output, whether a fresh run is byte-identical and its largest
 payload difference relative to the golden's largest entry, and exits 1 when
 any difference exceeds RTOL, the limit tests/test_golden.py holds them to.  Rewrite the
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -46,6 +48,7 @@ def commands() -> dict[str, list[str]]:
             out[f"{config}.{kind}.fim"] = ["estimate", "--config", path, "--estimator", kind]
         for variant in VARIANCE_VARIANTS:
             out[f"{config}.variance.{variant}.json"] = ["variance", "--config", path, "--variant", variant]
+        out[f"{config}.bench.csv"] = ["bench", "--config", path]
     return out
 
 
@@ -76,9 +79,16 @@ def compare(fresh: Path, golden: Path) -> tuple[bool, float]:
     """(byte-identical, largest payload difference relative to golden's largest entry).
 
     Raises ValueError when the headers differ: an estimate file's header
-    line, or a variance JSON's keys outside VARIANCE_PAYLOAD.
+    line, a variance JSON's keys outside VARIANCE_PAYLOAD, or a bench CSV's
+    column names, estimator names or backward passes.
     """
     identical = fresh.read_bytes() == golden.read_bytes()
+    if golden.suffix == ".csv":
+        new, old = (list(csv.reader(path.read_text().splitlines())) for path in (fresh, golden))
+        heads = [[row[:1] + row[2:] for row in rows] for rows in (new, old)]  # all but relmae
+        if new[0] != old[0] or heads[0] != heads[1]:
+            raise ValueError(f"{fresh.name}: rows {heads[0]} != golden {heads[1]}")
+        return identical, _relative([float(row[1]) for row in new[1:]], [float(row[1]) for row in old[1:]])
     if golden.suffix == ".fim":
         if est.read_header(fresh) != est.read_header(golden):
             raise ValueError(f"{fresh.name}: header {est.read_header(fresh)} != golden {est.read_header(golden)}")

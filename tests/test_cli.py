@@ -273,6 +273,7 @@ def test_bench_csv(tmp_path):
     cfg = write_config(tmp_path / "c.cfg", estimators=("efim", "hutch", "hutch_sqrt"), **SMALL)
     out = tmp_path / "bench.csv"
     assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "estimator,relmae,backward_passes"
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     names = [r["estimator"] for r in rows]
@@ -282,10 +283,21 @@ def test_bench_csv(tmp_path):
 
     out2 = tmp_path / "bench2.csv"
     assert main(["bench", "--config", str(cfg), "--out", str(out2)]) == 0
-    with open(out2) as fh:
-        rows2 = list(csv.DictReader(fh))
-    for a, b in zip(rows, rows2):
-        assert a["relmae"] == b["relmae"]  # reproducible from (config, seed)
+    assert out2.read_bytes() == out.read_bytes()  # reproducible from (config, seed)
+
+
+@pytest.mark.parametrize("argv", [
+    ["inspect", "--in", "{dir}"],
+    ["hist", "--in", "{dir}", "--out", "{dir}/h.csv"],
+    ["estimate", "--config", "{dir}", "--estimator", "exact", "--out", "{dir}/e.fim"],
+    ["estimate", "--config", "{cfg}", "--estimator", "exact", "--out", "{dir}/missing/e.fim"],
+    ["bench", "--config", "{cfg}", "--out", "{dir}/missing/b.csv"],
+])
+def test_os_errors_exit_2_with_a_message(tmp_path, capsys, argv):
+    # a directory where a file belongs, or an output in a missing directory
+    cfg = write_config(tmp_path / "c.cfg", n_samples=8, batch_size=4, n_batches=2)
+    assert main([arg.format(dir=tmp_path, cfg=cfg) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_variance_json(tmp_path):

@@ -60,7 +60,8 @@ def test_round_trip_is_bit_exact_with_full_meta(tmp_path, e):
 def test_probe_estimate_keeps_every_meta_key(tmp_path):
     net, theta, X = random_instance(np.random.default_rng(4), (2, 4), "none", n_samples=3)
     e = est.hutchinson_fim(net, theta, X, "lowrank", rng=np.random.default_rng(0), k=2,
-                           eigen="full", storage="diagonal", seed=5, dataset_id="blobs")
+                           eigen="full", storage="diagonal")
+    e.meta.update(seed=5, dataset_id="blobs")
     e = est.ema_update(e, e, 0.5)
     path = tmp_path / "lowrank.fim"
     est.save_estimate(e, path)

@@ -383,15 +383,24 @@ def test_gaussian_probe_unbiasedness_by_clt():
     assert np.all(np.abs(mean[live] - truth[live]) <= 3.0 * stderr[live])
 
 
-def test_full_and_sqrt_gradients_coincide_on_shared_probes():
-    # d sqrt(p)/dtheta = (sqrt(p)/2) dl/dtheta, so both scalars have the same
-    # gradient; the sqrt form just avoids stop-gradient and clamping.
+def test_sqrt_outputs_are_bitwise_the_full_outputs():
+    # d(2 sqrt(p_y))/dz = sqrt(p_y) (e_y - p): the sqrt scalar's logit adjoint is
+    # the full core's, so for the same probe or rng every output has the same bits
     rng = np.random.default_rng(14)
     net, theta, X = random_instance(rng, (2, 4, 3), "tanh", n_samples=2)
-    probe = est.sample_probe((2, 3), "rademacher", rng)
-    g1 = est.hutchinson_gradient(net, theta, X, "full", probe=probe)
-    g2 = est.hutchinson_gradient(net, theta, X, "sqrt", probe=probe)
-    assert np.max(np.abs(g1 - g2)) <= 1e-12
+    for dist in est.PROBE_DISTS:
+        probe = est.sample_probe((2, 3), dist, rng)
+        g = {v: est.hutchinson_gradient(net, theta, X, v, probe=probe) for v in ("full", "sqrt")}
+        assert g["sqrt"].tobytes() == g["full"].tobytes()
+        for storage in est.STORAGES:
+            for n in (1, 3):
+                e = {v: est.hutchinson_fim(net, theta, X, v, rng=np.random.default_rng(n), n_probes=n,
+                                           dist=dist, storage=storage) for v in ("full", "sqrt")}
+                assert e["sqrt"].values.tobytes() == e["full"].values.tobytes()
+                assert e["sqrt"].meta == e["full"].meta
+        var = {v: est.empirical_probe_variance(net, theta, X, v, n_trials=4, rng=np.random.default_rng(5),
+                                               dist=dist) for v in ("full", "sqrt")}
+        assert var["sqrt"].tobytes() == var["full"].tobytes()
 
 
 def test_full_gradient_matches_per_term_differentiation():
@@ -734,9 +743,8 @@ def test_estimate_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(28)
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
     for storage in ("dense", "diagonal"):
-        e = est.hutchinson_fim(
-            net, theta, X, "full", rng=rng, storage=storage, seed=7, dataset_id="blobs"
-        )
+        e = est.hutchinson_fim(net, theta, X, "full", rng=rng, storage=storage)
+        e.meta.update(seed=7, dataset_id="blobs")
         path = tmp_path / f"{storage}.fim"
         est.save_estimate(e, path)
         loaded = est.load_estimate(path)
@@ -876,7 +884,7 @@ def test_probe_estimates_run_one_forward_pass_and_one_core(monkeypatch, variant)
     monkeypatch.setattr(est, "forward_logits", counted("forward", est.forward_logits))
     monkeypatch.setattr(est, "_core", counted("core", est._core))
     monkeypatch.setattr(est, "_lowrank_eigenpairs", counted("eigenpairs", est._lowrank_eigenpairs))
-    once = {"forward": 1, "core": 0 if variant == "sqrt" else 1, "eigenpairs": int(variant == "lowrank")}
+    once = {"forward": 1, "core": 1, "eigenpairs": int(variant == "lowrank")}
     est.hutchinson_fim(net, theta, X, variant, rng=rng, n_probes=5)
     assert calls == once
     calls.update(dict.fromkeys(calls, 0))
@@ -944,12 +952,15 @@ def test_seeded_probe_sweep_equals_the_traced_probe_scalar_bitwise(variant):
     net, theta, X = random_instance(rng, (3, 5, 4), "tanh", n_samples=3)
     probe = est.sample_probe((3, 4), "rademacher", rng)
     logits = forward_logits(net, theta, X)
+    core = est._core(variant, logits.data)
+    h = ad.wsum(logits, core.logit_weights(np.sqrt(core.w) * probe.entries))
+    g = est.hutchinson_gradient(net, theta, X, variant, probe=probe)
+    assert np.array_equal(g, ad.gradient(h))
     if variant == "sqrt":
-        h = ad.scale(ad.wsum(ad.exp(ad.scale(ad.log_softmax(logits), 0.5)), probe.entries), 2.0)
-    else:
-        core = est._core("full", logits.data)
-        h = ad.wsum(logits, core.logit_weights(np.sqrt(core.w) * probe.entries))
-    assert np.array_equal(est.hutchinson_gradient(net, theta, X, variant, probe=probe), ad.gradient(h))
+        # the paper's scalar 2 sum sqrt(p) xi, traced through exp(0.5 log_softmax): an
+        # independent route, so it agrees to round-off rather than bitwise
+        paper = ad.scale(ad.wsum(ad.exp(ad.scale(ad.log_softmax(logits), 0.5)), probe.entries), 2.0)
+        assert np.max(np.abs(g - ad.gradient(paper))) <= 1e-12 * np.max(np.abs(g))
 
 
 # --- backward passes counted on the tapes ---------------------------------------

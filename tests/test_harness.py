@@ -261,10 +261,9 @@ def test_bench_rows_and_backward_passes():
     cfg = BenchConfig(batch_size=16, n_batches=4, estimators=("efim", "hutch", "hutch_sqrt"), seed=3)
     rows = run_bench(net, theta, X, labels, cfg)
     by_name = {r.estimator: r for r in rows}
-    assert set(by_name) == {"efim", "hutch", "hutch_sqrt"}
+    assert list(by_name) == ["efim", "hutch", "hutch_sqrt"]
     assert by_name["hutch"].backward_passes == 4  # one probe per batch
     assert by_name["efim"].backward_passes == 64  # one per sample
-    assert by_name["efim"].speedup_vs_efim == pytest.approx(1.0)
     for row in rows:
         assert np.isfinite(row.relmae)
         assert row.relmae >= 0.0
