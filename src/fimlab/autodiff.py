@@ -11,9 +11,22 @@ receive gradient: each node records, when it is pushed, whether it reaches a
 parameter leaf, and the sweep forms no adjoint for an operand that does not
 (such as the constant input under a first layer).
 
+A sweep re-derives nothing the tape holds.  An op's local derivative
+(tanh's 1 - a^2, relu's mask, log-softmax's softmax) is computed by the
+first sweep that needs it and kept on the node, so C seeded sweeps of one
+tape compute it once; gradient() writes each parameter's adjoint straight
+into its slice of one flat vector.  row() views one row of a tape recorded
+on a batch as a one-row tape: the batch's parameter leaves, and a (1, n)
+view of every other value.  Since every op it admits is row-wise and the
+forward is row-invariant (below), the view holds the values a tape recorded
+on that row alone would, so per-sample sweeps need one batched forward,
+not one forward per sample.
+
 Each op is one entry of a rule table that pairs its forward rule with one
 adjoint rule per operand; recording, replay() and backward() all read that
-table, so an op's maths is written exactly once.
+table, so an op's maths is written exactly once.  The ops whose adjoint
+multiplies by a local derivative have one more entry, in the table of
+locals, which the sweep and replay() read.
 
 The op set is intentionally small: what a dense classifier forward pass, a
 log-softmax likelihood and sign-flipped probe sums need, nothing more.  A
@@ -27,8 +40,8 @@ forwards.  (A stacked np.matmul forward also read 1.59e-6 against the 1e-6
 grad_check target of acceptance criterion 8.)  The matmul adjoints go
 through BLAS (np.dot), several times faster than einsum on the sweep's
 shapes.  A sweep is deterministic for a fixed BLAS thread count, but one
-row's gradient may differ in the last bits between a batched and a
-per-sample sweep.
+row's gradient may differ in the last bits between a sweep of the whole
+batch and a per-sample sweep (of a row view, or of a tape of that row).
 
 Everything is float64; bounds downstream are verified to 1e-10, which single
 precision cannot reach.
@@ -36,6 +49,7 @@ precision cannot reach.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -57,6 +71,7 @@ __all__ = [
     "gather",
     "wsum",
     "total",
+    "row",
     "backward",
     "gradient",
     "grad_check",
@@ -70,6 +85,7 @@ class _Node:
     value: np.ndarray
     ctx: tuple = ()
     reaches_param: bool = False
+    local: np.ndarray | None = None  # the op's local derivative, once a sweep has needed it
 
 
 class Tape:
@@ -78,34 +94,43 @@ class Tape:
     Single-writer while recording; once the forward pass is done the node
     list is only read, so backward() may run from any thread (each sweep
     keeps its own adjoint buffers; only the pass counter needs the lock).
+    The one write a sweep makes is a node's local derivative, cached by the
+    first sweep that needs it; two threads that both get there first each
+    compute the same bits, so that race is benign.  A row view (row()) is a
+    tape of its own, with its own counter and its own cached locals, that
+    shares the batch tape's parameter leaves and views its values.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._param_ids: list[int] = []
+        self._param_at: dict[int, int] = {}  # param node id -> its first entry in the flat gradient
+        self._param_size = 0
         self.backward_calls = 0
         self._counter_lock = threading.Lock()
 
     def _push(self, op: str, parents: tuple[int, ...], value: np.ndarray, ctx: tuple = ()) -> "Value":
         value = np.asarray(value, dtype=np.float64)
         if op == "param":
-            self._param_ids.append(len(self.nodes))
+            self._param_at[len(self.nodes)] = self._param_size
+            self._param_size += value.size
         reaches = op == "param" or any(self.nodes[j].reaches_param for j in parents)
         self.nodes.append(_Node(op, parents, value, ctx, reaches))
         return Value(self, len(self.nodes) - 1)
 
     def param_ids(self) -> list[int]:
         """Node ids of the parameter leaves, in creation order (a copy)."""
-        return list(self._param_ids)
+        return list(self._param_at)
 
     def replay(self) -> bool:
-        """Re-run every recorded op; True iff all values reproduce bit-exactly."""
+        """Re-run every recorded op and every cached local derivative; True iff
+        all of them reproduce bit-exactly."""
         for node in self.nodes:
             if node.op in ("const", "param"):
                 continue
-            forward = _RULES[node.op][0]
-            again = forward(node.ctx, *[self.nodes[j].value for j in node.parents])
-            if not np.array_equal(again, node.value):
+            parents = [self.nodes[j].value for j in node.parents]
+            if not np.array_equal(_RULES[node.op][0](node.ctx, *parents), node.value):
+                return False
+            if node.local is not None and not np.array_equal(_LOCALS[node.op](node, *parents), node.local):
                 return False
         return True
 
@@ -154,6 +179,8 @@ def parameter(tape: Tape, array) -> Value:
 #   calls it only when parent k reaches a parameter.  A rule may return g
 #   itself; an adjoint is never written to in place.
 # Shape checks live in the forward rules, so they run at record time.
+# An adjoint that multiplies by a local derivative (tanh, relu, log_softmax)
+# reads it through _local: _LOCALS[op](node, *parent_values) computes it.
 
 def _add_forward(ctx, a, b):
     if a.shape == b.shape:
@@ -198,17 +225,31 @@ def _gather_adjoint(node, g, a):
     return out
 
 
+def _local(node: _Node, a: np.ndarray) -> np.ndarray:
+    """The node's local derivative, computed by the first sweep that needs it
+    and read off the node by later ones (a benign race: see Tape)."""
+    if node.local is None:
+        node.local = _LOCALS[node.op](node, a)
+    return node.local
+
+
+_LOCALS = {
+    "tanh": lambda node, a: 1.0 - node.value**2,
+    "relu": lambda node, a: a > 0,
+    "log_softmax": lambda node, a: np.exp(node.value),  # the softmax
+}
+
 _RULES = {
     "add": (_add_forward, lambda node, g, a, b: g, lambda node, g, a, b: g if a.shape == b.shape else g.sum(axis=0)),
     "mul": (_mul_forward, lambda node, g, a, b: g * b, lambda node, g, a, b: g * a),
     "matmul": (_matmul_forward, lambda node, g, a, b: np.dot(g, b.T), lambda node, g, a, b: np.dot(a.T, g)),
     "scale": (lambda ctx, a: ctx[0] * a, lambda node, g, a: node.ctx[0] * g),
-    "tanh": (lambda ctx, a: np.tanh(a), lambda node, g, a: g * (1.0 - node.value**2)),
-    "relu": (lambda ctx, a: np.maximum(a, 0.0), lambda node, g, a: g * (a > 0)),
+    "tanh": (lambda ctx, a: np.tanh(a), lambda node, g, a: g * _local(node, a)),
+    "relu": (lambda ctx, a: np.maximum(a, 0.0), lambda node, g, a: g * _local(node, a)),
     "exp": (lambda ctx, a: np.exp(a), lambda node, g, a: g * node.value),
     "log_softmax": (
         _log_softmax_forward,
-        lambda node, g, a: g - np.exp(node.value) * np.sum(g, axis=-1, keepdims=True),
+        lambda node, g, a: g - _local(node, a) * np.sum(g, axis=-1, keepdims=True),
     ),
     "gather": (_gather_forward, _gather_adjoint),
     "wsum": (lambda ctx, a: np.asarray(np.sum(a * ctx[0])), lambda node, g, a: g * node.ctx[0]),
@@ -306,6 +347,41 @@ def total(a: Value) -> Value:
     return _unary("total", a)
 
 
+def row(root: Value, b) -> Value:
+    """Row b of `root`, recorded on a batch of rows, as the root of a one-row tape.
+
+    The new tape holds the nodes up to root under the same ids: the batch
+    tape's own parameter leaves, and for every other node row b of its value
+    as a (1, n) view.  Its sweeps then give sample b's gradients without a
+    forward pass of their own, bit for bit those of a tape recorded on that
+    row alone, since every op left is row-wise.  A one-row batch is its own
+    row.  Raises ValueError for a row out of range and for a tape whose ops
+    mix rows: gather, wsum and total (their values are no batch of rows), or
+    a matmul whose right operand is not a parameter.
+    """
+    nodes = root.tape.nodes[: root.idx + 1]
+    if root.data.ndim != 2 or nodes[-1].op == "param":
+        raise ValueError(f"row: the root, a {nodes[-1].op} node of shape {root.data.shape}, is not a batch of rows")
+    n_rows = root.data.shape[0]
+    b = operator.index(b)
+    if not 0 <= b < n_rows:
+        raise ValueError(f"row {b} out of range for a batch of {n_rows} rows")
+    if n_rows == 1:
+        return root
+    view = Tape()
+    for node in nodes:
+        if node.op != "param":
+            if node.op == "matmul" and nodes[node.parents[1]].op != "param":
+                raise ValueError("row: a matmul whose right operand is not a parameter mixes the rows")
+            if node.value.ndim != 2 or node.value.shape[0] != n_rows:
+                raise ValueError(f"row: a {node.op} node of shape {node.value.shape} is not a batch of {n_rows} rows")
+            node = _Node(node.op, node.parents, node.value[b : b + 1], node.ctx, node.reaches_param)
+        view.nodes.append(node)
+    view._param_at = {i: at for i, at in root.tape._param_at.items() if i <= root.idx}
+    view._param_size = sum(nodes[i].value.size for i in view._param_at)
+    return Value(view, root.idx)
+
+
 def _accumulate(adj: dict, idx: int, delta: np.ndarray):
     # no copy: a delta may be g itself (add) or the caller's seed, but a sum
     # is a new array and backward() copies each adjoint it returns
@@ -315,12 +391,14 @@ def _accumulate(adj: dict, idx: int, delta: np.ndarray):
         adj[idx] = delta
 
 
-def backward(root: Value, adjoint=None) -> dict[int, np.ndarray]:
+def backward(root: Value, adjoint=None, *, out: np.ndarray | None = None):
     """One reverse sweep from `root`; returns {param node id: adjoint}.
 
     The sweep starts at `root` with `adjoint`, an array of the root's shape,
     and gives the gradient of sum(adjoint * root).  Without an adjoint the
-    root must be a scalar and the sweep starts from 1.
+    root must be a scalar and the sweep starts from 1.  With `out`, a zeroed
+    flat vector over every parameter entry of the tape, each parameter's
+    adjoint is written into its slice of `out`, which is returned instead.
     """
     if adjoint is None:
         if root.data.shape != ():
@@ -344,7 +422,11 @@ def backward(root: Value, adjoint=None) -> dict[int, np.ndarray]:
             continue
         node = nodes[i]
         if node.op == "param":
-            grads[i] = np.array(g)  # a copy: g may be the seed, or shared by add with another param
+            if out is None:
+                grads[i] = np.array(g)  # a copy: g may be the seed, or shared by add with another param
+            else:
+                at = tape._param_at[i]
+                out[at : at + g.size] = g.ravel()
             continue
         rule = _RULES[node.op]
         # Parents go in by arity: a generic *[...] call is measurably slower per sweep.
@@ -358,26 +440,17 @@ def backward(root: Value, adjoint=None) -> dict[int, np.ndarray]:
                 _accumulate(adj, a, rule[1](node, g, va, vb))
             if nodes[b].reaches_param:
                 _accumulate(adj, b, rule[2](node, g, va, vb))
-    return grads
+    return grads if out is None else out
 
 
 def gradient(root: Value, adjoint=None) -> np.ndarray:
     """Flat gradient of sum(adjoint * root) over all parameter leaves, in creation order.
 
     Without an adjoint the root must be a scalar (see backward).  Parameters
-    the root does not depend on contribute exact zeros.
+    the root does not depend on contribute exact zeros.  The sweep writes
+    each parameter's adjoint straight into its slice of the one new vector.
     """
-    grads = backward(root, adjoint)
-    tape = root.tape
-    parts = []
-    for i in tape.param_ids():
-        g = grads.get(i)
-        if g is None:
-            g = np.zeros_like(tape.nodes[i].value)
-        parts.append(np.asarray(g, dtype=np.float64).ravel())
-    if not parts:
-        return np.zeros(0)
-    return np.concatenate(parts)
+    return backward(root, adjoint, out=np.zeros(root.tape._param_size))
 
 
 def grad_check(f, theta, step: float = 1e-4) -> float:

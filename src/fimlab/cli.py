@@ -13,6 +13,8 @@ Subcommands:
 Configs are flat key=value text files ('#' starts a comment); unknown keys
 and bad values are rejected.  The FIMLAB_SEED environment variable overrides
 the config seed.  All outputs are reproducible from (config, seed).
+estimate, bench and variance refuse an --out that is a directory or lies in
+a missing directory before they compute anything.
 """
 
 from __future__ import annotations
@@ -124,6 +126,17 @@ def parse_config(path) -> dict:
     return cfg
 
 
+def _check_out(path) -> None:
+    """Refuse an --out that cannot be written before any work is done: a
+    directory, or a file in a directory that does not exist."""
+    if not path:  # bench and variance write to stdout then
+        return
+    if Path(path).is_dir():
+        raise ValueError(f"--out {path} is a directory")
+    if not Path(path).parent.is_dir():
+        raise ValueError(f"--out {path}: no directory {Path(path).parent}")
+
+
 def _build_instance(cfg: dict):
     """(X, labels, net, theta) from a parsed config."""
     task = hz.SyntheticTask(
@@ -178,6 +191,7 @@ def cmd_core_probe(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = parse_config(args.config)
+    _check_out(args.out)
     X, labels, net, theta = _build_instance(cfg)
     storage = cfg["storage"]
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
@@ -208,6 +222,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = parse_config(args.config)
+    _check_out(args.out)
     X, labels, net, theta = _build_instance(cfg)
     bench_cfg = hz.BenchConfig(**{key: cfg[key] for key in ("batch_size", "n_batches", "estimators", "epsilon", "seed")})
     rows = hz.run_bench(net, theta, X, labels, bench_cfg)
@@ -225,6 +240,7 @@ def cmd_bench(args) -> int:
 
 def cmd_variance(args) -> int:
     cfg = parse_config(args.config)
+    _check_out(args.out)
     X, labels, net, theta = _build_instance(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(2)[1])
     report = est.variance_closed_form(net, theta, X, args.variant, dist=args.dist, k=cfg["k"])

@@ -6,10 +6,12 @@ sum_x J^T (diag(p) - p p^T) J through the per-sample Jacobian.  Alongside
 them: the empirical FIM at observed labels, the label-resampling Monte Carlo
 estimate, and a family of single-backward-pass probe estimators.  Every
 per-sample row (Jacobian, score, efim or Monte Carlo row) comes from one
-routine, `_sample_sweeps`: one forward tape per sample, rooted at the logits
-or the log-softmax, then one reverse sweep per one-hot seed (every class, or
-one given class), which adds no node to the tape.  The Monte Carlo estimate
-takes all its draws first, x then y per draw, from one batched forward pass.
+routine, `_sample_sweeps`: one batched forward per call, rooted at the
+logits or the log-softmax, then a one-row view of that tape per sample
+(`autodiff.row`) and one reverse sweep of it per one-hot seed (every class,
+or one given class), which adds no node to the tape.  The Monte Carlo
+estimate takes all its draws first, x then y per draw, from one batched
+forward pass, and then sweeps the drawn rows of that same forward.
 
 Each probe variant writes its C x C core once (`_core`), as weights w (B, r)
 and output-space rows m_r with core = sum_r w_r m_r m_r^T: w = p with rows
@@ -246,35 +248,41 @@ def _add_block(acc: np.ndarray, w: np.ndarray, G: np.ndarray, storage: str) -> N
         acc += np.dot(w, np.square(G, out=G))  # the block is refilled after this
 
 
-def _sample_sweeps(net: NetworkSpec, theta, xs, classes=None, *, log_softmax: bool = False):
-    """Per sample x of xs: (root row, gradient rows, backward passes on its tape).
+def _sample_sweeps(root: ad.Value, samples, classes=None):
+    """Per row index b = samples[t]: (row b of root, its gradient rows, backward passes counted for it).
 
-    Every per-sample row comes from here: one forward tape of x, whose root
-    is the logits or (with log_softmax) the log-softmax, then one reverse
-    sweep per one-hot seed, for every class or for classes[b] alone.  A seed
-    adds no node to the tape; the passes are read off the tape's counter.
+    Every per-sample row comes from here.  `root` is one batched forward
+    pass, the logits or the log-softmax, and each sample b is swept on a
+    one-row view of its tape (`ad.row`), so no sample runs a forward pass of
+    its own: one reverse sweep per one-hot seed, for every class or for
+    classes[t] alone.  A seed adds no node to the tape; the passes are read
+    off each row tape's counter.  A one-row batch is its own row, so its
+    tape's counter runs on from sample to sample; each yields only its own.
     """
-    seeds = np.eye(net.n_classes)[:, None, :]  # seeds[y] is e_y for a (1, C) root
-    for b, x in enumerate(xs):
-        root = forward_logits(net, theta, x[None, :])
-        if log_softmax:
-            root = ad.log_softmax(root)
+    seeds = np.eye(root.data.shape[1])[:, None, :]  # seeds[y] is e_y for a (1, C) root
+    counted = 0  # passes already yielded from root's own tape
+    for t, b in enumerate(samples):
+        r = ad.row(root, b)
         if classes is None:
-            rows = [ad.gradient(root, e) for e in seeds]
+            rows = [ad.gradient(r, e) for e in seeds]
         else:
-            rows = [ad.gradient(root, seeds[classes[b]])]
-        yield root.data[0], rows, root.tape.backward_calls
+            rows = [ad.gradient(r, seeds[classes[t]])]
+        passes = r.tape.backward_calls
+        if r is root:
+            passes, counted = passes - counted, passes
+        yield r.data[0], rows, passes
 
 
 def loglik_gradients(net: NetworkSpec, theta, x) -> tuple[np.ndarray, np.ndarray]:
     """(p, G) for one sample: G[y] = d log p(y|x) / d theta, C sweeps of one tape at the log-softmax."""
-    ((lsm, G, _),) = _sample_sweeps(net, theta, [np.asarray(x, dtype=np.float64)], log_softmax=True)
-    return np.exp(lsm), np.array(G)
+    lsm = ad.log_softmax(forward_logits(net, theta, np.asarray(x, dtype=np.float64)[None, :]))
+    ((lsm_x, G, _),) = _sample_sweeps(lsm, [0])
+    return np.exp(lsm_x), np.array(G)
 
 
 def jacobian_and_logits(net: NetworkSpec, theta, x) -> tuple[np.ndarray, np.ndarray]:
     """(J, z) for one sample: J[i] = dz_i/dtheta, C sweeps of one tape at the logits."""
-    ((z, J, _),) = _sample_sweeps(net, theta, [np.asarray(x, dtype=np.float64)])
+    ((z, J, _),) = _sample_sweeps(forward_logits(net, theta, np.asarray(x, dtype=np.float64)[None, :]), [0])
     return np.array(J), z
 
 
@@ -283,30 +291,31 @@ def _jacobian_stack(net: NetworkSpec, theta, X) -> tuple[np.ndarray, np.ndarray,
     on the tapes.  The pullback, the closed-form variances and the bounds all
     start here, and so does their check that theta and X are finite."""
     X = _finite_inputs(theta, X)
+    logits = forward_logits(net, theta, X)
     J = np.empty((X.shape[0], net.n_classes, as_flat(theta).size))
-    z = np.empty((X.shape[0], net.n_classes))
     passes = 0
-    for b, (z_b, rows, n) in enumerate(_sample_sweeps(net, theta, X)):
-        z[b], J[b] = z_b, rows
+    for b, (_, rows, n) in enumerate(_sample_sweeps(logits, range(X.shape[0]))):
+        J[b] = rows
         passes += n
-    return J, z, passes
+    return J, logits.data, passes
 
 
-def _score_gram(net: NetworkSpec, theta, xs, n_rows: int, storage: str, classes=None, weight=1.0):
-    """(`_gram` of the scores of xs, backward passes on their tapes): with classes, one
-    row of the given weight per sample; without, every class's row, weighted by p(y|x)."""
+def _score_gram(lsm: ad.Value, samples, n_rows: int, dim: int, storage: str, classes=None, weight=1.0):
+    """(`_gram` of the scores of the samples, rows of the batched log-softmax lsm, and the backward
+    passes on their tapes): with classes, one row of the given weight per sample; without, every
+    class's row, weighted by p(y|x)."""
     passes = 0
 
     def rows():
         nonlocal passes
-        for lsm, G, n in _sample_sweeps(net, theta, xs, classes, log_softmax=True):
+        for lsm_b, G, n in _sample_sweeps(lsm, samples, classes):
             passes += n
             if classes is None:
-                yield from zip(np.exp(lsm), G)
+                yield from zip(np.exp(lsm_b), G)
             else:
                 yield weight, G[0]
 
-    acc = _gram(rows(), n_rows, net.dim, storage)
+    acc = _gram(rows(), n_rows, dim, storage)
     return acc, passes
 
 
@@ -316,7 +325,8 @@ def exact_fim_definition(net: NetworkSpec, theta, X, storage: str = "dense") -> 
     if net.n_classes < 2:
         raise ValueError("categorical estimators need at least 2 classes")
     _check_dense(storage, net.dim)
-    acc, passes = _score_gram(net, theta, X, X.shape[0] * net.n_classes, storage)
+    lsm = ad.log_softmax(forward_logits(net, theta, X))
+    acc, passes = _score_gram(lsm, range(X.shape[0]), X.shape[0] * net.n_classes, net.dim, storage)
     meta = {"n_samples": X.shape[0], "backward_passes": passes}
     return FimEstimate("exact_def", storage, acc, "sum", meta)
 
@@ -337,7 +347,8 @@ def efim(net: NetworkSpec, theta, X, labels, storage: str = "dense") -> FimEstim
     X = _finite_inputs(theta, X)
     labels = _check_labels(labels, X.shape[0], net.n_classes)
     _check_dense(storage, net.dim)
-    acc, passes = _score_gram(net, theta, X, X.shape[0], storage, labels)
+    lsm = ad.log_softmax(forward_logits(net, theta, X))
+    acc, passes = _score_gram(lsm, range(X.shape[0]), X.shape[0], net.dim, storage, labels)
     meta = {"n_samples": X.shape[0], "backward_passes": passes}
     return FimEstimate("efim", storage, acc, "sum", meta)
 
@@ -353,20 +364,23 @@ def mc_fim(
 
     Mean-normalized: its expectation is the exact FIM divided by the number
     of samples in X.  Every draw is taken first, from one batched forward
-    pass (no sweep), x then y per draw; then one sweep per draw.
+    pass (no sweep), x then y per draw; then one sweep per draw, of the
+    drawn row of that same forward pass, so the m draws run no forward pass
+    of their own and are never stacked into a batch.
     """
     m = _check_int(m, "m")
     if m < 1:
         raise ValueError("need at least one draw")
     X = _finite_inputs(theta, X)
     _check_dense(storage, net.dim)
-    p = np.exp(ad.log_softmax(forward_logits(net, theta, X)).data)
+    lsm = ad.log_softmax(forward_logits(net, theta, X))
+    p = np.exp(lsm.data)
     rows = np.empty(m, dtype=np.intp)
     labels = np.empty(m, dtype=np.intp)
     for t in range(m):
         rows[t] = rng.integers(X.shape[0])
         labels[t] = _sample_label(p[rows[t]], rng)
-    acc, passes = _score_gram(net, theta, (X[i] for i in rows), m, storage, labels, 1.0 / m)
+    acc, passes = _score_gram(lsm, rows, m, net.dim, storage, labels, 1.0 / m)
     meta = {"n_samples": X.shape[0], "probe_count": m, "backward_passes": passes}
     return FimEstimate("mc", storage, acc, "mean", meta)
 

@@ -269,6 +269,163 @@ def test_backward_from_many_threads_on_shared_tape():
     assert tape.backward_calls == 65
 
 
+def test_backward_from_many_threads_on_one_row_view():
+    # the row view's locals are not cached yet, so the first sweeps race to write them
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(12)
+    net = NetworkSpec((4, 6, 3), "tanh")
+    lsm = ad.log_softmax(forward_logits(net, init_params(net, rng), rng.normal(size=(8, 4))))
+    seeds = np.eye(3)[:, None, :]
+    reference = [ad.gradient(ad.row(lsm, 5), e) for e in seeds]
+    view = ad.row(lsm, 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda i: (i % 3, ad.gradient(view, seeds[i % 3])), range(64)))
+    finally:
+        sys.setswitchinterval(interval)
+    for y, g in results:
+        assert np.array_equal(g, reference[y])
+    assert view.tape.backward_calls == 64
+    assert view.tape.replay() is True
+
+
+# --- row views of a batched tape ---------------------------------------------------
+
+
+@pytest.mark.parametrize("rows", (1, 7, 64))
+@pytest.mark.parametrize("activation", ("tanh", "relu", "none"))
+@pytest.mark.parametrize("log_softmax", (False, True))
+def test_row_views_equal_per_sample_tapes_bitwise(activation, rows, log_softmax):
+    rng = np.random.default_rng(rows)
+    net = NetworkSpec((10, 32, 5), activation)
+    theta = init_params(net, rng)
+    X = rng.normal(size=(rows, 10))
+
+    def forward(X):
+        logits = forward_logits(net, theta, X)
+        return ad.log_softmax(logits) if log_softmax else logits
+
+    batch = forward(X)
+    samples = [*range(rows), 0, rows - 1, rows // 2, 0]  # repeats, as Monte Carlo draws give
+    for b in samples:
+        view = ad.row(batch, b)
+        alone = forward(X[b : b + 1])
+        assert np.array_equal(view.data, alone.data)
+        for e in np.eye(5)[:, None, :]:
+            assert np.array_equal(ad.gradient(view, e), ad.gradient(alone, e))
+        assert view.tape.replay() is True
+    assert (ad.row(batch, 0) is batch) == (rows == 1)
+    assert batch.tape.backward_calls == (5 * samples.count(0) if rows == 1 else 0)
+
+
+def test_row_view_shares_the_parameter_leaves_and_holds_row_views():
+    rng = np.random.default_rng(13)
+    net = NetworkSpec((3, 4, 2), "tanh")
+    logits = forward_logits(net, init_params(net, rng), rng.normal(size=(5, 3)))
+    view = ad.row(logits, 2)
+    assert view.idx == logits.idx and len(view.tape.nodes) == len(logits.tape.nodes)
+    assert view.tape.param_ids() == logits.tape.param_ids()
+    for mine, theirs in zip(view.tape.nodes, logits.tape.nodes):
+        if theirs.op == "param":
+            assert mine is theirs
+        else:
+            assert mine.value.base is not None and np.shares_memory(mine.value, theirs.value)
+            assert np.array_equal(mine.value, theirs.value[2:3])
+
+
+def _batch(tape, rows=4):
+    return ad.constant(tape, np.arange(3.0 * rows).reshape(rows, 3))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda t, W: ad.gather(ad.log_softmax(ad.matmul(_batch(t), W)), [0, 1, 1, 0]), "the root, a gather node"),
+    # a gathered column added as a bias is no batch of rows either
+    (lambda t, W: ad.add(ad.matmul(_batch(t), ad.parameter(t, np.ones((3, 4)))),
+                         ad.gather(ad.matmul(_batch(t), W), [0, 1, 1, 0])), "a gather node of shape"),
+    (lambda t, W: ad.wsum(ad.matmul(_batch(t), W), np.ones((4, 2))), "the root, a wsum node"),
+    (lambda t, W: ad.total(ad.matmul(_batch(t), W)), "the root, a total node"),
+    # a right operand that is no parameter: a constant, or another batch of rows
+    (lambda t, W: ad.matmul(_batch(t, 3), ad.constant(t, np.ones((3, 2)))), "a matmul whose right operand"),
+    (lambda t, W: ad.matmul(ad.tanh(ad.matmul(_batch(t), ad.parameter(t, np.ones((3, 4))))),
+                            ad.tanh(ad.matmul(_batch(t), W))), "a matmul whose right operand"),
+], ids=["gather", "gather-bias", "wsum", "total", "matmul-const", "matmul-batch"])
+def test_row_refuses_a_tape_that_mixes_rows(build, message):
+    tape = ad.Tape()
+    root = build(tape, ad.parameter(tape, np.ones((3, 2))))
+    with pytest.raises(ValueError, match=f"^row: {message}"):
+        ad.row(root, 0)
+
+
+def test_row_refuses_a_row_out_of_range():
+    tape = ad.Tape()
+    root = ad.tanh(ad.matmul(_batch(tape), ad.parameter(tape, np.ones((3, 2)))))
+    for b in (-1, 4, 99):
+        with pytest.raises(ValueError, match="out of range"):
+            ad.row(root, b)
+    assert np.array_equal(ad.row(root, 3).data, root.data[3:])
+
+
+# --- sweep caches ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("op", sorted(ad._LOCALS))
+def test_local_derivative_is_computed_once_across_sweeps(monkeypatch, op):
+    rule = ad._LOCALS[op]
+    calls = []
+    monkeypatch.setitem(ad._LOCALS, op, lambda *args: calls.append(1) or rule(*args))
+    rng = np.random.default_rng(14)
+    X, W = rng.normal(size=(6, 3)), rng.normal(size=(3, 4))
+
+    def record():
+        tape = ad.Tape()
+        return getattr(ad, op)(ad.matmul(ad.constant(tape, X), ad.parameter(tape, W)))
+
+    root = record()
+    seeds = [np.eye(4)[y] * np.ones((6, 1)) for y in range(4)]
+    cached = [ad.gradient(root, s) for s in seeds]
+    assert len(calls) == 1
+    node = root.tape.nodes[root.idx]
+    assert np.array_equal(node.local, rule(node, root.tape.nodes[node.parents[0]].value))
+    for s, g in zip(seeds, cached):  # each fresh tape computes its own local
+        assert np.array_equal(g, ad.gradient(record(), s))
+    assert len(calls) == 1 + len(seeds)
+
+
+def test_replay_rechecks_every_cached_local():
+    rng = np.random.default_rng(15)
+    net = NetworkSpec((3, 4, 2), "relu")
+    lsm = ad.log_softmax(ad.tanh(forward_logits(net, init_params(net, rng), rng.normal(size=(5, 3)))))
+    ad.gradient(lsm, np.ones((5, 2)))
+    cached = [node for node in lsm.tape.nodes if node.local is not None]
+    assert sorted(node.op for node in cached) == ["log_softmax", "relu", "tanh"]
+    assert lsm.tape.replay() is True
+    for node in cached:
+        good = node.local
+        node.local = good.copy()
+        node.local.flat[0] = not good.flat[0] if good.dtype == bool else np.nextafter(good.flat[0], 2.0)
+        assert lsm.tape.replay() is False
+        node.local = good
+    assert lsm.tape.replay() is True
+
+
+def test_gradient_is_one_fresh_flat_vector():
+    tape = ad.Tape()
+    a = ad.parameter(tape, np.array([1.0, 2.0]))
+    unused = ad.parameter(tape, np.ones((2, 2)))
+    b = ad.parameter(tape, np.array([3.0, 4.0]))
+    seed = np.array([5.0, 6.0])
+    for root, want in ((ad.add(a, a), [10, 12, 0, 0, 0, 0, 0, 0]), (a, [5, 6, 0, 0, 0, 0, 0, 0]),
+                       (ad.mul(a, b), [15, 24, 0, 0, 0, 0, 5, 12])):
+        g = ad.gradient(root, seed)
+        assert np.array_equal(g, want)
+        assert not any(np.shares_memory(g, x) for x in [seed, *(node.value for node in tape.nodes)])
+    assert ad.gradient(ad.total(unused)).tolist() == [0, 0, 1, 1, 1, 1, 0, 0]
+
+
 # --- grad_check against central differences -----------------------------------
 
 

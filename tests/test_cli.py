@@ -300,6 +300,25 @@ def test_os_errors_exit_2_with_a_message(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("out, message", [("{dir}", "is a directory"), ("{dir}/missing/o", "no directory")])
+@pytest.mark.parametrize("argv, worker", [
+    (["estimate", "--estimator", "exact"], (est, "exact_fim_definition")),
+    (["bench"], (hz, "run_bench")),
+    (["variance"], (est, "variance_closed_form")),
+])
+def test_unusable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, argv, worker, out, message):
+    cfg = write_config(tmp_path / "c.cfg", n_samples=8, batch_size=4, n_batches=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no work may start before --out is checked")
+
+    monkeypatch.setattr(hz, "gen_task", refuse)
+    monkeypatch.setattr(*worker, refuse)
+    assert main([*argv, "--config", str(cfg), "--out", out.format(dir=tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_variance_json(tmp_path):
     cfg = write_config(tmp_path / "c.cfg", trials=64, **SMALL)
     out = tmp_path / "var.json"

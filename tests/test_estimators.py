@@ -892,6 +892,26 @@ def test_probe_estimates_run_one_forward_pass_and_one_core(monkeypatch, variant)
     assert calls == once
 
 
+def test_per_sample_estimates_run_one_forward_pass(monkeypatch):
+    # every sample is swept on a row view of one batched forward; mc draws m > n
+    # rows from the forward it takes its labels from, so it runs one, not 1 + m
+    rng = np.random.default_rng(40)
+    net, theta, X = random_instance(rng, (2, 4, 3), "tanh", n_samples=3)
+    calls = []
+    real = est.forward_logits
+    monkeypatch.setattr(est, "forward_logits", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    for call in (
+        lambda: est.exact_fim_definition(net, theta, X),
+        lambda: est.exact_fim_pullback(net, theta, X),
+        lambda: est.efim(net, theta, X, [0, 2, 1]),
+        lambda: est.mc_fim(net, theta, X, 7, rng),
+        lambda: est.variance_closed_form(net, theta, X),
+    ):
+        calls.clear()
+        call()
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("variant, eigen", [("full", "power"), ("diag", "power"), ("sqrt", "power"),
                                             ("lowrank", "full")])
 def test_multi_probe_estimate_is_bitwise_the_per_probe_loop(variant, eigen):
