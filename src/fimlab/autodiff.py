@@ -11,22 +11,15 @@ receive gradient: each node records, when it is pushed, whether it reaches a
 parameter leaf, and the sweep forms no adjoint for an operand that does not
 (such as the constant input under a first layer).
 
-A sweep re-derives nothing the tape holds.  An op's local derivative
-(tanh's 1 - a^2, relu's mask, log-softmax's softmax) is computed by the
-first sweep that needs it and kept on the node, so C seeded sweeps of one
-tape compute it once; gradient() writes each parameter's adjoint straight
-into its slice of one flat vector.  row() views one row of a tape recorded
-on a batch as a one-row tape: the batch's parameter leaves, and a (1, n)
-view of every other value.  Since every op it admits is row-wise and the
-forward is row-invariant (below), the view holds the values a tape recorded
-on that row alone would, so per-sample sweeps need one batched forward,
-not one forward per sample.
+row() views one row of a tape recorded on a batch as a one-row tape: the
+batch's parameter leaves, and a (1, n) view of every other value.  Since
+every op it admits is row-wise and the forward is row-invariant (below),
+the view holds the values a tape recorded on that row alone would, so
+per-sample sweeps need one batched forward, not one forward per sample.
 
 Each op is one entry of a rule table that pairs its forward rule with one
 adjoint rule per operand; recording, replay() and backward() all read that
-table, so an op's maths is written exactly once.  The ops whose adjoint
-multiplies by a local derivative have one more entry, in the table of
-locals, which the sweep and replay() read.
+table, so an op's maths is written exactly once.
 
 The op set is intentionally small: what a dense classifier forward pass, a
 log-softmax likelihood and sign-flipped probe sums need, nothing more.  A
@@ -85,7 +78,6 @@ class _Node:
     value: np.ndarray
     ctx: tuple = ()
     reaches_param: bool = False
-    local: np.ndarray | None = None  # the op's local derivative, once a sweep has needed it
 
 
 class Tape:
@@ -94,10 +86,7 @@ class Tape:
     Single-writer while recording; once the forward pass is done the node
     list is only read, so backward() may run from any thread (each sweep
     keeps its own adjoint buffers; only the pass counter needs the lock).
-    The one write a sweep makes is a node's local derivative, cached by the
-    first sweep that needs it; two threads that both get there first each
-    compute the same bits, so that race is benign.  A row view (row()) is a
-    tape of its own, with its own counter and its own cached locals, that
+    A row view (row()) is a tape of its own, with its own counter, that
     shares the batch tape's parameter leaves and views its values.
     """
 
@@ -122,15 +111,13 @@ class Tape:
         return list(self._param_at)
 
     def replay(self) -> bool:
-        """Re-run every recorded op and every cached local derivative; True iff
-        all of them reproduce bit-exactly."""
+        """Re-run every recorded op; True iff all values reproduce bit-exactly."""
         for node in self.nodes:
             if node.op in ("const", "param"):
                 continue
-            parents = [self.nodes[j].value for j in node.parents]
-            if not np.array_equal(_RULES[node.op][0](node.ctx, *parents), node.value):
-                return False
-            if node.local is not None and not np.array_equal(_LOCALS[node.op](node, *parents), node.local):
+            forward = _RULES[node.op][0]
+            again = forward(node.ctx, *[self.nodes[j].value for j in node.parents])
+            if not np.array_equal(again, node.value):
                 return False
         return True
 
@@ -179,8 +166,6 @@ def parameter(tape: Tape, array) -> Value:
 #   calls it only when parent k reaches a parameter.  A rule may return g
 #   itself; an adjoint is never written to in place.
 # Shape checks live in the forward rules, so they run at record time.
-# An adjoint that multiplies by a local derivative (tanh, relu, log_softmax)
-# reads it through _local: _LOCALS[op](node, *parent_values) computes it.
 
 def _add_forward(ctx, a, b):
     if a.shape == b.shape:
@@ -225,31 +210,17 @@ def _gather_adjoint(node, g, a):
     return out
 
 
-def _local(node: _Node, a: np.ndarray) -> np.ndarray:
-    """The node's local derivative, computed by the first sweep that needs it
-    and read off the node by later ones (a benign race: see Tape)."""
-    if node.local is None:
-        node.local = _LOCALS[node.op](node, a)
-    return node.local
-
-
-_LOCALS = {
-    "tanh": lambda node, a: 1.0 - node.value**2,
-    "relu": lambda node, a: a > 0,
-    "log_softmax": lambda node, a: np.exp(node.value),  # the softmax
-}
-
 _RULES = {
     "add": (_add_forward, lambda node, g, a, b: g, lambda node, g, a, b: g if a.shape == b.shape else g.sum(axis=0)),
     "mul": (_mul_forward, lambda node, g, a, b: g * b, lambda node, g, a, b: g * a),
     "matmul": (_matmul_forward, lambda node, g, a, b: np.dot(g, b.T), lambda node, g, a, b: np.dot(a.T, g)),
     "scale": (lambda ctx, a: ctx[0] * a, lambda node, g, a: node.ctx[0] * g),
-    "tanh": (lambda ctx, a: np.tanh(a), lambda node, g, a: g * _local(node, a)),
-    "relu": (lambda ctx, a: np.maximum(a, 0.0), lambda node, g, a: g * _local(node, a)),
+    "tanh": (lambda ctx, a: np.tanh(a), lambda node, g, a: g * (1.0 - node.value**2)),
+    "relu": (lambda ctx, a: np.maximum(a, 0.0), lambda node, g, a: g * (a > 0)),
     "exp": (lambda ctx, a: np.exp(a), lambda node, g, a: g * node.value),
     "log_softmax": (
         _log_softmax_forward,
-        lambda node, g, a: g - _local(node, a) * np.sum(g, axis=-1, keepdims=True),
+        lambda node, g, a: g - np.exp(node.value) * np.sum(g, axis=-1, keepdims=True),
     ),
     "gather": (_gather_forward, _gather_adjoint),
     "wsum": (lambda ctx, a: np.asarray(np.sum(a * ctx[0])), lambda node, g, a: g * node.ctx[0]),
@@ -354,10 +325,11 @@ def row(root: Value, b) -> Value:
     tape's own parameter leaves, and for every other node row b of its value
     as a (1, n) view.  Its sweeps then give sample b's gradients without a
     forward pass of their own, bit for bit those of a tape recorded on that
-    row alone, since every op left is row-wise.  A one-row batch is its own
-    row.  Raises ValueError for a row out of range and for a tape whose ops
-    mix rows: gather, wsum and total (their values are no batch of rows), or
-    a matmul whose right operand is not a parameter.
+    row alone, since every op left is row-wise.  Raises ValueError for a row
+    out of range and for a tape whose ops mix rows: gather, wsum and total
+    (their values are no batch of rows), a matmul whose right operand is not
+    a parameter, or a parameter that enters an op other than as a matmul's
+    right operand or an add's bias (the rows would share one row's leaf).
     """
     nodes = root.tape.nodes[: root.idx + 1]
     if root.data.ndim != 2 or nodes[-1].op == "param":
@@ -366,15 +338,17 @@ def row(root: Value, b) -> Value:
     b = operator.index(b)
     if not 0 <= b < n_rows:
         raise ValueError(f"row {b} out of range for a batch of {n_rows} rows")
-    if n_rows == 1:
-        return root
     view = Tape()
     for node in nodes:
         if node.op != "param":
-            if node.op == "matmul" and nodes[node.parents[1]].op != "param":
-                raise ValueError("row: a matmul whose right operand is not a parameter mixes the rows")
             if node.value.ndim != 2 or node.value.shape[0] != n_rows:
                 raise ValueError(f"row: a {node.op} node of shape {node.value.shape} is not a batch of {n_rows} rows")
+            for k, j in enumerate(node.parents):
+                if node.op == "matmul" and k == 1:
+                    if nodes[j].op != "param":
+                        raise ValueError("row: a matmul whose right operand is not a parameter mixes the rows")
+                elif nodes[j].op == "param" and not (node.op == "add" and nodes[j].value.ndim == 1):
+                    raise ValueError(f"row: a parameter that enters {node.op} row by row cannot be shared by the rows")
             node = _Node(node.op, node.parents, node.value[b : b + 1], node.ctx, node.reaches_param)
         view.nodes.append(node)
     view._param_at = {i: at for i, at in root.tape._param_at.items() if i <= root.idx}
@@ -384,21 +358,24 @@ def row(root: Value, b) -> Value:
 
 def _accumulate(adj: dict, idx: int, delta: np.ndarray):
     # no copy: a delta may be g itself (add) or the caller's seed, but a sum
-    # is a new array and backward() copies each adjoint it returns
+    # is a new array and backward() copies each parameter's adjoint into its
+    # own slice of one new vector
     if idx in adj:
         adj[idx] = adj[idx] + delta
     else:
         adj[idx] = delta
 
 
-def backward(root: Value, adjoint=None, *, out: np.ndarray | None = None):
+def backward(root: Value, adjoint=None, *, _flat: bool = False):
     """One reverse sweep from `root`; returns {param node id: adjoint}.
 
     The sweep starts at `root` with `adjoint`, an array of the root's shape,
     and gives the gradient of sum(adjoint * root).  Without an adjoint the
-    root must be a scalar and the sweep starts from 1.  With `out`, a zeroed
-    flat vector over every parameter entry of the tape, each parameter's
-    adjoint is written into its slice of `out`, which is returned instead.
+    root must be a scalar and the sweep starts from 1.  The sweep writes each
+    parameter's adjoint into its slice of one new flat vector over every
+    parameter entry of the tape, in creation order, and each adjoint
+    returned is a view of its slice.  gradient() takes that vector itself
+    (`_flat`), so that every sweep, flat or not, is one call of backward().
     """
     if adjoint is None:
         if root.data.shape != ():
@@ -415,18 +392,17 @@ def backward(root: Value, adjoint=None, *, out: np.ndarray | None = None):
     # adjoints reach only nodes that reach a parameter, so a root that
     # reaches none (a constant) starts no sweep
     adj: dict[int, np.ndarray] = {root.idx: seed} if nodes[root.idx].reaches_param else {}
-    grads: dict[int, np.ndarray] = {}
+    flat = np.zeros(tape._param_size)
+    reached = []
     for i in range(root.idx, -1, -1):
         g = adj.pop(i, None)
         if g is None:
             continue
         node = nodes[i]
         if node.op == "param":
-            if out is None:
-                grads[i] = np.array(g)  # a copy: g may be the seed, or shared by add with another param
-            else:
-                at = tape._param_at[i]
-                out[at : at + g.size] = g.ravel()
+            at = tape._param_at[i]
+            flat[at : at + g.size] = g.ravel()  # a copy: g may be the seed, or shared by add with another param
+            reached.append(i)
             continue
         rule = _RULES[node.op]
         # Parents go in by arity: a generic *[...] call is measurably slower per sweep.
@@ -440,17 +416,20 @@ def backward(root: Value, adjoint=None, *, out: np.ndarray | None = None):
                 _accumulate(adj, a, rule[1](node, g, va, vb))
             if nodes[b].reaches_param:
                 _accumulate(adj, b, rule[2](node, g, va, vb))
-    return grads if out is None else out
+    if _flat:
+        return flat
+    at = tape._param_at
+    return {i: flat[at[i] : at[i] + nodes[i].value.size].reshape(nodes[i].value.shape) for i in reached}
 
 
 def gradient(root: Value, adjoint=None) -> np.ndarray:
     """Flat gradient of sum(adjoint * root) over all parameter leaves, in creation order.
 
     Without an adjoint the root must be a scalar (see backward).  Parameters
-    the root does not depend on contribute exact zeros.  The sweep writes
-    each parameter's adjoint straight into its slice of the one new vector.
+    the root does not depend on contribute exact zeros.  It is the vector
+    backward() writes every parameter's adjoint into, so nothing is copied.
     """
-    return backward(root, adjoint, out=np.zeros(root.tape._param_size))
+    return backward(root, adjoint, _flat=True)
 
 
 def grad_check(f, theta, step: float = 1e-4) -> float:

@@ -9,7 +9,8 @@ per-sample row (Jacobian, score, efim or Monte Carlo row) comes from one
 routine, `_sample_sweeps`: one batched forward per call, rooted at the
 logits or the log-softmax, then a one-row view of that tape per sample
 (`autodiff.row`) and one reverse sweep of it per one-hot seed (every class,
-or one given class), which adds no node to the tape.  The Monte Carlo
+or one given class), which adds no node to the tape; the one-sample
+helpers sweep their own one-row forward the same way.  The Monte Carlo
 estimate takes all its draws first, x then y per draw, from one batched
 forward pass, and then sweeps the drawn rows of that same forward.
 
@@ -248,41 +249,36 @@ def _add_block(acc: np.ndarray, w: np.ndarray, G: np.ndarray, storage: str) -> N
         acc += np.dot(w, np.square(G, out=G))  # the block is refilled after this
 
 
-def _sample_sweeps(root: ad.Value, samples, classes=None):
-    """Per row index b = samples[t]: (row b of root, its gradient rows, backward passes counted for it).
+def _sample_sweeps(roots, n_classes: int, classes=None):
+    """Per one-row root r = roots[t]: (r's row, its gradient rows, the backward passes on r's tape).
 
-    Every per-sample row comes from here.  `root` is one batched forward
-    pass, the logits or the log-softmax, and each sample b is swept on a
-    one-row view of its tape (`ad.row`), so no sample runs a forward pass of
-    its own: one reverse sweep per one-hot seed, for every class or for
-    classes[t] alone.  A seed adds no node to the tape; the passes are read
-    off each row tape's counter.  A one-row batch is its own row, so its
-    tape's counter runs on from sample to sample; each yields only its own.
+    Every per-sample row comes from here.  Each root is the logits or the
+    log-softmax of one sample: a row view of one batched forward pass
+    (`ad.row`), so the samples of a batch run no forward pass of their own,
+    or a one-sample forward.  It gets one reverse sweep per one-hot seed, for
+    every class or for classes[t] alone.  A seed adds no node to the tape;
+    the passes are read off the tape's counter.
     """
-    seeds = np.eye(root.data.shape[1])[:, None, :]  # seeds[y] is e_y for a (1, C) root
-    counted = 0  # passes already yielded from root's own tape
-    for t, b in enumerate(samples):
-        r = ad.row(root, b)
+    seeds = np.eye(n_classes)[:, None, :]  # seeds[y] is e_y for a (1, C) root
+    for t, r in enumerate(roots):
         if classes is None:
             rows = [ad.gradient(r, e) for e in seeds]
         else:
             rows = [ad.gradient(r, seeds[classes[t]])]
-        passes = r.tape.backward_calls
-        if r is root:
-            passes, counted = passes - counted, passes
-        yield r.data[0], rows, passes
+        yield r.data[0], rows, r.tape.backward_calls
 
 
 def loglik_gradients(net: NetworkSpec, theta, x) -> tuple[np.ndarray, np.ndarray]:
     """(p, G) for one sample: G[y] = d log p(y|x) / d theta, C sweeps of one tape at the log-softmax."""
     lsm = ad.log_softmax(forward_logits(net, theta, np.asarray(x, dtype=np.float64)[None, :]))
-    ((lsm_x, G, _),) = _sample_sweeps(lsm, [0])
+    ((lsm_x, G, _),) = _sample_sweeps([lsm], net.n_classes)
     return np.exp(lsm_x), np.array(G)
 
 
 def jacobian_and_logits(net: NetworkSpec, theta, x) -> tuple[np.ndarray, np.ndarray]:
     """(J, z) for one sample: J[i] = dz_i/dtheta, C sweeps of one tape at the logits."""
-    ((z, J, _),) = _sample_sweeps(forward_logits(net, theta, np.asarray(x, dtype=np.float64)[None, :]), [0])
+    logits = forward_logits(net, theta, np.asarray(x, dtype=np.float64)[None, :])
+    ((z, J, _),) = _sample_sweeps([logits], net.n_classes)
     return np.array(J), z
 
 
@@ -294,7 +290,8 @@ def _jacobian_stack(net: NetworkSpec, theta, X) -> tuple[np.ndarray, np.ndarray,
     logits = forward_logits(net, theta, X)
     J = np.empty((X.shape[0], net.n_classes, as_flat(theta).size))
     passes = 0
-    for b, (_, rows, n) in enumerate(_sample_sweeps(logits, range(X.shape[0]))):
+    views = (ad.row(logits, b) for b in range(X.shape[0]))
+    for b, (_, rows, n) in enumerate(_sample_sweeps(views, net.n_classes)):
         J[b] = rows
         passes += n
     return J, logits.data, passes
@@ -308,7 +305,7 @@ def _score_gram(lsm: ad.Value, samples, n_rows: int, dim: int, storage: str, cla
 
     def rows():
         nonlocal passes
-        for lsm_b, G, n in _sample_sweeps(lsm, samples, classes):
+        for lsm_b, G, n in _sample_sweeps((ad.row(lsm, b) for b in samples), lsm.data.shape[1], classes):
             passes += n
             if classes is None:
                 yield from zip(np.exp(lsm_b), G)

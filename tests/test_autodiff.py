@@ -270,7 +270,6 @@ def test_backward_from_many_threads_on_shared_tape():
 
 
 def test_backward_from_many_threads_on_one_row_view():
-    # the row view's locals are not cached yet, so the first sweeps race to write them
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
@@ -318,8 +317,7 @@ def test_row_views_equal_per_sample_tapes_bitwise(activation, rows, log_softmax)
         for e in np.eye(5)[:, None, :]:
             assert np.array_equal(ad.gradient(view, e), ad.gradient(alone, e))
         assert view.tape.replay() is True
-    assert (ad.row(batch, 0) is batch) == (rows == 1)
-    assert batch.tape.backward_calls == (5 * samples.count(0) if rows == 1 else 0)
+    assert batch.tape.backward_calls == 0  # every sweep ran on a view, a one-row batch's too
 
 
 def test_row_view_shares_the_parameter_leaves_and_holds_row_views():
@@ -352,7 +350,13 @@ def _batch(tape, rows=4):
     (lambda t, W: ad.matmul(_batch(t, 3), ad.constant(t, np.ones((3, 2)))), "a matmul whose right operand"),
     (lambda t, W: ad.matmul(ad.tanh(ad.matmul(_batch(t), ad.parameter(t, np.ones((3, 4))))),
                             ad.tanh(ad.matmul(_batch(t), W))), "a matmul whose right operand"),
-], ids=["gather", "gather-bias", "wsum", "total", "matmul-const", "matmul-batch"])
+    # a parameter that is itself a batch of rows: each row would sweep the whole leaf
+    (lambda t, W: ad.mul(ad.parameter(t, np.ones((4, 3))), _batch(t)), "a parameter that enters mul"),
+    (lambda t, W: ad.add(ad.matmul(_batch(t), W), ad.parameter(t, np.ones((4, 2)))), "a parameter that enters add"),
+    (lambda t, W: ad.matmul(ad.parameter(t, np.ones((4, 3))), W), "a parameter that enters matmul"),
+    (lambda t, W: ad.tanh(ad.parameter(t, np.ones((4, 3)))), "a parameter that enters tanh"),
+], ids=["gather", "gather-bias", "wsum", "total", "matmul-const", "matmul-batch",
+        "param-mul", "param-add", "param-matmul-left", "param-tanh"])
 def test_row_refuses_a_tape_that_mixes_rows(build, message):
     tape = ad.Tape()
     root = build(tape, ad.parameter(tape, np.ones((3, 2))))
@@ -369,47 +373,7 @@ def test_row_refuses_a_row_out_of_range():
     assert np.array_equal(ad.row(root, 3).data, root.data[3:])
 
 
-# --- sweep caches ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize("op", sorted(ad._LOCALS))
-def test_local_derivative_is_computed_once_across_sweeps(monkeypatch, op):
-    rule = ad._LOCALS[op]
-    calls = []
-    monkeypatch.setitem(ad._LOCALS, op, lambda *args: calls.append(1) or rule(*args))
-    rng = np.random.default_rng(14)
-    X, W = rng.normal(size=(6, 3)), rng.normal(size=(3, 4))
-
-    def record():
-        tape = ad.Tape()
-        return getattr(ad, op)(ad.matmul(ad.constant(tape, X), ad.parameter(tape, W)))
-
-    root = record()
-    seeds = [np.eye(4)[y] * np.ones((6, 1)) for y in range(4)]
-    cached = [ad.gradient(root, s) for s in seeds]
-    assert len(calls) == 1
-    node = root.tape.nodes[root.idx]
-    assert np.array_equal(node.local, rule(node, root.tape.nodes[node.parents[0]].value))
-    for s, g in zip(seeds, cached):  # each fresh tape computes its own local
-        assert np.array_equal(g, ad.gradient(record(), s))
-    assert len(calls) == 1 + len(seeds)
-
-
-def test_replay_rechecks_every_cached_local():
-    rng = np.random.default_rng(15)
-    net = NetworkSpec((3, 4, 2), "relu")
-    lsm = ad.log_softmax(ad.tanh(forward_logits(net, init_params(net, rng), rng.normal(size=(5, 3)))))
-    ad.gradient(lsm, np.ones((5, 2)))
-    cached = [node for node in lsm.tape.nodes if node.local is not None]
-    assert sorted(node.op for node in cached) == ["log_softmax", "relu", "tanh"]
-    assert lsm.tape.replay() is True
-    for node in cached:
-        good = node.local
-        node.local = good.copy()
-        node.local.flat[0] = not good.flat[0] if good.dtype == bool else np.nextafter(good.flat[0], 2.0)
-        assert lsm.tape.replay() is False
-        node.local = good
-    assert lsm.tape.replay() is True
+# --- flat gradients ------------------------------------------------------------
 
 
 def test_gradient_is_one_fresh_flat_vector():
@@ -424,6 +388,16 @@ def test_gradient_is_one_fresh_flat_vector():
         assert np.array_equal(g, want)
         assert not any(np.shares_memory(g, x) for x in [seed, *(node.value for node in tape.nodes)])
     assert ad.gradient(ad.total(unused)).tolist() == [0, 0, 1, 1, 1, 1, 0, 0]
+
+
+def test_backward_adjoints_view_the_gradient_vector():
+    rng = np.random.default_rng(16)
+    net = NetworkSpec((3, 4, 2), "relu")
+    view = ad.row(forward_logits(net, init_params(net, rng), rng.normal(size=(5, 3))), 1)
+    grads = ad.backward(view, np.array([[0.5, -2.0]]))
+    flat = next(iter(grads.values())).base
+    assert set(grads) == set(view.tape.param_ids()) and all(g.base is flat for g in grads.values())
+    assert np.array_equal(flat, ad.gradient(view, np.array([[0.5, -2.0]])))
 
 
 # --- grad_check against central differences -----------------------------------
