@@ -11,11 +11,10 @@ receive gradient: each node records, when it is pushed, whether it reaches a
 parameter leaf, and the sweep forms no adjoint for an operand that does not
 (such as the constant input under a first layer).
 
-row() views one row of a tape recorded on a batch as a one-row tape: the
-batch's parameter leaves, and a (1, n) view of every other value.  Since
-every op it admits is row-wise and the forward is row-invariant (below),
-the view holds the values a tape recorded on that row alone would, so
-per-sample sweeps need one batched forward, not one forward per sample.
+rows() checks a tape recorded on a batch once, then views each given row as
+a one-row tape: the batch's parameter leaves and a (1, n) view of every other
+value.  As every op it admits is row-wise and the forward is row-invariant
+(below), a view holds what a tape of that row alone would, bit for bit.
 
 Each op is one entry of a rule table that pairs its forward rule with one
 adjoint rule per operand; recording, replay() and backward() all read that
@@ -64,7 +63,7 @@ __all__ = [
     "gather",
     "wsum",
     "total",
-    "row",
+    "rows",
     "backward",
     "gradient",
     "grad_check",
@@ -86,7 +85,7 @@ class Tape:
     Single-writer while recording; once the forward pass is done the node
     list is only read, so backward() may run from any thread (each sweep
     keeps its own adjoint buffers; only the pass counter needs the lock).
-    A row view (row()) is a tape of its own, with its own counter, that
+    A row view (rows()) is a tape of its own, with its own counter, that
     shares the batch tape's parameter leaves and views its values.
     """
 
@@ -318,27 +317,22 @@ def total(a: Value) -> Value:
     return _unary("total", a)
 
 
-def row(root: Value, b) -> Value:
-    """Row b of `root`, recorded on a batch of rows, as the root of a one-row tape.
+def rows(root: Value, samples):
+    """For each b in samples, row b of `root`, recorded on a batch of rows, as the root of a one-row tape.
 
-    The new tape holds the nodes up to root under the same ids: the batch
-    tape's own parameter leaves, and for every other node row b of its value
-    as a (1, n) view.  Its sweeps then give sample b's gradients without a
-    forward pass of their own, bit for bit those of a tape recorded on that
-    row alone, since every op left is row-wise.  Raises ValueError for a row
-    out of range and for a tape whose ops mix rows: gather, wsum and total
-    (their values are no batch of rows), a matmul whose right operand is not
-    a parameter, or a parameter that enters an op other than as a matmul's
-    right operand or an add's bias (the rows would share one row's leaf).
+    A view holds the nodes up to root under the same ids: the batch tape's
+    own parameter leaves, and row b of every other value as a (1, n) view,
+    so its sweeps give sample b's gradients bit for bit as a tape recorded
+    on that row alone would.  A repeated b gets its own view and counter.
+    The tape and indices are checked once, at the call: ValueError for a row
+    out of range and for ops that mix rows: gather, wsum and total, a matmul
+    whose right operand is not a parameter, or a parameter that enters an op
+    other than as a matmul's right operand or an add's bias.
     """
     nodes = root.tape.nodes[: root.idx + 1]
     if root.data.ndim != 2 or nodes[-1].op == "param":
         raise ValueError(f"row: the root, a {nodes[-1].op} node of shape {root.data.shape}, is not a batch of rows")
     n_rows = root.data.shape[0]
-    b = operator.index(b)
-    if not 0 <= b < n_rows:
-        raise ValueError(f"row {b} out of range for a batch of {n_rows} rows")
-    view = Tape()
     for node in nodes:
         if node.op != "param":
             if node.value.ndim != 2 or node.value.shape[0] != n_rows:
@@ -349,11 +343,21 @@ def row(root: Value, b) -> Value:
                         raise ValueError("row: a matmul whose right operand is not a parameter mixes the rows")
                 elif nodes[j].op == "param" and not (node.op == "add" and nodes[j].value.ndim == 1):
                     raise ValueError(f"row: a parameter that enters {node.op} row by row cannot be shared by the rows")
-            node = _Node(node.op, node.parents, node.value[b : b + 1], node.ctx, node.reaches_param)
-        view.nodes.append(node)
-    view._param_at = {i: at for i, at in root.tape._param_at.items() if i <= root.idx}
-    view._param_size = sum(nodes[i].value.size for i in view._param_at)
-    return Value(view, root.idx)
+    samples = [operator.index(b) for b in samples]
+    for b in samples:
+        if not 0 <= b < n_rows:
+            raise ValueError(f"row {b} out of range for a batch of {n_rows} rows")
+    param_at = {i: at for i, at in root.tape._param_at.items() if i <= root.idx}
+    param_size = sum(nodes[i].value.size for i in param_at)
+
+    def view(b: int) -> Value:
+        tape = Tape()
+        tape.nodes = [n if n.op == "param" else _Node(n.op, n.parents, n.value[b : b + 1], n.ctx, n.reaches_param)
+                      for n in nodes]
+        tape._param_at, tape._param_size = dict(param_at), param_size  # a view may push parameters of its own
+        return Value(tape, root.idx)
+
+    return map(view, samples)
 
 
 def _accumulate(adj: dict, idx: int, delta: np.ndarray):

@@ -14,7 +14,7 @@ Configs are flat key=value text files ('#' starts a comment); unknown keys
 and bad values are rejected.  The FIMLAB_SEED environment variable overrides
 the config seed.  All outputs are reproducible from (config, seed).
 estimate, bench and variance refuse an --out that is a directory or lies in
-a missing directory before they compute anything.
+a missing directory before they compute anything, and estimate an empty one.
 """
 
 from __future__ import annotations
@@ -126,11 +126,14 @@ def parse_config(path) -> dict:
     return cfg
 
 
-def _check_out(path) -> None:
+def _check_out(path, stdout: bool = True) -> None:
     """Refuse an --out that cannot be written before any work is done: a
-    directory, or a file in a directory that does not exist."""
-    if not path:  # bench and variance write to stdout then
-        return
+    directory, or a file in a directory that does not exist.  An empty one
+    means stdout where the command offers it (bench and variance)."""
+    if not path:
+        if stdout:
+            return
+        raise ValueError("--out is empty; it must name the file to write")
     if Path(path).is_dir():
         raise ValueError(f"--out {path} is a directory")
     if not Path(path).parent.is_dir():
@@ -191,7 +194,7 @@ def cmd_core_probe(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = parse_config(args.config)
-    _check_out(args.out)
+    _check_out(args.out, stdout=False)
     X, labels, net, theta = _build_instance(cfg)
     storage = cfg["storage"]
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])

@@ -6,13 +6,12 @@ sum_x J^T (diag(p) - p p^T) J through the per-sample Jacobian.  Alongside
 them: the empirical FIM at observed labels, the label-resampling Monte Carlo
 estimate, and a family of single-backward-pass probe estimators.  Every
 per-sample row (Jacobian, score, efim or Monte Carlo row) comes from one
-routine, `_sample_sweeps`: one batched forward per call, rooted at the
-logits or the log-softmax, then a one-row view of that tape per sample
-(`autodiff.row`) and one reverse sweep of it per one-hot seed (every class,
-or one given class), which adds no node to the tape; the one-sample
-helpers sweep their own one-row forward the same way.  The Monte Carlo
-estimate takes all its draws first, x then y per draw, from one batched
-forward pass, and then sweeps the drawn rows of that same forward.
+routine, `_sample_sweeps`: one batched forward per call (logits or
+log-softmax), checked once and viewed one row per sample by `autodiff.rows`;
+one reverse sweep per one-hot seed (every class, or one given class) adds
+no node to the tape.  The one-sample helpers sweep their own forward.  The
+Monte Carlo estimate takes all its draws first, x then y per draw, from one
+batched forward pass, and then sweeps the drawn rows of that same forward.
 
 Each probe variant writes its C x C core once (`_core`), as weights w (B, r)
 and output-space rows m_r with core = sum_r w_r m_r m_r^T: w = p with rows
@@ -141,7 +140,9 @@ class FimEstimate:
         return np.diag(self.values) if self.storage == "dense" else self.values
 
     def validate(self, psd_tol: float = 1e-10, sym_tol: float = 1e-12) -> None:
-        """Check the symmetry/psd invariants; raises on violation."""
+        """Check the finite/symmetry/psd invariants; raises on violation."""
+        if not np.isfinite(self.values).all():  # NaN passes every test below, an infinity warns
+            raise ValueError(f"{self.storage} estimate has a non-finite entry (NaN or infinity)")
         if self.storage == "diagonal":
             if np.min(self.values, initial=0.0) < -1e-12:
                 raise ValueError("diagonal estimate has a negative entry")
@@ -254,10 +255,9 @@ def _sample_sweeps(roots, n_classes: int, classes=None):
 
     Every per-sample row comes from here.  Each root is the logits or the
     log-softmax of one sample: a row view of one batched forward pass
-    (`ad.row`), so the samples of a batch run no forward pass of their own,
-    or a one-sample forward.  It gets one reverse sweep per one-hot seed, for
-    every class or for classes[t] alone.  A seed adds no node to the tape;
-    the passes are read off the tape's counter.
+    (`ad.rows`), or a one-sample forward.  It gets one reverse sweep per
+    one-hot seed, for every class or for classes[t] alone.  A seed adds no
+    node to the tape; the passes are read off the tape's counter.
     """
     seeds = np.eye(n_classes)[:, None, :]  # seeds[y] is e_y for a (1, C) root
     for t, r in enumerate(roots):
@@ -290,8 +290,7 @@ def _jacobian_stack(net: NetworkSpec, theta, X) -> tuple[np.ndarray, np.ndarray,
     logits = forward_logits(net, theta, X)
     J = np.empty((X.shape[0], net.n_classes, as_flat(theta).size))
     passes = 0
-    views = (ad.row(logits, b) for b in range(X.shape[0]))
-    for b, (_, rows, n) in enumerate(_sample_sweeps(views, net.n_classes)):
+    for b, (_, rows, n) in enumerate(_sample_sweeps(ad.rows(logits, range(X.shape[0])), net.n_classes)):
         J[b] = rows
         passes += n
     return J, logits.data, passes
@@ -305,7 +304,7 @@ def _score_gram(lsm: ad.Value, samples, n_rows: int, dim: int, storage: str, cla
 
     def rows():
         nonlocal passes
-        for lsm_b, G, n in _sample_sweeps((ad.row(lsm, b) for b in samples), lsm.data.shape[1], classes):
+        for lsm_b, G, n in _sample_sweeps(ad.rows(lsm, samples), lsm.data.shape[1], classes):
             passes += n
             if classes is None:
                 yield from zip(np.exp(lsm_b), G)
@@ -360,15 +359,18 @@ def mc_fim(
     """Monte Carlo estimate: average of g g^T at x drawn uniformly, y ~ p(y|x).
 
     Mean-normalized: its expectation is the exact FIM divided by the number
-    of samples in X.  Every draw is taken first, from one batched forward
-    pass (no sweep), x then y per draw; then one sweep per draw, of the
-    drawn row of that same forward pass, so the m draws run no forward pass
-    of their own and are never stacked into a batch.
+    of samples in X.  Every draw is taken first, x then y per draw, from one
+    batched forward pass; then each draw sweeps its row of that forward
+    (`ad.rows`), so the m draws run no forward of their own and are never stacked.
     """
     m = _check_int(m, "m")
     if m < 1:
         raise ValueError("need at least one draw")
+    if rng is None:
+        raise ValueError("need an rng to draw x and y from")
     X = _finite_inputs(theta, X)
+    if X.shape[0] == 0:
+        raise ValueError("need at least one row of X to draw from")
     _check_dense(storage, net.dim)
     lsm = ad.log_softmax(forward_logits(net, theta, X))
     p = np.exp(lsm.data)
@@ -736,8 +738,9 @@ def _read_header(fh, path) -> tuple[dict, int]:
         raise ValueError(f"{path}: the header line is not JSON ({exc})") from None
     if type(header) is not dict:
         raise ValueError(f"{path}: the header line is not a JSON object")
-    if header.get("format", ESTIMATE_FORMAT) != ESTIMATE_FORMAT:
-        raise ValueError(f"{path}: unknown estimate format {header['format']!r} (this reader knows {ESTIMATE_FORMAT})")
+    version = header.get("format", ESTIMATE_FORMAT)  # unversioned files have none
+    if type(version) is not int or version != ESTIMATE_FORMAT:  # true and 1.0 equal 1, but are no format
+        raise ValueError(f"{path}: unknown estimate format {version!r} (this reader knows {ESTIMATE_FORMAT})")
     return header, len(line)
 
 

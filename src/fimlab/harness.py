@@ -266,11 +266,16 @@ def histogram(estimate: est.FimEstimate, n_bins: int = 50) -> HistogramReport:
 
     Entries at or below 1e-300 land in the zero atom.  Bins span the observed
     positive range; a degenerate single-value range widens by half a decade
-    on each side so the histogram stays well-formed.
+    on each side so the histogram stays well-formed.  A NaN or infinity in
+    the estimate, or n_bins < 1, raises ValueError.
     """
     if estimate.storage != "diagonal":
         raise ValueError("histograms need diagonal storage")
+    if n_bins < 1:
+        raise ValueError(f"a histogram needs at least one bin, got n_bins={n_bins}")
     values = estimate.values
+    if not np.isfinite(values).all():  # a NaN would count as a zero, an infinity span no bins
+        raise ValueError("the estimate has a non-finite entry (NaN or infinity)")
     positive = values[values > ZERO_ATOM_THRESHOLD]
     zero_atom = int(values.size - positive.size)
     if positive.size == 0:

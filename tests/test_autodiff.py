@@ -277,8 +277,8 @@ def test_backward_from_many_threads_on_one_row_view():
     net = NetworkSpec((4, 6, 3), "tanh")
     lsm = ad.log_softmax(forward_logits(net, init_params(net, rng), rng.normal(size=(8, 4))))
     seeds = np.eye(3)[:, None, :]
-    reference = [ad.gradient(ad.row(lsm, 5), e) for e in seeds]
-    view = ad.row(lsm, 5)
+    reference = [ad.gradient(next(ad.rows(lsm, [5])), e) for e in seeds]
+    (view,) = ad.rows(lsm, [5])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -310,8 +310,7 @@ def test_row_views_equal_per_sample_tapes_bitwise(activation, rows, log_softmax)
 
     batch = forward(X)
     samples = [*range(rows), 0, rows - 1, rows // 2, 0]  # repeats, as Monte Carlo draws give
-    for b in samples:
-        view = ad.row(batch, b)
+    for b, view in zip(samples, ad.rows(batch, samples), strict=True):
         alone = forward(X[b : b + 1])
         assert np.array_equal(view.data, alone.data)
         for e in np.eye(5)[:, None, :]:
@@ -324,7 +323,7 @@ def test_row_view_shares_the_parameter_leaves_and_holds_row_views():
     rng = np.random.default_rng(13)
     net = NetworkSpec((3, 4, 2), "tanh")
     logits = forward_logits(net, init_params(net, rng), rng.normal(size=(5, 3)))
-    view = ad.row(logits, 2)
+    (view,) = ad.rows(logits, [2])
     assert view.idx == logits.idx and len(view.tape.nodes) == len(logits.tape.nodes)
     assert view.tape.param_ids() == logits.tape.param_ids()
     for mine, theirs in zip(view.tape.nodes, logits.tape.nodes):
@@ -333,6 +332,22 @@ def test_row_view_shares_the_parameter_leaves_and_holds_row_views():
         else:
             assert mine.value.base is not None and np.shares_memory(mine.value, theirs.value)
             assert np.array_equal(mine.value, theirs.value[2:3])
+
+
+def test_rows_gives_each_index_a_view_of_its_own():
+    rng = np.random.default_rng(14)
+    net = NetworkSpec((3, 4, 2), "tanh")
+    logits = forward_logits(net, init_params(net, rng), rng.normal(size=(5, 3)))
+    first, again, other = ad.rows(logits, np.array([2, 2, 4]))  # a repeat, as Monte Carlo draws give
+    assert first.tape is not again.tape
+    ad.gradient(first, np.ones((1, 2)))
+    assert (first.tape.backward_calls, again.tape.backward_calls) == (1, 0)
+    assert np.array_equal(first.data, again.data) and np.array_equal(other.data, logits.data[4:])
+    assert list(ad.rows(logits, range(0))) == []
+    ad.parameter(first.tape, np.ones(3))  # a parameter pushed onto one view stays on it
+    assert again.tape.param_ids() == logits.tape.param_ids()
+    fresh = next(ad.rows(logits, [2]))
+    assert np.array_equal(ad.gradient(again, np.ones((1, 2))), ad.gradient(fresh, np.ones((1, 2))))
 
 
 def _batch(tape, rows=4):
@@ -360,8 +375,9 @@ def _batch(tape, rows=4):
 def test_row_refuses_a_tape_that_mixes_rows(build, message):
     tape = ad.Tape()
     root = build(tape, ad.parameter(tape, np.ones((3, 2))))
-    with pytest.raises(ValueError, match=f"^row: {message}"):
-        ad.row(root, 0)
+    for samples in ([0], []):  # refused at the call, whatever the rows asked for
+        with pytest.raises(ValueError, match=f"^row: {message}"):
+            ad.rows(root, samples)
 
 
 def test_row_refuses_a_row_out_of_range():
@@ -369,8 +385,8 @@ def test_row_refuses_a_row_out_of_range():
     root = ad.tanh(ad.matmul(_batch(tape), ad.parameter(tape, np.ones((3, 2)))))
     for b in (-1, 4, 99):
         with pytest.raises(ValueError, match="out of range"):
-            ad.row(root, b)
-    assert np.array_equal(ad.row(root, 3).data, root.data[3:])
+            ad.rows(root, [0, b])  # refused at the call, before any view is made
+    assert np.array_equal(next(ad.rows(root, [3])).data, root.data[3:])
 
 
 # --- flat gradients ------------------------------------------------------------
@@ -393,7 +409,7 @@ def test_gradient_is_one_fresh_flat_vector():
 def test_backward_adjoints_view_the_gradient_vector():
     rng = np.random.default_rng(16)
     net = NetworkSpec((3, 4, 2), "relu")
-    view = ad.row(forward_logits(net, init_params(net, rng), rng.normal(size=(5, 3))), 1)
+    (view,) = ad.rows(forward_logits(net, init_params(net, rng), rng.normal(size=(5, 3))), [1])
     grads = ad.backward(view, np.array([[0.5, -2.0]]))
     flat = next(iter(grads.values())).base
     assert set(grads) == set(view.tape.param_ids()) and all(g.base is flat for g in grads.values())

@@ -319,6 +319,28 @@ def test_unusable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, argv,
     assert err.startswith("error: ") and message in err
 
 
+def test_estimate_refuses_an_empty_out_before_any_work(tmp_path, capsys, monkeypatch):
+    # bench and variance print to stdout for an empty --out; estimate writes a file only
+    cfg = write_config(tmp_path / "c.cfg", n_samples=8, batch_size=4, n_batches=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no work may start before --out is checked")
+
+    monkeypatch.setattr(hz, "gen_task", refuse)
+    monkeypatch.setattr(est, "exact_fim_definition", refuse)
+    assert main(["estimate", "--estimator", "exact", "--config", str(cfg), "--out", ""]) == 2
+    assert capsys.readouterr().err == "error: --out is empty; it must name the file to write\n"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hist_refuses_a_non_finite_estimate(tmp_path, capsys, bad):
+    src = tmp_path / "d.fim"
+    est.save_estimate(est.FimEstimate("efim", "diagonal", np.array([bad, 2.0, 3.0]), "sum", {}), src)
+    assert main(["hist", "--in", str(src), "--out", str(tmp_path / "h.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: the estimate has a non-finite entry")
+    assert not (tmp_path / "h.csv").exists()
+
+
 def test_variance_json(tmp_path):
     cfg = write_config(tmp_path / "c.cfg", trials=64, **SMALL)
     out = tmp_path / "var.json"

@@ -113,12 +113,16 @@ def test_header_without_newline_is_rejected(tmp_path):
 @pytest.mark.parametrize("header", [
     {"format": 2, "kind": "exact_def", "storage": "diagonal", "normalization": "sum", "shape": [3], "meta": {}},
     {"format": "1", "kind": "exact_def", "storage": "diagonal", "normalization": "sum", "shape": [3], "meta": {}},
+    # JSON true and 1.0 compare equal to 1, yet neither is the integer format 1
+    {"format": True, "kind": "exact_def", "storage": "diagonal", "normalization": "sum", "shape": [3], "meta": {}},
+    {"format": 1.0, "kind": "exact_def", "storage": "diagonal", "normalization": "sum", "shape": [3], "meta": {}},
 ])
 def test_unknown_format_is_rejected(tmp_path, header):
     path = tmp_path / "future.fim"
     path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(24))
-    with pytest.raises(ValueError, match=rf"{path}: unknown estimate format {header['format']!r}"):
-        est.load_estimate(path)
+    for read in (est.load_estimate, est.read_header):
+        with pytest.raises(ValueError, match=rf"^{path}: unknown estimate format {header['format']!r} "):
+            read(path)
 
 
 @pytest.mark.parametrize("line, problem", [

@@ -67,6 +67,18 @@ def test_per_sample_sweeps_push_no_node(monkeypatch, C):
 # --- exact oracles ------------------------------------------------------------
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("storage", est.STORAGES)
+def test_validate_refuses_a_non_finite_entry(storage, bad):
+    # NaN passed the symmetry test and eigvalsh; an infinity warned, then passed
+    for at in ((0, 0), (1, 2)):
+        values = np.eye(3)
+        values[at] = values[at[::-1]] = bad
+        estimate = est.FimEstimate("efim", storage, values if storage == "dense" else values[at[0]], "sum")
+        with pytest.raises(ValueError, match=f"^{storage} estimate has a non-finite entry"):
+            estimate.validate()
+
+
 def test_exact_fim_scalar_model_quarter_x_squared():
     net, theta = scalar_binary_model()
     x = 2.0
@@ -239,6 +251,21 @@ def test_mc_exhaustive_expectation_is_exact_over_sample_count():
     exact = est.exact_fim_definition(net, theta, X)
     assert draw.normalization == "mean"
     assert np.max(np.abs(mean - exact.values / X.shape[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("X, rng, message", [
+    (np.empty((0, 2)), np.random.default_rng(0), "need at least one row of X to draw from"),  # was numpy's "high <= 0"
+    (np.ones((2, 2)), None, "need an rng to draw x and y from"),  # was an AttributeError
+])
+def test_mc_refuses_nothing_to_draw_before_any_work(monkeypatch, X, rng, message):
+    net, theta, _ = random_instance(np.random.default_rng(8), (2, 3), "none", n_samples=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no forward pass may run before the draws are known to be possible")
+
+    monkeypatch.setattr(est, "forward_logits", refuse)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        est.mc_fim(net, theta, X, 3, rng)
 
 
 def test_mc_concentrates_with_many_draws():
@@ -910,6 +937,28 @@ def test_per_sample_estimates_run_one_forward_pass(monkeypatch):
         calls.clear()
         call()
         assert len(calls) == 1
+
+
+def test_per_sample_estimates_check_their_tape_once(monkeypatch):
+    # one batched tape per call, checked once by ad.rows, which views all of its rows
+    from fimlab import bounds
+
+    rng = np.random.default_rng(41)
+    net, theta, X = random_instance(rng, (2, 4, 3), "tanh", n_samples=3)
+    calls = []
+    real = ad.rows
+    monkeypatch.setattr(ad, "rows", lambda root, samples: calls.append(list(samples)) or real(root, samples))
+    for call, samples in (
+        (lambda: est.exact_fim_definition(net, theta, X), 3),
+        (lambda: est.exact_fim_pullback(net, theta, X), 3),
+        (lambda: est.efim(net, theta, X, [0, 2, 1]), 3),
+        (lambda: est.mc_fim(net, theta, X, 7, rng), 7),
+        (lambda: est.variance_closed_form(net, theta, X), 3),
+        (lambda: bounds.trace_bounds(net, theta, X), 3),
+    ):
+        calls.clear()
+        call()
+        assert [len(s) for s in calls] == [samples]
 
 
 @pytest.mark.parametrize("variant, eigen", [("full", "power"), ("diag", "power"), ("sqrt", "power"),

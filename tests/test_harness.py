@@ -223,6 +223,21 @@ def test_histogram_zero_atom_fraction_exact():
     assert rep.mean == pytest.approx(values.mean())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_histogram_refuses_a_non_finite_entry(bad):
+    # a NaN used to count in the zero atom, an infinity to warn
+    with pytest.raises(ValueError, match="non-finite entry"):
+        histogram(_diag([bad, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("n_bins", [0, -1])
+def test_histogram_refuses_fewer_than_one_bin(n_bins):
+    # 0 bins gave one edge, no counts and total 0; -1 raised IndexError
+    for values in ([1.0, 2.0], [0.0, 0.0]):
+        with pytest.raises(ValueError, match=f"at least one bin, got n_bins={n_bins}"):
+            histogram(_diag(values), n_bins=n_bins)
+
+
 def test_histogram_requires_diagonal():
     with pytest.raises(ValueError):
         histogram(est.FimEstimate("exact_def", "dense", np.eye(2), "sum", {}))
