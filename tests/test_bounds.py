@@ -238,7 +238,6 @@ def test_report_refuses_labels_that_are_not_integers():
 def _dense_gaps(net, theta, X, k, labels):
     """The report's gaps from dim x dim matrices, norms by numpy directly."""
     fim = upper = lower = efim = 0.0
-    per_label = []
     for x, y in zip(X, labels):
         J, z = est.jacobian_and_logits(net, theta, x)
         p = softmax(z)
@@ -250,28 +249,41 @@ def _dense_gaps(net, theta, X, k, labels):
         lower = lower + J.T @ (top * lam[net.n_classes - k:]) @ top.T @ J
         R = np.eye(net.n_classes) - p  # row c is e_c - p
         efim = efim + J.T @ np.outer(R[y], R[y]) @ J
-        per_label.append([np.max(np.abs(np.linalg.eigvalsh(J.T @ (core - np.outer(r, r)) @ J)))
-                          for r in R])
     return {
         "upper_gap": np.linalg.norm(upper - fim),
         "lower_gap": np.linalg.norm(lower - fim),
         "efim_gap": np.max(np.abs(np.linalg.eigvalsh(fim - efim))),
-        "per_label_errors": np.array(per_label),
         "scale": np.linalg.norm(upper),
     }
 
 
-@pytest.mark.parametrize("layers, act, n_samples", [
-    ((2, 3), "none", 5),  # B C = 15 > dim = 9
-    ((2, 3, 4), "tanh", 8),  # B C = 32 > dim = 25
-    ((3, 4, 10), "tanh", 2),  # C = 10, B C = 20 < dim = 66
-    ((2, 10), "none", 4),  # C = 10, B C = 40 > dim = 30
+def _dense_label_errors(net, theta, X):
+    """Per sample and label, the spectral norm of J^T (core - r r^T) J, r = e_y - p."""
+    per_label = []
+    for x in X:
+        J, z = est.jacobian_and_logits(net, theta, x)
+        p = softmax(z)
+        core = np.diag(p) - np.outer(p, p)
+        per_label.append([np.max(np.abs(np.linalg.eigvalsh(J.T @ (core - np.outer(r, r)) @ J)))
+                          for r in np.eye(net.n_classes) - p])
+    return np.array(per_label)
+
+
+@pytest.mark.parametrize("layers, act, n_samples, theta_scale", [
+    pytest.param((2, 3), "none", 5, 2.0, id="layers0-none-5"),  # B C = 15 > dim = 9
+    pytest.param((2, 3, 4), "tanh", 8, 2.0, id="layers1-tanh-8"),  # B C = 32 > dim = 25
+    pytest.param((3, 4, 10), "tanh", 2, 2.0, id="layers2-tanh-2"),  # C = 10, B C = 20 < dim = 66
+    pytest.param((2, 10), "none", 4, 2.0, id="layers3-none-4"),  # C = 10, B C = 40 > dim = 30
+    pytest.param((3, 8, 50), "tanh", 2, 2.0, id="C50-tanh-2"),  # secular route, B C = 100 < dim = 482
+    pytest.param((3, 8, 50), "tanh", 2, 20.0, id="C50-tanh-2-saturated"),
+    pytest.param((2, 3, 4), "tanh", 8, 20.0, id="layers1-tanh-8-saturated"),
 ])
-def test_report_norms_equal_dense_matrix_norms(layers, act, n_samples):
+def test_report_norms_equal_dense_matrix_norms(layers, act, n_samples, theta_scale):
     rng = np.random.default_rng(20)
     net, theta, X = random_instance(rng, layers, act, n_samples=n_samples)
-    theta = 2.0 * theta  # spread the probabilities away from uniform
+    theta = theta_scale * theta  # spread the probabilities away from uniform
     labels = rng.integers(net.n_classes, size=n_samples)
+    want_labels = _dense_label_errors(net, theta, X)
     for k in range(1, net.n_classes - 1):
         rep = tightness_report(net, theta, X, k=k, labels=labels)
         want = _dense_gaps(net, theta, X, k, labels)
@@ -279,8 +291,43 @@ def test_report_norms_equal_dense_matrix_norms(layers, act, n_samples):
         for key in ("upper_gap", "lower_gap", "efim_gap"):
             assert getattr(rep, key) == pytest.approx(want[key], rel=1e-12, abs=tol)
         got = np.array(rep.per_label_errors)
-        assert np.allclose(got, want["per_label_errors"], rtol=1e-12, atol=tol)
+        assert np.allclose(got, want_labels, rtol=1e-12, atol=tol)
         assert rep.adversarial_labels == tuple(np.argmax(got, axis=1))
+
+
+@pytest.mark.parametrize("C", [bounds._SECULAR_MIN_CLASSES - 1, bounds._SECULAR_MIN_CLASSES])
+def test_label_error_routes_agree_at_the_crossover(monkeypatch, C):
+    rng = np.random.default_rng(21)
+    net, theta, X = random_instance(rng, (3, 6, C), "tanh", n_samples=3)
+    theta = 2.0 * theta
+    errs = {}
+    for route, cut in (("stack", C + 1), ("secular", C)):
+        monkeypatch.setattr(bounds, "_SECULAR_MIN_CLASSES", cut)
+        errs[route] = np.array(tightness_report(net, theta, X, k=1).per_label_errors)
+    scale = np.max(errs["stack"])
+    assert np.allclose(errs["secular"], errs["stack"], rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_label_errors_form_no_matrix_per_label(monkeypatch):
+    # at C = 50 the eigensolvers get a few C x C matrices per sample (the core, the
+    # Jacobian Gram, A_x = R_x core R_x^T, at B = 1 the efim gap's), not one per label
+    C = 50
+    received = []
+    for name in ("eigvalsh", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def spy(a, *args, _real=real, **kwargs):
+            if np.shape(a)[-2:] == (C, C):
+                received.append(int(np.prod(np.shape(a)[:-2])))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    rng = np.random.default_rng(22)
+    for B in (1, 3):
+        net, theta, X = random_instance(rng, (3, 8, C), "tanh", n_samples=B)
+        received.clear()
+        tightness_report(net, theta, X, k=1, labels=np.zeros(B, dtype=int))
+        assert 0 < sum(received) <= 4 * B
 
 
 def test_report_serializes_to_json():

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fimlab import simplex
 from fimlab.simplex import (
     EmpiricalFim,
+    _secular_extremes,
     _canonical_sign,
     ProbVector,
     diag_weight_fim,
@@ -197,6 +199,131 @@ def test_interlacing_and_envelope_order():
             lower_margin = np.linalg.eigvalsh(M - w[-1] * np.outer(v, v))[0]
             assert upper_margin >= -1e-12
             assert lower_margin >= -1e-10
+
+
+# --- secular solver: extreme eigenvalues of diag(lam) - z z^T ----------------------
+
+
+def _secular_error(lam, z):
+    """Largest error of both ends against eigvalsh, relative to max|lam| + |z|^2."""
+    lam, z = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(z, dtype=float))
+    bottom, top = _secular_extremes(lam, z)
+    want = np.linalg.eigvalsh(lam[..., :, None] * np.eye(lam.shape[-1]) - z[..., :, None] * z[..., None, :])
+    scale = np.max(np.abs(lam), axis=-1) + np.sum(z * z, axis=-1)
+    err = np.maximum(np.abs(bottom - want[..., 0]), np.abs(top - want[..., -1]))
+    return float(np.max(err / np.where(scale > 0, scale, 1.0)))
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 50])
+def test_secular_extremes_match_eigvalsh(r):
+    rng = np.random.default_rng(r)
+    for scale in (1e-12, 1e-6, 1.0, 1e6):
+        lam = np.sort(rng.normal(size=(64, r)), axis=1) * scale
+        z = rng.normal(size=(64, r)) * np.sqrt(scale) * 10.0 ** rng.uniform(-3, 1, size=(64, 1))
+        assert _secular_error(lam, z) <= 1e-12
+
+
+def test_secular_extremes_broadcast_one_spectrum_over_many_updates():
+    rng = np.random.default_rng(3)
+    lam = np.sort(rng.normal(size=(4, 1, 6)), axis=-1)
+    z = rng.normal(size=(4, 7, 6))
+    bottom, top = _secular_extremes(lam, z)
+    assert bottom.shape == top.shape == (4, 7)
+    assert _secular_error(lam, z) <= 1e-12
+
+
+def test_secular_extremes_of_a_zero_update_are_the_ends():
+    lam = np.array([[-2.0, 0.5, 3.0], [1.0, 1.0, 1.0]])
+    bottom, top = _secular_extremes(lam, np.zeros(3))
+    assert np.array_equal(bottom, lam[:, 0]) and np.array_equal(top, lam[:, -1])
+
+
+@pytest.mark.parametrize("zero", [[0], [2], [4], [0, 4], [1, 2, 3]])
+def test_secular_extremes_deflate_zero_components(zero):
+    rng = np.random.default_rng(len(zero))
+    lam = np.sort(rng.normal(size=(32, 5)), axis=1)
+    z = rng.normal(size=(32, 5))
+    z[:, zero] = 0.0
+    assert _secular_error(lam, z) <= 1e-12
+    # a deflated end stays an eigenvalue: lam_r - z z^T keeps lam_r on top
+    bottom, top = _secular_extremes(lam, z)
+    if 4 in zero:
+        assert np.array_equal(top, lam[:, -1])
+
+
+def test_secular_extremes_deflate_a_component_below_rounding():
+    # z_1 z_r = 1e-30 moves no eigenvalue by more than rounding against the scale 2:
+    # deflated, it leaves the eigenvalues lam_1 = 0 and lam_r - z_r^2 = 0 exactly
+    bottom, top = _secular_extremes([0.0, 1.0], [1e-30, 1.0])
+    assert (bottom, top) == (0.0, 0.0)
+
+
+def test_secular_extremes_on_the_kernel_row_of_a_label_error():
+    # A = R core R^T has lam_1 = z_1 = 0 in exact arithmetic, since ones . (e_y - p) = 0
+    rng = np.random.default_rng(8)
+    for C in (3, 5, 50):
+        p = dirichlet(rng, C)
+        R = np.linalg.qr(rng.normal(size=(3 * C, C)), mode="r")
+        lam, W = np.linalg.eigh(R @ (np.diag(p) - np.outer(p, p)) @ R.T)
+        residuals = np.eye(C) - p
+        z = residuals @ R.T @ W  # row y: W^T R (e_y - p)
+        assert np.max(np.abs(z[:, 0])) <= 1e-12 * np.max(np.abs(z))
+        bottom, top = _secular_extremes(lam, z)
+        for y in range(C):
+            M = R @ (np.diag(p) - np.outer(p, p) - np.outer(residuals[y], residuals[y])) @ R.T
+            want = np.linalg.eigvalsh(M)
+            scale = np.max(np.abs(lam)) + z[y] @ z[y]
+            assert abs(bottom[y] - want[0]) <= 1e-12 * scale
+            assert abs(top[y] - want[-1]) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("where", ["top", "bottom", "all"])
+def test_secular_extremes_on_repeated_eigenvalues(where):
+    rng = np.random.default_rng(9)
+    lam = np.sort(rng.normal(size=(32, 6)), axis=1)
+    if where == "top":
+        lam[:, 3:] = lam[:, -1:]
+    elif where == "bottom":
+        lam[:, :3] = lam[:, :1]
+    else:
+        lam[:] = lam[:, :1]
+    z = rng.normal(size=(32, 6))
+    assert _secular_error(lam, z) <= 1e-12
+
+
+def test_secular_extremes_with_components_across_decades():
+    # tiny, undeflated weights put roots next to poles: the hard case for the iteration
+    rng = np.random.default_rng(10)
+    for r in (2, 3, 8):
+        lam = np.sort(rng.normal(size=(256, r)), axis=1)
+        z = rng.normal(size=(256, r)) * 10.0 ** rng.uniform(-15, 0, size=(256, r))
+        assert _secular_error(lam, z) <= 1e-12
+
+
+@pytest.mark.parametrize("pmax", [0.5, 0.9, 1 - 1.4e-6])
+def test_secular_top_root_is_the_simplex_lambda_max(pmax):
+    # diag(p) - p p^T is the update with lam = z = p; 1 - 1.4e-6 is a confident sample
+    rng = np.random.default_rng(12)
+    for C in (2, 3, 5, 50):
+        rest = dirichlet(rng, C - 1) * (1.0 - pmax)
+        p = np.append(rest, 1.0 - rest.sum())
+        q = order_stats(p)
+        bottom, top = _secular_extremes(q, q)
+        lam_max = spectrum(simplex_fim(p)).lambda_max
+        assert abs(float(top) - lam_max) <= 1e-12 * 2.0
+        assert lambda_max_bracket(p).contains(float(top))
+        assert abs(float(bottom)) <= 1e-12 * 2.0  # the kernel: ones is in it
+
+
+def test_secular_step_guard_raises_and_is_far_from_reached(monkeypatch):
+    rng = np.random.default_rng(13)
+    lam = np.sort(rng.normal(size=(256, 8)), axis=1)
+    z = rng.normal(size=(256, 8)) * 10.0 ** rng.uniform(-15, 0, size=(256, 8))
+    monkeypatch.setattr(simplex, "_SECULAR_MAX_STEPS", 16)  # a quarter of the guard
+    assert _secular_error(lam, z) <= 1e-12
+    monkeypatch.setattr(simplex, "_SECULAR_MAX_STEPS", 1)
+    with pytest.raises(RuntimeError, match="did not converge in 1 steps"):
+        _secular_extremes(lam, z)
 
 
 # --- power iteration ------------------------------------------------------------
