@@ -175,7 +175,8 @@ def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> Tig
     Labels are optional; when given, one per sample, the realized
     empirical-FIM error in spectral norm is reported against its universal
     bound.  The adversarial floor is always computed by exhaustive search
-    over the label of each sample: every label's error, exact to rounding,
+    over the label of each sample (ties within _LABEL_TIE_RTOL go to the
+    lowest label): every label's error, exact to rounding,
     from one batched eigh per sample and a secular solve per label at
     C >= _SECULAR_MIN_CLASSES, from one eigvalsh per label below.
     """
@@ -212,7 +213,8 @@ def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> Tig
         efim_gap = _spectral(_core_gap(R, s.core - r[:, :, None] * r[:, None, :]))
     # per sample, J_x^T = Q (R's block x) = Q Q_x R_x, with R_x from one small QR
     errs = _label_errors(np.linalg.qr(R.reshape(-1, B, C).swapaxes(0, 1), mode="r"), s.core, residuals)
-    worst = np.argmax(errs, axis=1)
+    top = np.max(errs, axis=1)
+    worst = np.argmax(top[:, None] - errs <= _LABEL_TIE_RTOL * top[:, None], axis=1)
 
     tb = _trace_chain(s)
     return TightnessReport(
@@ -229,7 +231,7 @@ def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> Tig
         trace_upper=tb.upper,
         efim_gap=None if efim_gap is None else float(efim_gap),
         efim_gap_bound=float(np.sum(per_sample_bounds)),
-        adversarial_errors=tuple(float(e) for e in errs[np.arange(B), worst]),
+        adversarial_errors=tuple(float(e) for e in top),
         adversarial_floors=tuple(float(f) for f in floors),
         adversarial_labels=tuple(int(y) for y in worst),
         per_label_errors=tuple(tuple(float(e) for e in row) for row in errs),
@@ -243,6 +245,10 @@ def _core_gap(R: np.ndarray, A: np.ndarray) -> np.ndarray:
     RA = R.reshape(R.shape[0], B, C).swapaxes(0, 1) @ A  # (B, r, C)
     return RA.swapaxes(0, 1).reshape(R.shape) @ R.T
 
+
+# The adversarial label is the lowest within this relative distance of its sample's largest
+# error: saturated labels tie in exact arithmetic, and an argmax would pick one by rounding.
+_LABEL_TIE_RTOL = 1e-12
 
 # Below this class count the per-label errors come from the (B, C, C, C) stack, one
 # eigvalsh per (sample, label); from it on, from one eigh per sample and the secular

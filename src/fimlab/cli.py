@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("variance", help="closed-form vs empirical probe variance (JSON)")
     p.add_argument("--config", required=True)
-    p.add_argument("--variant", default="full", choices=est.CLOSED_FORM_VARIANTS)
+    p.add_argument("--variant", default="full", choices=tuple(est.PROBE_VARIANTS.values()))
     p.add_argument("--dist", default="rademacher", choices=est.PROBE_DISTS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_variance)

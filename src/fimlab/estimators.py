@@ -22,10 +22,12 @@ empirical variance: one forward pass and one core per call, then one reverse
 sweep per probe, seeded at the logits with M^T (sqrt(w) xi) for random signs
 (or Gaussians) xi.  The weights come off the tape from the forward values,
 so a probe gradient g needs no stop-gradient and no clamp; E[g g^T] =
-sum_x J_x^T core_x J_x.  The sqrt variant's scalar is 2 sum sqrt(p) xi, and
-d(2 sqrt(p_y))/dz = sqrt(p_y) (e_y - p), so its logit adjoint is the full
-core's M^T (sqrt(w) xi) and its gradient is bitwise the full variant's.  The
-same rows R = M J give the exact pullback and both Loewner bounds (one Gram
+sum_x J_x^T core_x J_x.  The paper's sqrt-probe scalar 2 sum_y sqrt(p_y) xi_y
+is the full core under another name, because d(2 sqrt(p_y))/dz =
+sqrt(p_y) (e_y - p): its logit gradient sum_y xi_y sqrt(p_y) (e_y - p) is
+the full core's seed, so `variant="sqrt"` gives bitwise the full variant's
+outputs (kind hutch_sqrt) and is no estimator name of its own.  The same
+rows R = M J give the exact pullback and both Loewner bounds (one Gram
 product sum w R R^T each) and the closed-form variances (sums of w R^2 and
 w^2 R^4).  PROBE_VARIANTS, STORAGES and PROBE_DISTS are the one table of
 each set of names; the CLI and the bench harness accept exactly those.
@@ -88,16 +90,10 @@ DENSE_DIM_CAP = 4096
 # float64 entries in the block of gradient rows that one Gram product adds up (8 MB)
 GRAM_BLOCK_FLOATS = 2**20
 
-# probe estimator name -> hutchinson_fim variant; estimates are kind "hutch_<variant>"
-PROBE_VARIANTS = {
-    "hutch": "full",
-    "hutch_diag": "diag",
-    "hutch_lowrank": "lowrank",
-    "hutch_sqrt": "sqrt",
-}
-HUTCH_KINDS = {variant: f"hutch_{variant}" for variant in PROBE_VARIANTS.values()}
-# the probe variants variance_closed_form covers; `fimlab variance --variant` offers these
-CLOSED_FORM_VARIANTS = ("full", "diag", "lowrank")
+# probe estimator name -> hutchinson_fim variant; estimates are kind "hutch_<variant>".
+# The probe functions also take "sqrt", the full core under its own kind (module docstring).
+PROBE_VARIANTS = {"hutch": "full", "hutch_diag": "diag", "hutch_lowrank": "lowrank"}
+HUTCH_KINDS = {variant: f"hutch_{variant}" for variant in (*PROBE_VARIANTS.values(), "sqrt")}
 # the one tuple each of estimate storages and probe distributions; the CLI offers these
 STORAGES = ("diagonal", "dense")
 PROBE_DISTS = ("rademacher", "gaussian")
@@ -535,10 +531,8 @@ def hutchinson_gradient(
     """Gradient of the probe scalar h for one probe; exactly one backward pass.
 
     h weights the logits by M^T (sqrt(w) xi), from the variant's core
-    (`_core`) at the forward values; only the logits carry gradient.  The
-    sqrt variant's h, 2 sum sqrt(p) xi, has the full core's logit gradient,
-    so its g is bitwise the full variant's.  h itself is never recorded: its
-    adjoint seeds the sweep.
+    (`_core`) at the forward values; only the logits carry gradient.  h
+    itself is never recorded: its adjoint seeds the sweep.
     """
     return next(_probe_gradients(net, theta, X, variant, 1, probe, rng, dist, k, weights, eigen)[1])
 
@@ -613,8 +607,6 @@ def variance_closed_form(
     Var = 2 T_ii^2 - 2 sum_{x,r} w^2 R_ri^4.  The low-rank variant takes
     any rank k in [1, C-1].
     """
-    if variant not in CLOSED_FORM_VARIANTS:
-        raise ValueError(f"no closed-form variance for variant {variant!r}")
     _check_probe_args(variant, net.n_classes, k, weights, "full", dist)
     J, z, _ = _jacobian_stack(net, theta, X)
     core = _core(variant, z, k=k, weights=weights)

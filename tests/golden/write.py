@@ -9,7 +9,9 @@ variance` JSON of the full, diag and lowrank variants and the `fimlab bench`
 CSV.  `--check`
 prints, per output, whether a fresh run is byte-identical and its largest
 payload difference relative to the golden's largest entry, and exits 1 when
-any difference exceeds RTOL, the limit tests/test_golden.py holds them to.  Rewrite the
+any difference exceeds RTOL, the limit tests/test_golden.py holds them to,
+or when this directory holds a .fim, .json or .csv file that no command
+writes (an orphan, which nothing would compare any more).  Rewrite the
 files only when a change alters the numbers on purpose, and list each one
 in CHANGES.md with that difference and the reason.
 """
@@ -33,7 +35,7 @@ from fimlab import estimators as est
 
 HERE = Path(__file__).resolve().parent
 CONFIGS = ("dense", "diagonal")
-VARIANCE_VARIANTS = ("full", "diag", "lowrank")
+VARIANCE_VARIANTS = tuple(est.PROBE_VARIANTS.values())
 # variance JSON keys computed from the instance; the others are compared exactly
 VARIANCE_PAYLOAD = ("fim_diag", "var_closed", "var_empirical", "max_cv")
 RTOL = 1e-13  # payloads, relative to the golden's largest entry; headers must be equal
@@ -50,6 +52,13 @@ def commands() -> dict[str, list[str]]:
             out[f"{config}.variance.{variant}.json"] = ["variance", "--config", path, "--variant", variant]
         out[f"{config}.bench.csv"] = ["bench", "--config", path]
     return out
+
+
+def orphans() -> list[str]:
+    """The .fim, .json and .csv files in this directory that no command writes."""
+    names = commands()
+    return sorted(path.name for path in HERE.iterdir()
+                  if path.suffix in (".fim", ".json", ".csv") and path.name not in names)
 
 
 def write(out_dir: Path) -> None:
@@ -118,7 +127,10 @@ def main() -> int:
             worst = max(worst, drift)
             print(f"{name:<32} {'bitwise' if identical else 'differs'}  {drift:.3e}")
     print(f"largest relative payload difference: {worst:.3e} (limit {RTOL:.0e})")
-    return 0 if worst <= RTOL else 1
+    stray = orphans()
+    for name in stray:
+        print(f"{name:<32} orphan: no command writes it")
+    return 0 if worst <= RTOL and not stray else 1
 
 
 if __name__ == "__main__":

@@ -292,7 +292,27 @@ def test_report_norms_equal_dense_matrix_norms(layers, act, n_samples, theta_sca
             assert getattr(rep, key) == pytest.approx(want[key], rel=1e-12, abs=tol)
         got = np.array(rep.per_label_errors)
         assert np.allclose(got, want_labels, rtol=1e-12, atol=tol)
-        assert rep.adversarial_labels == tuple(np.argmax(got, axis=1))
+        assert rep.adversarial_labels == _lowest_worst_labels(got)
+        assert rep.adversarial_errors == tuple(np.max(got, axis=1))
+
+
+def _lowest_worst_labels(errs):
+    """Per sample, the lowest label whose error is within 1e-12 (relative) of the largest."""
+    return tuple(min(y for y, e in enumerate(row) if max(row) - e <= 1e-12 * max(row)) for row in errs)
+
+
+def test_tied_adversarial_labels_agree_across_routes(monkeypatch):
+    # a saturated C = 24 head: several labels tie in exact arithmetic; a plain argmax
+    # reported (7, 5) on the secular route and (2, 5) on the stack route
+    net, theta, X = random_instance(np.random.default_rng(20), (5, 24), "none", 2)
+    theta = 20.0 * theta
+    got = {}
+    for route, cut in (("secular", 24), ("stack", 25)):
+        monkeypatch.setattr(bounds, "_SECULAR_MIN_CLASSES", cut)
+        rep = tightness_report(net, theta, X, k=1)
+        assert rep.adversarial_labels == _lowest_worst_labels(rep.per_label_errors)
+        got[route] = rep.adversarial_labels
+    assert got == {"secular": (0, 3), "stack": (0, 3)}
 
 
 @pytest.mark.parametrize("C", [bounds._SECULAR_MIN_CLASSES - 1, bounds._SECULAR_MIN_CLASSES])

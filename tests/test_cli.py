@@ -174,8 +174,10 @@ OUT_OF_RULE = [
     ("activation = sigmoid\nhidden = 0", "activation must be one of tanh, relu, none, got 'sigmoid'"),
     ("storage = sparse", "storage must be one of diagonal, dense, got 'sparse'"),
     ("k = 3\nclasses = 3", "k must be at most classes - 1 = 2, got 3"),
-    ("estimators = efim,kfac",
-     "estimators must be one of efim, hutch, hutch_diag, hutch_lowrank, hutch_sqrt, got 'kfac'"),
+    ("estimators = efim,kfac", "estimators must be one of efim, hutch, hutch_diag, hutch_lowrank, got 'kfac'"),
+    # the full core under a second name, no estimator of its own
+    ("estimators = efim,hutch_sqrt",
+     "estimators must be one of efim, hutch, hutch_diag, hutch_lowrank, got 'hutch_sqrt'"),
 ]
 
 
@@ -243,6 +245,16 @@ def test_every_estimator_name_runs_through_estimate(tmp_path, kind):
     assert loaded.values.shape == (3 * 2 + 3,)
 
 
+def test_estimate_refuses_the_retired_sqrt_name(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", **SMALL)
+    out = tmp_path / "est.fim"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["estimate", "--config", str(cfg), "--estimator", "hutch_sqrt", "--out", str(out)])
+    assert exit_info.value.code == 2  # argparse: not one of the choices
+    assert "invalid choice: 'hutch_sqrt'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_exact_matches_library(tmp_path):
     cfg = write_config(tmp_path / "c.cfg", **SMALL)
     out = tmp_path / "exact.fim"
@@ -270,14 +282,14 @@ def test_estimate_mc_normalization_flag(tmp_path):
 
 
 def test_bench_csv(tmp_path):
-    cfg = write_config(tmp_path / "c.cfg", estimators=("efim", "hutch", "hutch_sqrt"), **SMALL)
+    cfg = write_config(tmp_path / "c.cfg", estimators=("efim", "hutch", "hutch_diag"), **SMALL)
     out = tmp_path / "bench.csv"
     assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == "estimator,relmae,backward_passes"
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     names = [r["estimator"] for r in rows]
-    assert names == ["efim", "hutch", "hutch_sqrt"]
+    assert names == ["efim", "hutch", "hutch_diag"]
     hutch = next(r for r in rows if r["estimator"] == "hutch")
     assert int(hutch["backward_passes"]) == 4  # one probe per batch
 
@@ -355,7 +367,7 @@ def test_variance_json(tmp_path):
     assert empirical[i] == pytest.approx(closed[i], rel=0.75)  # 64 trials, loose
 
 
-@pytest.mark.parametrize("variant", est.CLOSED_FORM_VARIANTS)
+@pytest.mark.parametrize("variant", list(est.PROBE_VARIANTS.values()))
 def test_variance_offers_exactly_the_closed_form_variants(tmp_path, variant):
     cfg = write_config(tmp_path / "c.cfg", trials=4, **SMALL)
     out = tmp_path / "var.json"
@@ -372,12 +384,12 @@ def test_variance_lowrank_at_rank_two(tmp_path):
 
 
 def test_variance_rejects_a_variant_without_closed_form(tmp_path):
+    # the library takes "sqrt" (the full core); the CLI offers only the table's variants
     cfg = write_config(tmp_path / "c.cfg", trials=4, **SMALL)
-    assert "sqrt" in est.PROBE_VARIANTS.values() and "sqrt" not in est.CLOSED_FORM_VARIANTS
-    with pytest.raises(SystemExit):
+    assert "sqrt" in est.HUTCH_KINDS and "sqrt" not in est.PROBE_VARIANTS.values()
+    with pytest.raises(SystemExit) as exit_info:
         main(["variance", "--config", str(cfg), "--variant", "sqrt"])
-    with pytest.raises(ValueError, match="no closed-form variance"):
-        est.variance_closed_form(None, None, None, "sqrt")
+    assert exit_info.value.code == 2
 
 
 def test_cv_demo_output(capsys):

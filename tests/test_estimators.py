@@ -428,6 +428,9 @@ def test_sqrt_outputs_are_bitwise_the_full_outputs():
         var = {v: est.empirical_probe_variance(net, theta, X, v, n_trials=4, rng=np.random.default_rng(5),
                                                dist=dist) for v in ("full", "sqrt")}
         assert var["sqrt"].tobytes() == var["full"].tobytes()
+        closed = {v: est.variance_closed_form(net, theta, X, v, dist=dist) for v in ("full", "sqrt")}
+        for key in ("fim_diag", "var_closed", "cv"):
+            assert getattr(closed["sqrt"], key).tobytes() == getattr(closed["full"], key).tobytes()
 
 
 def test_full_gradient_matches_per_term_differentiation():
@@ -642,7 +645,7 @@ def test_unknown_weights_and_eigen_rejected_for_every_variant(variant, option):
         est.hutchinson_fim(net, theta, X, variant, rng=rng, **option)
     with pytest.raises(ValueError, match="'bogus'"):
         est.hutchinson_gradient(net, theta, X, variant, rng=rng, **option)
-    if variant != "sqrt" and "weights" in option:
+    if "weights" in option:
         with pytest.raises(ValueError, match="'bogus'"):
             est.variance_closed_form(net, theta, X, variant, **option)
 
@@ -650,8 +653,8 @@ def test_unknown_weights_and_eigen_rejected_for_every_variant(variant, option):
 def test_variance_rejects_unsupported():
     rng = np.random.default_rng(24)
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=1)
-    with pytest.raises(ValueError):
-        est.variance_closed_form(net, theta, X, "sqrt")
+    with pytest.raises(ValueError, match="unknown variant 'kfac'"):
+        est.variance_closed_form(net, theta, X, "kfac")
     with pytest.raises(ValueError, match="rank parameter"):
         est.variance_closed_form(net, theta, X, "lowrank", k=net.n_classes)
 
@@ -789,7 +792,9 @@ def test_estimate_serialization_roundtrip(tmp_path):
 
 GRAM_M = 5  # Monte Carlo draws
 GRAM_PROBES = 3
-GRAM_KINDS = ("exact", "efim", "mc", *est.PROBE_VARIANTS)
+# the probe names, plus the sqrt variant the library still runs under its own kind
+GRAM_PROBES_BY_KIND = {**est.PROBE_VARIANTS, "hutch_sqrt": "sqrt"}
+GRAM_KINDS = ("exact", "efim", "mc", *GRAM_PROBES_BY_KIND)
 
 
 def _outer_loop(terms, dim, storage):
@@ -828,7 +833,7 @@ def _reference_terms(kind, net, theta, X, labels, seed):
             g = est.hutchinson_gradient(net, theta, X, "lowrank", probe=probe, rng=copy.deepcopy(core_rng))
             terms.append((1.0 / GRAM_PROBES, g))
         return terms
-    return [(1.0 / GRAM_PROBES, est.hutchinson_gradient(net, theta, X, est.PROBE_VARIANTS[kind], rng=rng))
+    return [(1.0 / GRAM_PROBES, est.hutchinson_gradient(net, theta, X, GRAM_PROBES_BY_KIND[kind], rng=rng))
             for _ in range(GRAM_PROBES)]
 
 
@@ -840,7 +845,7 @@ def _run_estimator(kind, net, theta, X, labels, seed, storage):
     rng = np.random.default_rng(seed)
     if kind == "mc":
         return est.mc_fim(net, theta, X, GRAM_M, rng, storage)
-    return est.hutchinson_fim(net, theta, X, est.PROBE_VARIANTS[kind], rng=rng,
+    return est.hutchinson_fim(net, theta, X, GRAM_PROBES_BY_KIND[kind], rng=rng,
                               n_probes=GRAM_PROBES, storage=storage)
 
 
@@ -863,7 +868,7 @@ def test_gram_accumulation_equals_outer_product_loop(monkeypatch, kind, act, blo
             got.validate()
 
 
-@pytest.mark.parametrize("variant", list(est.PROBE_VARIANTS.values()))
+@pytest.mark.parametrize("variant", list(est.HUTCH_KINDS))
 def test_single_probe_estimate_is_bitwise_the_outer_product(variant):
     rng = np.random.default_rng(32)
     net, theta, X = random_instance(rng, (3, 6, 4), "tanh", n_samples=3)
@@ -896,7 +901,7 @@ def test_monte_carlo_never_holds_a_stack_of_all_draws():
 # --- one probe pipeline: checks, forward pass and core once per call ------------
 
 
-@pytest.mark.parametrize("variant", list(est.PROBE_VARIANTS.values()))
+@pytest.mark.parametrize("variant", list(est.HUTCH_KINDS))
 def test_probe_estimates_run_one_forward_pass_and_one_core(monkeypatch, variant):
     rng = np.random.default_rng(38)
     net, theta, X = random_instance(rng, (2, 4, 3), "tanh", n_samples=3)
@@ -1007,7 +1012,7 @@ def test_power_route_probes_share_one_set_of_eigenpairs(monkeypatch):
 def test_empirical_variance_is_bitwise_a_per_trial_estimate_loop():
     rng = np.random.default_rng(41)
     net, theta, X = random_instance(rng, (3, 4, 3), "tanh", n_samples=4)
-    for variant in est.PROBE_VARIANTS.values():
+    for variant in est.HUTCH_KINDS:
         got = est.empirical_probe_variance(net, theta, X, variant, n_trials=5, rng=np.random.default_rng(6))
         draw = np.random.default_rng(6)
         trials = [est.hutchinson_fim(net, theta, X, variant, rng=draw, eigen="full", storage="diagonal").values
@@ -1069,7 +1074,7 @@ def test_backward_passes_come_from_the_tapes(monkeypatch):
     assert est.exact_fim_pullback(net, theta, X).meta["backward_passes"] == 2 * 3 + 2
     assert est.efim(net, theta, X, [0, 1]).meta["backward_passes"] == 2 + 2
     assert est.mc_fim(net, theta, X, 3, rng).meta["backward_passes"] == 3 + 3
-    for variant in est.PROBE_VARIANTS.values():  # one tape, one sweep per probe
+    for variant in est.HUTCH_KINDS:  # one tape, one sweep per probe
         estimate = est.hutchinson_fim(net, theta, X, variant, rng=rng, n_probes=4, k=1)
         assert estimate.meta["backward_passes"] == 4 + 1
 
@@ -1089,7 +1094,7 @@ def test_counted_sweeps_equal_meta_and_the_closed_form(monkeypatch):
         "efim": (lambda: est.efim(net, theta, X, [0, 2, 1, 1, 0]), n),
         "mc": (lambda: est.mc_fim(net, theta, X, m, rng), m),
     }
-    for variant in est.PROBE_VARIANTS.values():
+    for variant in est.HUTCH_KINDS:
         for n_probes in (1, 3):
             calls[f"{variant}.{n_probes}"] = (
                 lambda v=variant, k=n_probes: est.hutchinson_fim(net, theta, X, v, rng=rng, n_probes=k), n_probes)

@@ -273,10 +273,10 @@ def bench_setup(seed=0):
 
 def test_bench_rows_and_backward_passes():
     net, theta, X, labels = bench_setup()
-    cfg = BenchConfig(batch_size=16, n_batches=4, estimators=("efim", "hutch", "hutch_sqrt"), seed=3)
+    cfg = BenchConfig(batch_size=16, n_batches=4, estimators=("efim", "hutch", "hutch_diag"), seed=3)
     rows = run_bench(net, theta, X, labels, cfg)
     by_name = {r.estimator: r for r in rows}
-    assert list(by_name) == ["efim", "hutch", "hutch_sqrt"]
+    assert list(by_name) == ["efim", "hutch", "hutch_diag"]
     assert by_name["hutch"].backward_passes == 4  # one probe per batch
     assert by_name["efim"].backward_passes == 64  # one per sample
     for row in rows:
@@ -354,4 +354,14 @@ def test_bench_rejects_dropped_rank2_name():
     net, theta, X, labels = bench_setup()
     cfg = BenchConfig(batch_size=16, n_batches=2, estimators=("hutch_lowrank2",))
     with pytest.raises(ValueError, match="unknown bench estimator"):
+        run_bench(net, theta, X, labels, cfg)
+
+
+def test_bench_rejects_the_retired_sqrt_name(monkeypatch):
+    # hutch_sqrt was the hutch computation under a second name and child seed
+    net, theta, X, labels = bench_setup()
+    monkeypatch.setattr(est, "exact_fim_definition", lambda *a, **kw: pytest.fail("the truth ran"))
+    assert "hutch_sqrt" not in BenchConfig().estimators
+    cfg = BenchConfig(batch_size=16, n_batches=2, estimators=("hutch", "hutch_sqrt"))
+    with pytest.raises(ValueError, match="^unknown bench estimator 'hutch_sqrt'$"):
         run_bench(net, theta, X, labels, cfg)
