@@ -138,15 +138,6 @@ class Value:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def __add__(self, other: "Value") -> "Value":
-        return add(self, other)
-
-    def __mul__(self, other: "Value") -> "Value":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Value") -> "Value":
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Value(op={self.tape.nodes[self.idx].op!r}, shape={self.shape})"
 

@@ -17,12 +17,13 @@ equals Q (R A R^T) Q^T for the reduced QR factorization J^T = Q R of the
 stacked Jacobian, so its Frobenius and spectral norms are those of
 R A R^T, at most min(dim, B C) square, and come exactly from eigvalsh.
 Each label's error at one sample is such a norm too, of
-R_x (core_x - r r^T) R_x^T with r = e_y - p.  From _SECULAR_MIN_CLASSES
-classes on, these C norms per sample come from one eigh of
-R_x core_x R_x^T and the outer roots of one secular equation per label
-(simplex._secular_extremes), iterated to rounding by a convergence test;
-below it, from one eigvalsh per (sample, label).  The Loewner margin that
-checks a sandwich is exact too: one eigvalsh of the symmetrised difference.
+R_x (core_x - r r^T) R_x^T with r = e_y - p.  For B samples of C classes,
+from B C^4 >= _SECULAR_MIN_WORK on, these C norms per sample come from one
+eigh of R_x core_x R_x^T and the outer roots of one secular equation per
+label (simplex._secular_extremes), iterated to rounding by a convergence
+test; below it, from one eigvalsh per (sample, label).  The Loewner margin
+that checks a sandwich is exact too: one eigvalsh of the symmetrised
+difference.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def pullback_bounds(net: NetworkSpec, theta, X, k: int) -> BoundPair:
     cores.  The lower bound has rank at most k * n_samples and equals the
     FIM at k = C-1 because the remaining eigenvalue is zero.
     """
-    _check_rank(k, net.n_classes)
+    k = _check_rank(k, net.n_classes)
     J, z, _ = _jacobian_stack(net, theta, X)
     lower = _core("lowrank", z, k=k).gram(J, "dense")
     upper = _core("diag", z).gram(J, "dense")
@@ -178,12 +179,14 @@ def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> Tig
     over the label of each sample (ties within _LABEL_TIE_RTOL go to the
     lowest label): every label's error, exact to rounding,
     from one batched eigh per sample and a secular solve per label at
-    C >= _SECULAR_MIN_CLASSES, from one eigvalsh per label below.
+    B C^4 >= _SECULAR_MIN_WORK, from one eigvalsh per label below.
     """
     C = net.n_classes
-    _check_rank(k, C)
+    k = _check_rank(k, C)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     B = X.shape[0]
+    if B == 0:
+        raise ValueError("a tightness report needs at least one sample, got none")
     if labels is not None:
         labels = _check_labels(labels, B, C)
     s = _core_space(net, theta, X)
@@ -250,25 +253,27 @@ def _core_gap(R: np.ndarray, A: np.ndarray) -> np.ndarray:
 # error: saturated labels tie in exact arithmetic, and an argmax would pick one by rounding.
 _LABEL_TIE_RTOL = 1e-12
 
-# Below this class count the per-label errors come from the (B, C, C, C) stack, one
-# eigvalsh per (sample, label); from it on, from one eigh per sample and the secular
-# solver.  tightness_report on one sample of a (16, 16, C) tanh net, best of 9 x 10
-# calls, one OpenBLAS 0.3.31 thread on a 2-core x86 box: C = 5, stack 0.41 ms and
-# secular 0.88 ms; C = 20, 1.23 and 1.51 ms; C = 24, 1.61-1.80 and 1.65-1.69 ms;
-# C = 28, 2.47 and 2.01 ms; C = 50, 8.7 and 3.6 ms.  Larger batches cross lower.
-_SECULAR_MIN_CLASSES = 24
+# Below this B C^4 (B samples, C classes) the per-label errors come from the (B, C, C, C)
+# stack, one eigvalsh per (sample, label), whose cost grows with B C^4; from it on, from
+# one eigh per sample and the secular solver, whose cost is mostly per iteration.
+# _label_errors alone on a (16, 16, C) tanh net, best of 7 x 20 calls, one OpenBLAS
+# 0.3.31 thread on a 2-core x86 box, stack / solver in ms at (B, C): (4, 16) 0.81 / 0.77,
+# (4, 20) 1.52 / 0.84, (16, 8) 0.51 / 0.91, (16, 12) 1.51 / 1.23, (64, 8) 2.32 / 2.14,
+# (64, 12) 6.02 / 3.39, (1, 24) 0.62 / 0.56, (1, 32) 1.41 / 0.62.  Just below the line, at
+# (4, 16) and (64, 8), the two routes stay within 10% of each other.
+_SECULAR_MIN_WORK = 24**4
 
 
 def _label_errors(Rx: np.ndarray, core: np.ndarray, residuals: np.ndarray) -> np.ndarray:
     """(B, C) spectral norms of R_x (core_x - r r^T) R_x^T, r = e_y - p, R_x^T R_x = J_x J_x^T.
 
     Each is the error of label y's empirical FIM at sample x.  From
-    _SECULAR_MIN_CLASSES classes on, one eigh of A_x = R_x core_x R_x^T =
+    B C^4 >= _SECULAR_MIN_WORK on, one eigh of A_x = R_x core_x R_x^T =
     W diag(lam) W^T per sample turns every label's matrix into
     W (diag(lam) - z z^T) W^T with z = W^T R_x r, whose extreme eigenvalues
     are the outer roots of a secular equation: no C x C matrix per label.
     """
-    if core.shape[-1] < _SECULAR_MIN_CLASSES:
+    if core.shape[0] * core.shape[-1] ** 4 < _SECULAR_MIN_WORK:
         Rx = Rx[:, None]
         label_cores = core[:, None] - residuals[..., :, None] * residuals[..., None, :]
         return _spectral(Rx @ label_cores @ Rx.swapaxes(2, 3))
@@ -280,7 +285,7 @@ def _label_errors(Rx: np.ndarray, core: np.ndarray, residuals: np.ndarray) -> np
 def _spectral(M: np.ndarray) -> np.ndarray:
     """Spectral norm of each symmetric matrix in a stack, by eigvalsh.
 
-    It serves the efim gap and, below _SECULAR_MIN_CLASSES, the per-label
+    It serves the efim gap and, below _SECULAR_MIN_WORK, the per-label
     stack; above it, the per-label errors come from _label_errors' solver.
     """
     return np.max(np.abs(np.linalg.eigvalsh(M)), axis=-1, initial=0.0)

@@ -48,7 +48,7 @@ def _at_least(minimum):  # and finite
         f"must be at least {minimum}{' and finite' if value == np.inf else ''}, got {value}")
 
 
-def _positive(where="", used=lambda cfg: True):  # and finite, where the value is used
+def _positive(where, used):  # and finite, where the value is used
     return lambda value, cfg: None if not used(cfg) or 0 < value < np.inf else (
         f"must be positive and finite{where}, got {value}")
 
@@ -75,7 +75,6 @@ CONFIG = {
     "estimators": Key(lambda s: tuple(part.strip() for part in s.split(",") if part.strip()),
                       hz.BenchConfig.estimators, _one_of(("efim", *est.PROBE_VARIANTS))),
     "probes": Key(int, 1, _at_least(1)),
-    "epsilon": Key(float, 1e-12, _positive()),  # an infinite stabilizer zeroes every RelMAE
     "train_steps": Key(int, 0, _at_least(0)),
     "lr": Key(float, 0.1, _positive(" when train_steps > 0", lambda cfg: cfg["train_steps"] > 0)),
     "storage": Key(str, "diagonal", _one_of(est.STORAGES)),
@@ -227,7 +226,7 @@ def cmd_bench(args) -> int:
     cfg = parse_config(args.config)
     _check_out(args.out)
     X, labels, net, theta = _build_instance(cfg)
-    bench_cfg = hz.BenchConfig(**{key: cfg[key] for key in ("batch_size", "n_batches", "estimators", "epsilon", "seed")})
+    bench_cfg = hz.BenchConfig(**{key: cfg[key] for key in ("batch_size", "n_batches", "estimators", "seed")})
     rows = hz.run_bench(net, theta, X, labels, bench_cfg)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:

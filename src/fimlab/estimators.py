@@ -98,11 +98,9 @@ HUTCH_KINDS = {variant: f"hutch_{variant}" for variant in (*PROBE_VARIANTS.value
 STORAGES = ("diagonal", "dense")
 PROBE_DISTS = ("rademacher", "gaussian")
 
-# estimate files: version of the header written by save_estimate, payload dtype,
-# and the meta keys the unversioned format kept at the top level of its header
+# estimate files: version of the header written by save_estimate, and payload dtype
 ESTIMATE_FORMAT = 1
 PAYLOAD_DTYPE = np.dtype("<f8")
-LEGACY_META_KEYS = ("seed", "probe_count", "probe_dist", "dataset_id")
 
 
 @dataclass
@@ -135,7 +133,7 @@ class FimEstimate:
     def diagonal(self) -> np.ndarray:
         return np.diag(self.values) if self.storage == "dense" else self.values
 
-    def validate(self, psd_tol: float = 1e-10, sym_tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         """Check the finite/symmetry/psd invariants; raises on violation."""
         if not np.isfinite(self.values).all():  # NaN passes every test below, an infinity warns
             raise ValueError(f"{self.storage} estimate has a non-finite entry (NaN or infinity)")
@@ -144,9 +142,9 @@ class FimEstimate:
                 raise ValueError("diagonal estimate has a negative entry")
             return
         m = self.values
-        if np.max(np.abs(m - m.T), initial=0.0) > sym_tol * max(1.0, np.max(np.abs(m))):
+        if np.max(np.abs(m - m.T), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(m))):
             raise ValueError("dense estimate is not symmetric")
-        if float(np.linalg.eigvalsh((m + m.T) / 2.0)[0]) < -psd_tol:
+        if float(np.linalg.eigvalsh((m + m.T) / 2.0)[0]) < -1e-10:
             raise ValueError("dense estimate is not positive semidefinite")
 
 
@@ -389,10 +387,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_probe_args(variant: str, C: int, k: int, weights: str, eigen: str, dist: str) -> None:
-    """Reject an unknown variant, diagonal `weights`, eigenpair route or probe
-    distribution whatever the variant, C < 2 but for diag, and a low-rank k
-    outside [1, C-1]."""
+def _check_probe_args(variant: str, C: int, k: int, weights: str, eigen: str, dist: str) -> int:
+    """k, as an int for the low-rank variant, once the arguments pass: reject an
+    unknown variant, diagonal `weights`, eigenpair route or probe distribution
+    whatever the variant, C < 2 but for diag, and a low-rank k outside [1, C-1]."""
     if weights not in ("p", "bernoulli"):
         raise ValueError(f"unknown diagonal weights {weights!r}; expected 'p' or 'bernoulli'")
     if eigen not in ("power", "full"):
@@ -401,10 +399,9 @@ def _check_probe_args(variant: str, C: int, k: int, weights: str, eigen: str, di
         raise ValueError(f"unknown variant {variant!r}")
     if variant != "diag" and C < 2:
         raise ValueError("categorical estimators need at least 2 classes")
-    if variant == "lowrank":
-        _check_rank(k, C)
     if dist not in PROBE_DISTS:
         raise ValueError(f"unknown probe distribution {dist!r}")
+    return _check_rank(k, C) if variant == "lowrank" else k
 
 
 def _check_int(value, name: str) -> int:
@@ -417,9 +414,12 @@ def _check_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_rank(k: int, C: int) -> None:
-    if not 1 <= _check_int(k, "k") <= C - 1:
+def _check_rank(k: int, C: int) -> int:
+    """k as an int once it is a rank in [1, C-1]; else ValueError."""
+    rank = _check_int(k, "k")
+    if not 1 <= rank <= C - 1:
         raise ValueError(f"rank parameter must be in [1, {C - 1}], got {k}")
+    return rank
 
 
 def _eigen_route(eigen: str, k: int) -> str:
@@ -493,14 +493,15 @@ def _core(variant: str, z: np.ndarray, *, k: int = 1, weights: str = "p", eigen:
 
 def _probe_gradients(net: NetworkSpec, theta, X, variant: str, n: int, probe: ProbeVector | None,
                      rng: np.random.Generator | None, dist: str, k: int, weights: str, eigen: str):
-    """(tape, gradients): the checks, one forward pass and one core, then n probe gradients.
+    """(tape, k, gradients): the checks, one forward pass and one core, then n probe
+    gradients; k is the checked rank (an int) for the low-rank variant.
 
     The first probe (or the given one) is taken before the core, whose power
     route draws from the same rng; later probes are drawn as the generator
     runs.  Each gradient is one reverse sweep of the one tape, seeded at the
     logits with M^T (sqrt(w) xi) from the core.
     """
-    _check_probe_args(variant, net.n_classes, k, weights, eigen, dist)
+    k = _check_probe_args(variant, net.n_classes, k, weights, eigen, dist)
     X = _finite_inputs(theta, X)
     probe_shape = (X.shape[0], k if variant == "lowrank" else net.n_classes)
     if probe is None:
@@ -520,7 +521,7 @@ def _probe_gradients(net: NetworkSpec, theta, X, variant: str, n: int, probe: Pr
                 xi = sample_probe(probe_shape, dist, rng).entries
             yield ad.gradient(logits, core.logit_weights(sqrt_w * xi))
 
-    return logits.tape, gradients()
+    return logits.tape, k, gradients()
 
 
 def hutchinson_gradient(
@@ -534,7 +535,7 @@ def hutchinson_gradient(
     (`_core`) at the forward values; only the logits carry gradient.  h
     itself is never recorded: its adjoint seeds the sweep.
     """
-    return next(_probe_gradients(net, theta, X, variant, 1, probe, rng, dist, k, weights, eigen)[1])
+    return next(_probe_gradients(net, theta, X, variant, 1, probe, rng, dist, k, weights, eigen)[2])
 
 
 def hutchinson_fim(
@@ -557,7 +558,7 @@ def hutchinson_fim(
         raise ValueError("an explicit probe fixes n_probes = 1")
     if n_probes < 1:
         raise ValueError("need at least one probe")
-    tape, grads = _probe_gradients(net, theta, X, variant, n_probes, probe, rng, dist, k, weights, eigen)
+    tape, k, grads = _probe_gradients(net, theta, X, variant, n_probes, probe, rng, dist, k, weights, eigen)
     acc = _gram(((1.0 / n_probes, g) for g in grads), n_probes, dim, storage)
     meta = {
         "probe_count": n_probes,
@@ -607,7 +608,7 @@ def variance_closed_form(
     Var = 2 T_ii^2 - 2 sum_{x,r} w^2 R_ri^4.  The low-rank variant takes
     any rank k in [1, C-1].
     """
-    _check_probe_args(variant, net.n_classes, k, weights, "full", dist)
+    k = _check_probe_args(variant, net.n_classes, k, weights, "full", dist)
     J, z, _ = _jacobian_stack(net, theta, X)
     core = _core(variant, z, k=k, weights=weights)
     R2 = core.rows(J)
@@ -632,7 +633,7 @@ def empirical_probe_variance(
     n_trials = _check_int(n_trials, "n_trials")
     if n_trials < 2:
         raise ValueError(f"a sample variance needs at least 2 trials, got {n_trials}")
-    _, grads = _probe_gradients(net, theta, X, variant, n_trials, None, rng, dist, k, weights, eigen)
+    _, _, grads = _probe_gradients(net, theta, X, variant, n_trials, None, rng, dist, k, weights, eigen)
     draws = np.empty((n_trials, as_flat(theta).size))
     for t, g in enumerate(grads):
         np.square(g, out=draws[t])
@@ -642,9 +643,11 @@ def empirical_probe_variance(
 def ema_update(acc: FimEstimate, new: FimEstimate, beta: float) -> FimEstimate:
     """Exponential moving average: beta * acc + (1 - beta) * new, of one kind.
 
-    The probe counts and backward passes of the two are summed where both
-    carry one; where either lacks it (or holds None, as an unversioned file
-    may), the blend has none, so an unknown count stays unknown.
+    Two estimates whose meta differ in a key that sets what a probe estimate
+    estimates or how (k, eigen, weights, probe_dist) are refused, naming the
+    key.  The probe counts and backward passes of the two are summed where
+    both carry one; where either lacks it or holds None, the blend has none,
+    so an unknown count stays unknown.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("decay must lie in [0, 1)")
@@ -654,6 +657,10 @@ def ema_update(acc: FimEstimate, new: FimEstimate, beta: float) -> FimEstimate:
         raise ValueError("cannot blend estimates with different storage or shape")
     if acc.normalization != new.normalization:
         raise ValueError("cannot blend estimates with different normalization")
+    for key in ("k", "eigen", "weights", "probe_dist"):
+        if acc.meta.get(key) != new.meta.get(key):
+            raise ValueError(f"cannot blend estimates with different {key}: "
+                             f"{acc.meta.get(key)!r} and {new.meta.get(key)!r}")
     meta = dict(acc.meta)
     meta["ema_beta"] = beta
     for key in ("probe_count", "backward_passes"):
@@ -730,14 +737,14 @@ def _read_header(fh, path) -> tuple[dict, int]:
         raise ValueError(f"{path}: the header line is not JSON ({exc})") from None
     if type(header) is not dict:
         raise ValueError(f"{path}: the header line is not a JSON object")
-    version = header.get("format", ESTIMATE_FORMAT)  # unversioned files have none
+    version = header.get("format")
     if type(version) is not int or version != ESTIMATE_FORMAT:  # true and 1.0 equal 1, but are no format
         raise ValueError(f"{path}: unknown estimate format {version!r} (this reader knows {ESTIMATE_FORMAT})")
     return header, len(line)
 
 
 def load_estimate(path) -> FimEstimate:
-    """Read a file written by save_estimate, or by its unversioned predecessor.
+    """Read a file written by save_estimate; a header without "format" is refused.
 
     The payload length is checked against the header's shape before the one
     float64 array is allocated, and read straight into it; a truncated or
@@ -758,10 +765,7 @@ def load_estimate(path) -> FimEstimate:
         problem = "truncated" if actual < expected else "padded"
         raise ValueError(f"{path}: {problem} payload: {actual} bytes, shape {shape} needs {expected}")
     try:
-        if "format" in header:
-            meta = header["meta"]
-        else:  # unversioned files kept four meta keys at the top level
-            meta = {key: header.get(key) for key in LEGACY_META_KEYS}
+        meta = header["meta"]
         if type(header["kind"]) is not str:
             raise ValueError(f"kind {header['kind']!r} is not a string")
         if type(meta) is not dict:

@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 ZERO_ATOM_THRESHOLD = 1e-300
+RELMAE_EPS = 1e-12  # the RelMAE stabilizer
+HISTOGRAM_BINS = 50
+PROPOSAL_NU = 0.5  # degrees of freedom of cv_demo's Student-t proposal
 GENERATORS = ("blobs", "student_t")  # the one tuple of task generators; the CLI offers these
 
 
@@ -150,14 +153,13 @@ def accuracy(net: NetworkSpec, theta, X, labels) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
 
 
-def relmae(estimate: est.FimEstimate, truth: est.FimEstimate, eps: float = 1e-12) -> float:
+def relmae(estimate: est.FimEstimate, truth: est.FimEstimate) -> float:
     """Relative mean absolute error of a diagonal estimate against truth.
 
-    mean_i |est_ii - F_ii| / (F_ii + eps).  Both estimates must be diagonal,
-    equal-dimensional, and carry the same sum/mean normalization flag.
+    mean_i |est_ii - F_ii| / (F_ii + RELMAE_EPS).  Both estimates must be
+    diagonal, equal-dimensional, and carry the same sum/mean normalization
+    flag.
     """
-    if not 0 < eps < np.inf:
-        raise ValueError(f"the stabilizer must be positive and finite, got {eps}")
     if estimate.storage != "diagonal" or truth.storage != "diagonal":
         raise ValueError("RelMAE compares diagonal estimates")
     if estimate.dim != truth.dim:
@@ -166,7 +168,7 @@ def relmae(estimate: est.FimEstimate, truth: est.FimEstimate, eps: float = 1e-12
         raise ValueError(
             f"normalization mismatch: {estimate.normalization} vs {truth.normalization}"
         )
-    return float(np.mean(np.abs(estimate.values - truth.values) / (truth.values + eps)))
+    return float(np.mean(np.abs(estimate.values - truth.values) / (truth.values + RELMAE_EPS)))
 
 
 # --- Student-t coefficient-of-variation pathology ---------------------------
@@ -199,7 +201,6 @@ def cv_demo(
     trials: int,
     rng: np.random.Generator,
     importance_samples: int = 10**6,
-    proposal_nu: float = 0.5,
 ) -> CvReport:
     """Simulate the scalar Monte Carlo FIM estimate under Student-t inputs.
 
@@ -223,8 +224,8 @@ def cv_demo(
     # the formula by importance sampling under a much heavier-tailed proposal:
     # x^8 f(x)^2 / q(x) stays integrable, giving finite-variance estimates of
     # both moments from the same weighted draws.
-    u = rng.standard_t(proposal_nu, size=importance_samples)
-    w = np.exp(_t_logpdf(u, nu) - _t_logpdf(u, proposal_nu))
+    u = rng.standard_t(PROPOSAL_NU, size=importance_samples)
+    w = np.exp(_t_logpdf(u, nu) - _t_logpdf(u, PROPOSAL_NU))
     m4 = float(np.mean(u**4 * w))
     m2 = float(np.mean(u**2 * w))
     ratio_importance = m4 / m2**2
@@ -248,8 +249,8 @@ def cv_demo(
 class HistogramReport:
     """Log-axis histogram of diagonal entries with an explicit zero atom."""
 
-    bin_edges: np.ndarray  # length n_bins + 1, positive, increasing
-    counts: np.ndarray  # length n_bins
+    bin_edges: np.ndarray  # length HISTOGRAM_BINS + 1, positive, increasing
+    counts: np.ndarray  # length HISTOGRAM_BINS
     zero_atom: int  # entries at (numerical) zero
     zeta: float  # zero_atom / total
     mean: float  # over all entries, zeros included
@@ -261,28 +262,26 @@ class HistogramReport:
         return int(self.counts.sum()) + self.zero_atom
 
 
-def histogram(estimate: est.FimEstimate, n_bins: int = 50) -> HistogramReport:
+def histogram(estimate: est.FimEstimate) -> HistogramReport:
     """Bin a diagonal estimate on a log10 axis, counting zeros separately.
 
-    Entries at or below 1e-300 land in the zero atom.  Bins span the observed
-    positive range; a degenerate single-value range widens by half a decade
-    on each side so the histogram stays well-formed.  A NaN or infinity in
-    the estimate, or n_bins < 1, raises ValueError.
+    Entries at or below 1e-300 land in the zero atom.  HISTOGRAM_BINS bins
+    span the observed positive range; a degenerate single-value range widens
+    by half a decade on each side so the histogram stays well-formed.  A NaN
+    or infinity in the estimate raises ValueError.
     """
     if estimate.storage != "diagonal":
         raise ValueError("histograms need diagonal storage")
-    if n_bins < 1:
-        raise ValueError(f"a histogram needs at least one bin, got n_bins={n_bins}")
     values = estimate.values
     if not np.isfinite(values).all():  # a NaN would count as a zero, an infinity span no bins
         raise ValueError("the estimate has a non-finite entry (NaN or infinity)")
     positive = values[values > ZERO_ATOM_THRESHOLD]
     zero_atom = int(values.size - positive.size)
     if positive.size == 0:
-        edges = np.logspace(-300.0, -299.0, n_bins + 1)
+        edges = np.logspace(-300.0, -299.0, HISTOGRAM_BINS + 1)
         return HistogramReport(
             bin_edges=edges,
-            counts=np.zeros(n_bins, dtype=np.int64),
+            counts=np.zeros(HISTOGRAM_BINS, dtype=np.int64),
             zero_atom=zero_atom,
             zeta=1.0 if values.size else float("nan"),
             mean=float(values.mean()) if values.size else float("nan"),
@@ -294,7 +293,7 @@ def histogram(estimate: est.FimEstimate, n_bins: int = 50) -> HistogramReport:
     if hi - lo < 1e-12:
         lo -= 0.5
         hi += 0.5
-    edges = np.logspace(lo, hi, n_bins + 1)
+    edges = np.logspace(lo, hi, HISTOGRAM_BINS + 1)
     edges[0] = min(edges[0], float(positive.min()))  # guard round-off at ends
     edges[-1] = max(edges[-1], float(positive.max()))
     counts, _ = np.histogram(positive, bins=edges)
@@ -319,14 +318,11 @@ class BenchConfig:
     batch_size: int = 64
     n_batches: int = 8
     estimators: tuple[str, ...] = ("efim", *est.PROBE_VARIANTS)
-    epsilon: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1 or self.n_batches < 1:
             raise ValueError("batch size and batch count must be positive")
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError(f"the stabilizer must be positive and finite, got {self.epsilon}")
 
 
 @dataclass
@@ -385,5 +381,5 @@ def run_bench(net: NetworkSpec, theta, X, labels, cfg: BenchConfig) -> list[Benc
             passes += part.meta["backward_passes"]
             diag += part.values
         combined = est.FimEstimate(name, "diagonal", diag, "sum", {"seed": cfg.seed})
-        rows.append(BenchRow(name, relmae(combined, truth_est, cfg.epsilon), passes))
+        rows.append(BenchRow(name, relmae(combined, truth_est), passes))
     return rows

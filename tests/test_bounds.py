@@ -228,6 +228,13 @@ def test_report_rejects_labels_of_the_wrong_length():
         tightness_report(net, theta, X, k=1, labels=np.array([0, 1, 3]))
 
 
+def test_report_refuses_zero_samples():
+    # numpy used to fail inside with "cannot reshape array of size 0 into shape (0,5)"
+    net, theta, X = random_instance(np.random.default_rng(19), (2, 3), "none", n_samples=3)
+    with pytest.raises(ValueError, match="at least one sample"):
+        tightness_report(net, theta, X[:0], k=1)
+
+
 def test_report_refuses_labels_that_are_not_integers():
     rng = np.random.default_rng(19)
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
@@ -307,25 +314,46 @@ def test_tied_adversarial_labels_agree_across_routes(monkeypatch):
     net, theta, X = random_instance(np.random.default_rng(20), (5, 24), "none", 2)
     theta = 20.0 * theta
     got = {}
-    for route, cut in (("secular", 24), ("stack", 25)):
-        monkeypatch.setattr(bounds, "_SECULAR_MIN_CLASSES", cut)
+    work = 2 * 24**4  # B C^4
+    for route, cut in (("secular", work), ("stack", work + 1)):
+        monkeypatch.setattr(bounds, "_SECULAR_MIN_WORK", cut)
         rep = tightness_report(net, theta, X, k=1)
         assert rep.adversarial_labels == _lowest_worst_labels(rep.per_label_errors)
         got[route] = rep.adversarial_labels
     assert got == {"secular": (0, 3), "stack": (0, 3)}
 
 
-@pytest.mark.parametrize("C", [bounds._SECULAR_MIN_CLASSES - 1, bounds._SECULAR_MIN_CLASSES])
+@pytest.mark.parametrize("C", [23, 24])
 def test_label_error_routes_agree_at_the_crossover(monkeypatch, C):
+    # one sample switches routes between C = 23 and 24; each route is forced here on three
+    assert 23**4 < bounds._SECULAR_MIN_WORK <= 24**4
     rng = np.random.default_rng(21)
     net, theta, X = random_instance(rng, (3, 6, C), "tanh", n_samples=3)
     theta = 2.0 * theta
     errs = {}
-    for route, cut in (("stack", C + 1), ("secular", C)):
-        monkeypatch.setattr(bounds, "_SECULAR_MIN_CLASSES", cut)
+    work = 3 * C**4  # B C^4
+    for route, cut in (("stack", work + 1), ("secular", work)):
+        monkeypatch.setattr(bounds, "_SECULAR_MIN_WORK", cut)
         errs[route] = np.array(tightness_report(net, theta, X, k=1).per_label_errors)
     scale = np.max(errs["stack"])
     assert np.allclose(errs["secular"], errs["stack"], rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("C, secular", [(16, False), (20, True)])
+def test_label_error_route_follows_samples_and_classes(monkeypatch, C, secular):
+    # 4 C^4 lies below 24^4 at C = 16 and above it at C = 20; a rule on C alone
+    # took the stack route at both, although the solver is the faster at C = 20
+    calls = []
+    real = bounds._secular_extremes
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bounds, "_secular_extremes", spy)
+    net, theta, X = random_instance(np.random.default_rng(23), (3, 6, C), "tanh", n_samples=4)
+    tightness_report(net, theta, X, k=1)
+    assert bool(calls) == secular
 
 
 def test_label_errors_form_no_matrix_per_label(monkeypatch):

@@ -117,9 +117,6 @@ OUT_OF_RANGE = [
     ("classes", 1),
     ("separation", -3),
     ("separation", "nan"),
-    ("epsilon", 0),
-    ("epsilon", "nan"),
-    ("epsilon", "inf"),
     ("separation", "inf"),
     ("lr", "inf"),
     ("nu", 0),
@@ -152,7 +149,7 @@ def test_config_rejects_nonpositive_lr_with_training(tmp_path, lr):
 
 def test_config_accepts_the_edges_of_each_range(tmp_path):
     edges = dict(hidden=0, train_steps=0, trials=2, probes=1, k=1, batch_size=1,
-                 n_batches=1, n_samples=1, d=1, classes=2, separation=0.0, epsilon=5e-324)
+                 n_batches=1, n_samples=1, d=1, classes=2, separation=0.0)
     cfg = parse_config(write_config(tmp_path / "c.cfg", **edges))
     assert {key: cfg[key] for key in edges} == edges
 

@@ -1,6 +1,7 @@
 """Estimate files: lossless round trip, loud rejection, no payload copies."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -116,13 +117,19 @@ def test_header_without_newline_is_rejected(tmp_path):
     # JSON true and 1.0 compare equal to 1, yet neither is the integer format 1
     {"format": True, "kind": "exact_def", "storage": "diagonal", "normalization": "sum", "shape": [3], "meta": {}},
     {"format": 1.0, "kind": "exact_def", "storage": "diagonal", "normalization": "sum", "shape": [3], "meta": {}},
+    # no format at all: the unversioned header, with four meta keys at its top level
+    {"kind": "hutch_full", "storage": "diagonal", "normalization": "sum", "shape": [3],
+     "seed": 7, "probe_count": 1, "probe_dist": "rademacher", "dataset_id": None},
 ])
-def test_unknown_format_is_rejected(tmp_path, header):
+def test_unknown_format_is_rejected(tmp_path, capsys, header):
     path = tmp_path / "future.fim"
     path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(24))
+    message = rf"{path}: unknown estimate format {header.get('format')!r} "
     for read in (est.load_estimate, est.read_header):
-        with pytest.raises(ValueError, match=rf"^{path}: unknown estimate format {header['format']!r} "):
+        with pytest.raises(ValueError, match=rf"^{message}"):
             read(path)
+    assert main(["inspect", "--in", str(path)]) == 2
+    assert re.match(rf"^error: {message}", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("line, problem", [
@@ -146,19 +153,6 @@ def test_malformed_header_is_rejected(tmp_path, line, problem):
     path.write_bytes(line)
     with pytest.raises(ValueError, match=rf"{path}: .*{problem}"):
         est.load_estimate(path)
-
-
-def test_unversioned_file_still_loads(tmp_path):
-    # the format written before headers carried a version: four meta keys at the top level
-    header = {"kind": "hutch_full", "storage": "diagonal", "normalization": "sum", "shape": [3],
-              "seed": 7, "probe_count": 1, "probe_dist": "rademacher", "dataset_id": None}
-    values = np.array([1.5, -0.0, 5e-324])
-    path = tmp_path / "old.fim"
-    path.write_bytes(json.dumps(header).encode() + b"\n" + values.astype("<f8").tobytes())
-    loaded = est.load_estimate(path)
-    assert loaded.kind == "hutch_full"
-    assert np.array_equal(loaded.values.view(np.uint64), values.view(np.uint64))
-    assert loaded.meta == {"seed": 7, "probe_count": 1, "probe_dist": "rademacher", "dataset_id": None}
 
 
 @pytest.mark.parametrize("meta, key", [

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 import re
 
 import numpy as np
@@ -711,8 +712,8 @@ def test_ema_keeps_a_count_only_where_both_inputs_carry_it():
         meta = est.ema_update(a, b, 0.5).meta
         assert "probe_count" not in meta and "backward_passes" not in meta
     assert est.ema_update(counted, counted, 0.5).meta == {"probe_count": 6, "backward_passes": 12, "ema_beta": 0.5}
-    legacy = est.FimEstimate("exact_def", "diagonal", np.ones(2), "sum", {"probe_count": None})  # unversioned file
-    assert "probe_count" not in est.ema_update(legacy, counted, 0.5).meta
+    unknown = est.FimEstimate("exact_def", "diagonal", np.ones(2), "sum", {"probe_count": None})
+    assert "probe_count" not in est.ema_update(unknown, counted, 0.5).meta
 
 
 def test_ema_validates_inputs():
@@ -728,6 +729,21 @@ def test_ema_validates_inputs():
     efim = est.FimEstimate("efim", "diagonal", np.ones(3), "sum", {})
     with pytest.raises(ValueError, match="different kinds: 'hutch_full' and 'efim'"):
         est.ema_update(a, efim, 0.5)
+    # one kind, another target or probe: the blend would report the first one's
+    rng = np.random.default_rng(41)
+    net, theta, X = random_instance(rng, (2, 5), "none", n_samples=2)
+
+    def probe(variant, **kwargs):
+        return est.hutchinson_fim(net, theta, X, variant, rng=rng, storage="diagonal", **kwargs)
+
+    for acc, new, key in (
+        (probe("lowrank", k=1), probe("lowrank", k=3), "k: 1 and 3"),
+        (probe("lowrank", eigen="power"), probe("lowrank", eigen="full"), "eigen: 'power' and 'full'"),
+        (probe("diag", weights="bernoulli"), probe("diag"), "weights: 'bernoulli' and 'p'"),
+        (probe("full"), probe("full", dist="gaussian"), "probe_dist: 'rademacher' and 'gaussian'"),
+    ):
+        with pytest.raises(ValueError, match=f"different {key}$"):
+            est.ema_update(acc, new, 0.5)
 
 
 def test_probe_averaging_variance_drops_like_one_over_j():
@@ -1142,6 +1158,19 @@ def test_integer_arguments_fail_at_the_boundary(monkeypatch, entry, value):
     monkeypatch.setattr(est, "forward_logits", refuse)
     with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
         call(net, theta, X, value)
+
+
+def test_an_integer_type_rank_is_recorded_as_an_int(tmp_path):
+    # the checked int is the k recorded; a raw np.int64 made save_estimate refuse the
+    # estimate and the tightness report's to_json raise TypeError
+    rng = np.random.default_rng(40)
+    net, theta, X = random_instance(rng, (2, 4, 4), "tanh", n_samples=3)
+    k = np.int64(2)
+    path = tmp_path / "e.fim"
+    est.save_estimate(est.hutchinson_fim(net, theta, X, "lowrank", rng=rng, k=k), path)
+    assert type(est.load_estimate(path).meta["k"]) is int
+    assert type(pullback_bounds(net, theta, X, k).k) is int
+    assert json.loads(tightness_report(net, theta, X, k=k).to_json())["k"] == 2
 
 
 # --- non-finite input -----------------------------------------------------------
