@@ -134,12 +134,8 @@ class Value:
     def data(self) -> np.ndarray:
         return self.tape.nodes[self.idx].value
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def __repr__(self):
-        return f"Value(op={self.tape.nodes[self.idx].op!r}, shape={self.shape})"
+        return f"Value(op={self.tape.nodes[self.idx].op!r}, shape={self.data.shape})"
 
 
 def constant(tape: Tape, array) -> Value:
@@ -184,19 +180,12 @@ def _log_softmax_forward(ctx, a):
 
 
 def _gather_forward(ctx, a):
-    idx = ctx[0]
-    if a.ndim == 2:
-        return a[np.arange(a.shape[0]), idx]
-    return a[idx]
+    return a[np.arange(a.shape[0]), ctx[0]]
 
 
 def _gather_adjoint(node, g, a):
     out = np.zeros_like(a)
-    idx = node.ctx[0]
-    if out.ndim == 2:
-        out[np.arange(out.shape[0]), idx] = g
-    else:
-        out[idx] = g
+    out[np.arange(out.shape[0]), node.ctx[0]] = g
     return out
 
 
@@ -273,27 +262,19 @@ def _check_integral(values: np.ndarray, what: str) -> None:
 
 
 def gather(a: Value, indices) -> Value:
-    """Pick a[i, indices[i]] from a 2-D value, or a[index] from a 1-D value.
+    """Pick a[i, indices[i]] from a 2-D value.
 
     Indices must be integers; an integral float such as 2.0 is taken as one.
     """
     idx = np.asarray(indices)
     _check_integral(idx, "gather index")
-    if a.data.ndim == 2:
-        if idx.ndim != 1 or idx.size != a.data.shape[0]:
-            raise ValueError("gather on a matrix needs one index per row")
-        if np.any(idx < 0) or np.any(idx >= a.data.shape[1]):
-            raise ValueError("gather index out of range")
-        idx = idx.astype(np.intp)
-    elif a.data.ndim == 1:
-        if idx.ndim != 0:
-            raise ValueError("gather on a vector needs one index")
-        if not 0 <= idx < a.data.size:  # before int(): int(inf) raises OverflowError
-            raise ValueError("gather index out of range")
-        idx = int(idx)
-    else:
-        raise ValueError("gather expects a 1-D or 2-D operand")
-    return _unary("gather", a, (idx,))
+    if a.data.ndim != 2:
+        raise ValueError("gather expects a 2-D operand")
+    if idx.ndim != 1 or idx.size != a.data.shape[0]:
+        raise ValueError("gather on a matrix needs one index per row")
+    if np.any(idx < 0) or np.any(idx >= a.data.shape[1]):
+        raise ValueError("gather index out of range")
+    return _unary("gather", a, (idx.astype(np.intp),))
 
 
 def wsum(a: Value, weights) -> Value:

@@ -208,13 +208,11 @@ def cmd_estimate(args) -> int:
         result = est.efim(net, theta, X, labels, storage=storage)
     elif kind == "mc":
         result = est.mc_fim(net, theta, X, m=cfg["probes"], rng=rng, storage=storage)
-    elif kind in est.PROBE_VARIANTS:
+    else:  # a probe estimator: argparse's choices allow no other name
         result = est.hutchinson_fim(
             net, theta, X, est.PROBE_VARIANTS[kind],
             rng=rng, n_probes=cfg["probes"], k=cfg["k"], storage=storage,
         )
-    else:
-        raise ValueError(f"unknown estimator {kind!r}")
     result.meta.setdefault("seed", cfg["seed"])
     result.meta.setdefault("dataset_id", cfg["generator"])
     est.save_estimate(result, args.out)
@@ -248,7 +246,7 @@ def cmd_variance(args) -> int:
     report = est.variance_closed_form(net, theta, X, args.variant, dist=args.dist, k=cfg["k"])
     empirical = est.empirical_probe_variance(
         net, theta, X, args.variant, n_trials=cfg["trials"], rng=rng,
-        dist=args.dist, k=cfg["k"], eigen="full",
+        dist=args.dist, k=cfg["k"],
     )
     cv = report.cv[np.isfinite(report.cv)]
     payload = {

@@ -9,9 +9,10 @@ per-sample row (Jacobian, score, efim or Monte Carlo row) comes from one
 routine, `_sample_sweeps`: one batched forward per call (logits or
 log-softmax), checked once and viewed one row per sample by `autodiff.rows`;
 one reverse sweep per one-hot seed (every class, or one given class) adds
-no node to the tape.  The one-sample helpers sweep their own forward.  The
-Monte Carlo estimate takes all its draws first, x then y per draw, from one
-batched forward pass, and then sweeps the drawn rows of that same forward.
+no node to the tape.  The one-sample helpers sweep view 0 of their own
+one-row forward.  The Monte Carlo estimate takes all its draws first, x then
+y per draw, from one batched forward pass, and then sweeps the drawn rows of
+that same forward.
 
 Each probe variant writes its C x C core once (`_core`), as weights w (B, r)
 and output-space rows m_r with core = sum_r w_r m_r m_r^T: w = p with rows
@@ -198,6 +199,11 @@ def _finite_inputs(theta, X) -> np.ndarray:
     return X
 
 
+def _check_categorical(C: int) -> None:
+    if C < 2:
+        raise ValueError("categorical estimators need at least 2 classes")
+
+
 def _check_labels(labels, n_samples: int, C: int) -> np.ndarray:
     """The labels as intp, once they are n_samples integers in [0, C); 0.7 is refused, not cut to 0."""
     y = np.asarray(labels)
@@ -244,17 +250,18 @@ def _add_block(acc: np.ndarray, w: np.ndarray, G: np.ndarray, storage: str) -> N
         acc += np.dot(w, np.square(G, out=G))  # the block is refilled after this
 
 
-def _sample_sweeps(roots, n_classes: int, classes=None):
-    """Per one-row root r = roots[t]: (r's row, its gradient rows, the backward passes on r's tape).
+def _sample_sweeps(root: ad.Value, samples, classes=None):
+    """Per sample b = samples[t] of the batched root: (root's row b, its gradient rows, the
+    backward passes on b's tape).
 
-    Every per-sample row comes from here.  Each root is the logits or the
-    log-softmax of one sample: a row view of one batched forward pass
-    (`ad.rows`), or a one-sample forward.  It gets one reverse sweep per
-    one-hot seed, for every class or for classes[t] alone.  A seed adds no
-    node to the tape; the passes are read off the tape's counter.
+    Every per-sample row comes from here.  The root is the (B, C) logits or
+    log-softmax of one batched forward pass; each sample sweeps its own row
+    view of it (`ad.rows`), one reverse sweep per one-hot seed, for every
+    class or for classes[t] alone.  A seed adds no node to the tape; the
+    passes are read off the view's counter.
     """
-    seeds = np.eye(n_classes)[:, None, :]  # seeds[y] is e_y for a (1, C) root
-    for t, r in enumerate(roots):
+    seeds = np.eye(root.data.shape[1])[:, None, :]  # seeds[y] is e_y for a (1, C) row
+    for t, r in enumerate(ad.rows(root, samples)):
         if classes is None:
             rows = [ad.gradient(r, e) for e in seeds]
         else:
@@ -263,16 +270,15 @@ def _sample_sweeps(roots, n_classes: int, classes=None):
 
 
 def loglik_gradients(net: NetworkSpec, theta, x) -> tuple[np.ndarray, np.ndarray]:
-    """(p, G) for one sample: G[y] = d log p(y|x) / d theta, C sweeps of one tape at the log-softmax."""
-    lsm = ad.log_softmax(forward_logits(net, theta, np.asarray(x, dtype=np.float64)[None, :]))
-    ((lsm_x, G, _),) = _sample_sweeps([lsm], net.n_classes)
+    """(p, G) for one sample: G[y] = d log p(y|x) / d theta, C sweeps at the log-softmax."""
+    lsm = ad.log_softmax(forward_logits(net, theta, _finite_inputs(theta, [x])))
+    ((lsm_x, G, _),) = _sample_sweeps(lsm, [0])
     return np.exp(lsm_x), np.array(G)
 
 
 def jacobian_and_logits(net: NetworkSpec, theta, x) -> tuple[np.ndarray, np.ndarray]:
-    """(J, z) for one sample: J[i] = dz_i/dtheta, C sweeps of one tape at the logits."""
-    logits = forward_logits(net, theta, np.asarray(x, dtype=np.float64)[None, :])
-    ((z, J, _),) = _sample_sweeps([logits], net.n_classes)
+    """(J, z) for one sample: J[i] = dz_i/dtheta, C sweeps at the logits."""
+    ((z, J, _),) = _sample_sweeps(forward_logits(net, theta, _finite_inputs(theta, [x])), [0])
     return np.array(J), z
 
 
@@ -284,7 +290,7 @@ def _jacobian_stack(net: NetworkSpec, theta, X) -> tuple[np.ndarray, np.ndarray,
     logits = forward_logits(net, theta, X)
     J = np.empty((X.shape[0], net.n_classes, as_flat(theta).size))
     passes = 0
-    for b, (_, rows, n) in enumerate(_sample_sweeps(ad.rows(logits, range(X.shape[0])), net.n_classes)):
+    for b, (_, rows, n) in enumerate(_sample_sweeps(logits, range(X.shape[0]))):
         J[b] = rows
         passes += n
     return J, logits.data, passes
@@ -298,7 +304,7 @@ def _score_gram(lsm: ad.Value, samples, n_rows: int, dim: int, storage: str, cla
 
     def rows():
         nonlocal passes
-        for lsm_b, G, n in _sample_sweeps(ad.rows(lsm, samples), lsm.data.shape[1], classes):
+        for lsm_b, G, n in _sample_sweeps(lsm, samples, classes):
             passes += n
             if classes is None:
                 yield from zip(np.exp(lsm_b), G)
@@ -312,8 +318,7 @@ def _score_gram(lsm: ad.Value, samples, n_rows: int, dim: int, storage: str, cla
 def exact_fim_definition(net: NetworkSpec, theta, X, storage: str = "dense") -> FimEstimate:
     """Ground truth by the definition: sum_x sum_y p(y|x) g_xy g_xy^T."""
     X = _finite_inputs(theta, X)
-    if net.n_classes < 2:
-        raise ValueError("categorical estimators need at least 2 classes")
+    _check_categorical(net.n_classes)
     _check_dense(storage, net.dim)
     lsm = ad.log_softmax(forward_logits(net, theta, X))
     acc, passes = _score_gram(lsm, range(X.shape[0]), X.shape[0] * net.n_classes, net.dim, storage)
@@ -323,8 +328,7 @@ def exact_fim_definition(net: NetworkSpec, theta, X, storage: str = "dense") -> 
 
 def exact_fim_pullback(net: NetworkSpec, theta, X, storage: str = "dense") -> FimEstimate:
     """Ground truth through the Jacobian: sum_x J^T (diag(p) - p p^T) J."""
-    if net.n_classes < 2:
-        raise ValueError("categorical estimators need at least 2 classes")
+    _check_categorical(net.n_classes)
     _check_dense(storage, net.dim)
     J, z, passes = _jacobian_stack(net, theta, X)
     acc = _core("full", z).gram(J, storage)
@@ -335,6 +339,7 @@ def exact_fim_pullback(net: NetworkSpec, theta, X, storage: str = "dense") -> Fi
 def efim(net: NetworkSpec, theta, X, labels, storage: str = "dense") -> FimEstimate:
     """Empirical FIM at observed labels: sum over (x, y) of g_xy g_xy^T."""
     X = _finite_inputs(theta, X)
+    _check_categorical(net.n_classes)
     labels = _check_labels(labels, X.shape[0], net.n_classes)
     _check_dense(storage, net.dim)
     lsm = ad.log_softmax(forward_logits(net, theta, X))
@@ -365,6 +370,7 @@ def mc_fim(
     X = _finite_inputs(theta, X)
     if X.shape[0] == 0:
         raise ValueError("need at least one row of X to draw from")
+    _check_categorical(net.n_classes)
     _check_dense(storage, net.dim)
     lsm = ad.log_softmax(forward_logits(net, theta, X))
     p = np.exp(lsm.data)
@@ -397,8 +403,8 @@ def _check_probe_args(variant: str, C: int, k: int, weights: str, eigen: str, di
         raise ValueError(f"unknown eigenpair route {eigen!r}; expected 'power' or 'full'")
     if variant not in HUTCH_KINDS:
         raise ValueError(f"unknown variant {variant!r}")
-    if variant != "diag" and C < 2:
-        raise ValueError("categorical estimators need at least 2 classes")
+    if variant != "diag":
+        _check_categorical(C)
     if dist not in PROBE_DISTS:
         raise ValueError(f"unknown probe distribution {dist!r}")
     return _check_rank(k, C) if variant == "lowrank" else k
@@ -626,14 +632,15 @@ def variance_closed_form(
 
 def empirical_probe_variance(
     net: NetworkSpec, theta, X, variant: str, n_trials: int, rng: np.random.Generator,
-    dist: str = "rademacher", k: int = 1, weights: str = "p", eigen: str = "full",
+    dist: str = "rademacher", k: int = 1, weights: str = "p",
 ) -> np.ndarray:
     """Sample variance of the diagonal estimate g * g over n_trials independent
-    probes, all through one forward pass and one core."""
+    probes, all through one forward pass and one core: the exact (eigh)
+    low-rank eigenpairs, as in `variance_closed_form`."""
     n_trials = _check_int(n_trials, "n_trials")
     if n_trials < 2:
         raise ValueError(f"a sample variance needs at least 2 trials, got {n_trials}")
-    _, _, grads = _probe_gradients(net, theta, X, variant, n_trials, None, rng, dist, k, weights, eigen)
+    _, _, grads = _probe_gradients(net, theta, X, variant, n_trials, None, rng, dist, k, weights, "full")
     draws = np.empty((n_trials, as_flat(theta).size))
     for t, g in enumerate(grads):
         np.square(g, out=draws[t])

@@ -206,10 +206,13 @@ def cv_demo(
 
     Each trial draws m inputs and forms (1/4m) sum x^2; the report gives the
     empirical CV over trials next to sqrt((r-1)/m) where r = E(x^4)/E(x^2)^2.
-    Needs nu > 4 or the estimator variance does not exist.
+    The estimator variance needs nu > 4, and the importance check needs
+    nu > 4 + PROPOSAL_NU / 2 = 4.25 (see below); a smaller nu is refused.
     """
-    if nu <= 4:
-        raise ValueError("the fourth moment requires nu > 4")
+    limit = 4.0 + PROPOSAL_NU / 2.0
+    if nu <= limit:
+        raise ValueError(f"nu must exceed {limit:g}: at or below it the importance check under the "
+                         f"Student-t proposal with {PROPOSAL_NU:g} degrees of freedom has infinite variance")
     if m < 1 or trials < 1:
         raise ValueError("need at least one draw and one trial")
     ratio_formula = 3.0 * (nu - 2.0) / (nu - 4.0)
@@ -222,8 +225,9 @@ def cv_demo(
 
     # The naive ratio has infinite estimator variance for nu <= 8, so verify
     # the formula by importance sampling under a much heavier-tailed proposal:
-    # x^8 f(x)^2 / q(x) stays integrable, giving finite-variance estimates of
-    # both moments from the same weighted draws.
+    # x^8 f(x)^2 / q(x) falls like |x|^(7 + PROPOSAL_NU - 2 nu), so it stays
+    # integrable for nu > 4 + PROPOSAL_NU / 2, the limit checked above, giving
+    # finite-variance estimates of both moments from the same weighted draws.
     u = rng.standard_t(PROPOSAL_NU, size=importance_samples)
     w = np.exp(_t_logpdf(u, nu) - _t_logpdf(u, PROPOSAL_NU))
     m4 = float(np.mean(u**4 * w))

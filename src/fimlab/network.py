@@ -10,9 +10,7 @@ Per-sample Jacobians are built from these forwards in `estimators`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -25,11 +23,7 @@ __all__ = [
     "unflatten",
     "init_params",
     "forward_logits",
-    "batch_logits",
     "softmax",
-    "softmax_probs",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 ACTIVATIONS = ("tanh", "relu", "none")
@@ -146,48 +140,7 @@ def forward_logits(net: NetworkSpec, theta, X) -> ad.Value:
     return h
 
 
-def batch_logits(net: NetworkSpec, theta, X) -> np.ndarray:
-    """Forward values only, (B, C)."""
-    return forward_logits(net, theta, X).data
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax along the last axis, max-subtracted for stability."""
     e = np.exp(z - np.max(z, axis=-1, keepdims=True))
     return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def softmax_probs(net: NetworkSpec, theta, X) -> np.ndarray:
-    """Softmax output probabilities, (B, C)."""
-    return softmax(batch_logits(net, theta, X))
-
-
-def save_checkpoint(path, net: NetworkSpec, theta) -> None:
-    """Raw little-endian float64 parameters plus a JSON sidecar at path.json."""
-    path = Path(path)
-    flat = as_flat(theta)
-    if flat.size != net.dim:
-        raise ValueError(f"expected {net.dim} parameters, got {flat.size}")
-    path.write_bytes(flat.astype("<f8").tobytes())
-    sidecar = {
-        "layer_sizes": list(net.layer_sizes),
-        "activation": net.activation,
-        "layout": [[start, stop, list(shape)] for start, stop, shape in net.layout()],
-    }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
-
-
-def load_checkpoint(path) -> tuple[NetworkSpec, np.ndarray]:
-    path = Path(path)
-    sidecar = json.loads(Path(str(path) + ".json").read_text())
-    net = NetworkSpec(
-        layer_sizes=tuple(sidecar["layer_sizes"]),
-        activation=sidecar["activation"],
-    )
-    flat = np.frombuffer(path.read_bytes(), dtype="<f8").astype(np.float64)
-    if flat.size != net.dim:
-        raise ValueError("checkpoint payload does not match the sidecar layout")
-    expected = [[start, stop, list(shape)] for start, stop, shape in net.layout()]
-    if sidecar["layout"] != expected:
-        raise ValueError("checkpoint layout does not match the network spec")
-    return net, flat

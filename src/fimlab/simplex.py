@@ -36,7 +36,6 @@ __all__ = [
     "hypercube_fim",
     "diag_weight_fim",
     "spectrum",
-    "symeig",
     "lambda_max_bracket",
     "top_eigenpair",
     "envelope_errors",
@@ -117,10 +116,6 @@ class OutputFim:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def n_classes(self) -> int:
-        return self.matrix.shape[0]
-
 
 def simplex_matrix(p: np.ndarray) -> np.ndarray:
     """diag(p) - p p^T without validation; a (B, C) stack gives (B, C, C)."""
@@ -161,17 +156,6 @@ def _canonical_sign(V: np.ndarray) -> np.ndarray:
     return np.where(np.take_along_axis(V, i, axis=-2) < 0, -V, V)
 
 
-def symeig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, ascending, canonical signs."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.T), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(m))):
-        raise ValueError("matrix is not symmetric")
-    w, V = np.linalg.eigh((m + m.T) / 2.0)
-    return w, _canonical_sign(V)
-
-
 @dataclass(frozen=True)
 class SpectralDecomp:
     """Ascending eigenvalues with orthonormal eigenvector columns."""
@@ -192,16 +176,17 @@ class SpectralDecomp:
     def top_vector(self) -> np.ndarray:
         return self.eigenvectors[:, -1]
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
-
 
 def spectrum(matrix) -> SpectralDecomp:
-    """Full eigendecomposition of an output FIM (or any symmetric matrix)."""
-    if isinstance(matrix, OutputFim):
-        matrix = matrix.matrix
-    w, V = symeig(matrix)
-    return SpectralDecomp(eigenvalues=w, eigenvectors=V)
+    """Full eigendecomposition of an output FIM (or any symmetric matrix):
+    ascending eigenvalues, eigenvector columns with canonical signs."""
+    m = np.asarray(matrix.matrix if isinstance(matrix, OutputFim) else matrix, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if np.max(np.abs(m - m.T), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(m))):
+        raise ValueError("matrix is not symmetric")
+    w, V = np.linalg.eigh((m + m.T) / 2.0)
+    return SpectralDecomp(eigenvalues=w, eigenvectors=_canonical_sign(V))
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,10 @@ def test_log_softmax_no_overflow():
 
 def test_gather_log_softmax_scalar_oracle():
     tape = ad.Tape()
-    z = ad.constant(tape, np.array([1.0, 2.0, 3.0]))
-    picked = ad.gather(ad.log_softmax(z), 2)
+    z = ad.constant(tape, np.array([[1.0, 2.0, 3.0]]))
+    picked = ad.gather(ad.log_softmax(z), [2])
     expected = 3.0 - math.log(math.e + math.e**2 + math.e**3)
-    assert float(picked.data) == pytest.approx(expected, abs=1e-12)
+    assert float(picked.data[0]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_shape_mismatch_rejected_at_record_time():
@@ -54,16 +54,13 @@ def test_gather_refuses_non_integral_indices():
     for operand, bad, message in (
         (A, [0.7, 1.9], "gather index 0.7 is not an integer"),
         (A, [1.0, np.nan], "gather index nan is not an integer"),
-        (a, 0.7, "gather index 0.7 is not an integer"),
-        (a, np.nan, "gather index nan is not an integer"),
         (A, [0.0, np.inf], "gather index out of range"),  # inf is integral, and out of any range
-        (a, np.inf, "gather index out of range"),
-        (a, [1], "gather on a vector needs one index"),
+        (A, [1], "gather on a matrix needs one index per row"),
+        (a, [1, 2, 0], "gather expects a 2-D operand"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             ad.gather(operand, bad)
     assert np.array_equal(ad.gather(A, [2.0, 0.0]).data, [2.0, 3.0])
-    assert float(ad.gather(a, 2.0).data) == 2.0
 
 
 def test_cross_tape_operands_rejected():
@@ -573,15 +570,12 @@ RULE_CASES = {
     "log_softmax": (((2, 3),), lambda A: ad.wsum(ad.log_softmax(A), _W23)),
     "wsum": (((6,),), lambda a: ad.total(ad.tanh(ad.wsum(ad.mul(a, a), _W6)))),
     "total": (((6,),), lambda a: ad.wsum(ad.tanh(ad.total(ad.mul(a, a))), -2.5)),
-    "gather": (
-        ((2, 3), (3,)),
-        lambda A, a: ad.add(ad.wsum(ad.gather(A, [2, 0]), _W6[:2]), ad.gather(a, 1)),
-    ),
+    "gather": (((2, 3),), lambda A: ad.wsum(ad.gather(A, [2, 0]), _W6[:2])),
 }
 
 # ops whose adjoint is known exactly, as a function of theta
 EXACT_ADJOINTS = {
-    "gather": lambda theta: np.array([0, 0, _W6[0], _W6[1], 0, 0, 0, 1, 0], dtype=np.float64),
+    "gather": lambda theta: np.array([0, 0, _W6[0], _W6[1], 0, 0], dtype=np.float64),
 }
 
 

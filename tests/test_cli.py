@@ -398,6 +398,9 @@ def test_cv_demo_output(capsys):
 
 def test_cv_demo_rejects_nu_at_boundary(capsys):
     assert main(["cv-demo", "--nu", "4.0", "--m", "4"]) == 2
+    # above the fourth-moment boundary, but below the importance check's limit 4.25
+    assert main(["cv-demo", "--nu", "4.2", "--m", "4"]) == 2
+    assert "nu must exceed 4.25" in capsys.readouterr().err
 
 
 def test_hist_rejects_dense_estimate(tmp_path, capsys):

@@ -143,6 +143,10 @@ def test_unknown_format_is_rejected(tmp_path, capsys, header):
      "dense storage needs a square matrix"),
     (b'{"format": 1, "kind": "efim", "storage": "diagonal", "normalization": "avg", "shape": [0], "meta": {}}\n',
      "unknown normalization 'avg'"),
+    (b'{"format": 1, "kind": "efim", "storage": "sparse", "normalization": "sum", "shape": [0], "meta": {}}\n',
+     "unknown storage 'sparse'"),
+    (b'{"format": 1, "kind": "efim", "storage": "diagonal", "normalization": "sum", "shape": [0, 0], "meta": {}}\n',
+     "diagonal storage needs a vector"),
     (b'{"format": 1, "kind": 5, "storage": "diagonal", "normalization": "sum", "shape": [0], "meta": {}}\n',
      "kind 5 is not a string"),
     (b'{"format": 1, "kind": "efim", "storage": "diagonal", "normalization": "sum", "shape": [0], "meta": 5}\n',

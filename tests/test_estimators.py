@@ -10,7 +10,7 @@ from fimlab import autodiff as ad
 from fimlab import estimators as est
 from fimlab.bounds import pullback_bounds, tightness_report
 from fimlab.network import NetworkSpec, flatten, forward_logits, init_params, unflatten
-from fimlab.simplex import simplex_matrix, symeig
+from fimlab.simplex import simplex_matrix, spectrum
 
 from helpers import enumeration_diag_moments, enumeration_mean, random_instance
 
@@ -58,11 +58,13 @@ def test_per_sample_sweeps_push_no_node(monkeypatch, C):
         tapes.append(self)
 
     monkeypatch.setattr(ad.Tape, "__init__", init)
+    # the one-row forward's tape is never swept; its row view gets the C sweeps
     est.jacobian_and_logits(net, theta, x)
-    assert [(len(t.nodes), t.backward_calls) for t in tapes] == [(forward_nodes, C)]
+    assert [(len(t.nodes), t.backward_calls) for t in tapes] == [(forward_nodes, 0), (forward_nodes, C)]
     tapes.clear()
     est.loglik_gradients(net, theta, x)
-    assert [(len(t.nodes), t.backward_calls) for t in tapes] == [(forward_nodes + 1, C)]  # the log-softmax
+    lsm_nodes = forward_nodes + 1  # the log-softmax
+    assert [(len(t.nodes), t.backward_calls) for t in tapes] == [(lsm_nodes, 0), (lsm_nodes, C)]
 
 
 # --- exact oracles ------------------------------------------------------------
@@ -78,6 +80,48 @@ def test_validate_refuses_a_non_finite_entry(storage, bad):
         estimate = est.FimEstimate("efim", storage, values if storage == "dense" else values[at[0]], "sum")
         with pytest.raises(ValueError, match=f"^{storage} estimate has a non-finite entry"):
             estimate.validate()
+
+
+@pytest.mark.parametrize("storage, values, message", [
+    ("diagonal", [1.0, -1e-9, 2.0], "diagonal estimate has a negative entry"),
+    ("dense", [[1.0, 0.5], [0.4, 1.0]], "dense estimate is not symmetric"),
+    ("dense", [[1.0, 2.0], [2.0, 1.0]], "dense estimate is not positive semidefinite"),  # eigenvalue -1
+])
+def test_validate_refuses_a_broken_invariant(storage, values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        est.FimEstimate("efim", storage, values, "sum").validate()
+
+
+def _one_class_entry_points():
+    rng = np.random.default_rng
+    return {
+        "exact_fim_definition": lambda net, theta, X: est.exact_fim_definition(net, theta, X),
+        "exact_fim_pullback": lambda net, theta, X: est.exact_fim_pullback(net, theta, X),
+        "efim": lambda net, theta, X: est.efim(net, theta, X, [0, 0]),
+        "mc_fim": lambda net, theta, X: est.mc_fim(net, theta, X, 2, rng(0)),
+        "hutch": lambda net, theta, X: est.hutchinson_fim(net, theta, X, "full", rng=rng(0)),
+        "hutch_lowrank": lambda net, theta, X: est.hutchinson_fim(net, theta, X, "lowrank", rng=rng(0)),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_one_class_entry_points()))
+def test_one_class_net_is_refused_before_the_forward_pass(monkeypatch, entry):
+    # every score of a lone class is 0, so a categorical estimate would be all zero
+    net, theta, X = random_instance(np.random.default_rng(42), (2, 1), "none", n_samples=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no forward pass may run for a one-class net")
+
+    monkeypatch.setattr(est, "forward_logits", refuse)
+    with pytest.raises(ValueError, match="^categorical estimators need at least 2 classes$"):
+        _one_class_entry_points()[entry](net, theta, X)
+
+
+@pytest.mark.parametrize("weights", ["p", "bernoulli"])
+def test_hutch_diag_accepts_a_one_class_net(weights):
+    net, theta, X = random_instance(np.random.default_rng(42), (2, 1), "none", n_samples=2)
+    estimate = est.hutchinson_fim(net, theta, X, "diag", rng=np.random.default_rng(0), weights=weights)
+    assert estimate.dim == net.dim and np.all(np.isfinite(estimate.values))
 
 
 def test_exact_fim_scalar_model_quarter_x_squared():
@@ -324,6 +368,8 @@ def test_probe_validation():
             est.ProbeVector(np.array([0.5, bad]), "gaussian")
     with pytest.raises(ValueError):
         est.sample_probe((4,), "uniform", np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^unknown probe distribution 'uniform'$"):
+        est.ProbeVector(np.ones(2), "uniform")
 
 
 # --- probe estimators: unbiasedness by enumeration ---------------------------------
@@ -516,9 +562,9 @@ def test_batched_eigh_route_matches_per_sample_eigenpairs(k):
     P = np.random.default_rng(3).dirichlet(np.ones(4), size=6)
     lams, vecs = est._lowrank_eigenpairs(P, k, "full", None)
     for b, p in enumerate(P):
-        w, V = symeig(simplex_matrix(p))
-        assert np.allclose(lams[b], w[-k:], rtol=0, atol=1e-15)
-        assert np.allclose(vecs[b], V[:, -k:].T, rtol=0, atol=1e-15)
+        dec = spectrum(simplex_matrix(p))
+        assert np.allclose(lams[b], dec.eigenvalues[-k:], rtol=0, atol=1e-15)
+        assert np.allclose(vecs[b], dec.eigenvectors[:, -k:].T, rtol=0, atol=1e-15)
 
 
 def test_unknown_eigen_route_is_rejected():
@@ -638,7 +684,7 @@ def test_empirical_variance_needs_two_trials(n_trials):
 
 
 @pytest.mark.parametrize("variant", ["full", "diag", "lowrank", "sqrt"])
-@pytest.mark.parametrize("option", [{"weights": "bogus"}, {"eigen": "bogus"}])
+@pytest.mark.parametrize("option", [{"weights": "bogus"}, {"eigen": "bogus"}, {"dist": "bogus"}])
 def test_unknown_weights_and_eigen_rejected_for_every_variant(variant, option):
     rng = np.random.default_rng(26)
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
@@ -646,7 +692,7 @@ def test_unknown_weights_and_eigen_rejected_for_every_variant(variant, option):
         est.hutchinson_fim(net, theta, X, variant, rng=rng, **option)
     with pytest.raises(ValueError, match="'bogus'"):
         est.hutchinson_gradient(net, theta, X, variant, rng=rng, **option)
-    if "weights" in option:
+    if "eigen" not in option:  # variance_closed_form takes no eigenpair route
         with pytest.raises(ValueError, match="'bogus'"):
             est.variance_closed_form(net, theta, X, variant, **option)
 
@@ -724,6 +770,9 @@ def test_ema_validates_inputs():
     c = est.FimEstimate("mc", "diagonal", np.ones(3), "mean", {})
     with pytest.raises(ValueError):
         est.ema_update(a, c, 0.5)
+    mean = est.FimEstimate("hutch_full", "diagonal", np.ones(3), "mean", {})
+    with pytest.raises(ValueError, match="^cannot blend estimates with different normalization$"):
+        est.ema_update(a, mean, 0.5)
     with pytest.raises(ValueError):
         est.ema_update(a, a, 1.0)
     efim = est.FimEstimate("efim", "diagonal", np.ones(3), "sum", {})
@@ -936,7 +985,7 @@ def test_probe_estimates_run_one_forward_pass_and_one_core(monkeypatch, variant)
     est.hutchinson_fim(net, theta, X, variant, rng=rng, n_probes=5)
     assert calls == once
     calls.update(dict.fromkeys(calls, 0))
-    est.empirical_probe_variance(net, theta, X, variant, n_trials=6, rng=rng, eigen="power")
+    est.empirical_probe_variance(net, theta, X, variant, n_trials=6, rng=rng)
     assert calls == once
 
 
@@ -1143,6 +1192,21 @@ INTEGER_ARGS = {
 }
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("mc_fim.m", "need at least one draw"),
+    ("hutchinson_fim.n_probes", "need at least one probe"),
+])
+def test_a_count_below_one_is_refused_before_any_work(monkeypatch, entry, message):
+    net, theta, X = random_instance(np.random.default_rng(39), (2, 4, 4), "tanh", n_samples=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no forward pass may run before the count is checked")
+
+    monkeypatch.setattr(est, "forward_logits", refuse)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        INTEGER_ARGS[entry](net, theta, X, 0)
+
+
 @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(2.0), "2"])
 @pytest.mark.parametrize("entry", list(INTEGER_ARGS))
 def test_integer_arguments_fail_at_the_boundary(monkeypatch, entry, value):
@@ -1185,6 +1249,8 @@ def _entry_points():
         "exact_fim_pullback": lambda net, theta, X: est.exact_fim_pullback(net, theta, X),
         "efim": lambda net, theta, X: est.efim(net, theta, X, [0, 1]),
         "mc_fim": lambda net, theta, X: est.mc_fim(net, theta, X, 2, rng(0)),
+        "loglik_gradients": lambda net, theta, X: est.loglik_gradients(net, theta, X[1]),
+        "jacobian_and_logits": lambda net, theta, X: est.jacobian_and_logits(net, theta, X[1]),
         "hutchinson_gradient": lambda net, theta, X: est.hutchinson_gradient(net, theta, X, rng=rng(0)),
         "hutchinson_fim": lambda net, theta, X: est.hutchinson_fim(net, theta, X, rng=rng(0)),
         "variance_closed_form": lambda net, theta, X: est.variance_closed_form(net, theta, X),

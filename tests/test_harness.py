@@ -189,6 +189,14 @@ def test_cv_demo_rejects_small_nu():
         cv_demo(4.0, m=4, trials=4, rng=np.random.default_rng(0))
 
 
+def test_cv_demo_refuses_nu_where_the_importance_check_has_infinite_variance():
+    # x^8 f^2 / q falls like |x|^(7 + 0.5 - 2 nu): integrable only above nu = 4 + 0.5 / 2
+    with pytest.raises(ValueError, match="nu must exceed 4.25: .* proposal with 0.5 degrees"):
+        cv_demo(4.25, m=4, trials=4, rng=np.random.default_rng(0))
+    report = cv_demo(4.26, m=4, trials=4, rng=np.random.default_rng(0), importance_samples=10**3)
+    assert report.ratio_formula == pytest.approx(3.0 * 2.26 / 0.26)
+
+
 # --- histograms -----------------------------------------------------------------------
 
 
@@ -318,6 +326,17 @@ def test_training_refuses_labels_that_are_not_integers():
     net = NetworkSpec((1, 2), "none")
     with pytest.raises(ValueError, match="^label 0.7 is not an integer$"):
         train_sgd(net, (np.array([[1.0], [2.0]]), [0.7, 1.0]), steps=1, lr=0.1, seed=0)
+
+
+@pytest.mark.parametrize("task, steps, seed, message", [
+    ((np.array([[1.0], [2.0]]), [0, 1]), -1, 0, "steps must be nonnegative"),
+    ((np.array([[1.0], [2.0]]), [0, 1]), 1, None, "an explicit seed is needed with a raw dataset"),
+    ((np.array([[1.0], [2.0]]), None), 1, 0, "training needs labels"),
+    (SyntheticTask("student_t", n_samples=4, seed=0), 1, None, "training needs labels"),
+])
+def test_training_refuses_what_it_cannot_run(task, steps, seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train_sgd(NetworkSpec((1, 2), "none"), task, steps=steps, lr=0.1, seed=seed)
 
 
 def test_bench_rejects_unknown_estimator():

@@ -6,14 +6,10 @@ from hypothesis import strategies as st
 from fimlab.estimators import jacobian_and_logits
 from fimlab.network import (
     NetworkSpec,
-    batch_logits,
     flatten,
     forward_logits,
     init_params,
-    load_checkpoint,
-    save_checkpoint,
     softmax,
-    softmax_probs,
     unflatten,
 )
 
@@ -32,7 +28,7 @@ def test_spec_validation():
 def test_identity_linear_layer_forward():
     net = NetworkSpec((3, 3), "none")
     theta = flatten(net, [np.eye(3)], [np.zeros(3)])
-    z = batch_logits(net, theta, np.eye(3)[:1])
+    z = forward_logits(net, theta, np.eye(3)[:1]).data
     assert np.array_equal(z[0], [1.0, 0.0, 0.0])
 
 
@@ -40,7 +36,7 @@ def test_scalar_model_forward():
     # one input, one output, no bias contribution: z = theta * x
     net = NetworkSpec((1, 1), "none")
     theta = flatten(net, [np.array([[0.3]])], [np.zeros(1)])
-    z = batch_logits(net, theta, np.array([[2.0]]))
+    z = forward_logits(net, theta, np.array([[2.0]])).data
     assert float(z[0, 0]) == pytest.approx(0.6, abs=1e-15)
 
 
@@ -48,7 +44,7 @@ def test_zero_weights_give_bias():
     net = NetworkSpec((2, 3), "none")
     bias = np.array([0.1, -0.2, 0.3])
     theta = flatten(net, [np.zeros((2, 3))], [bias])
-    z = batch_logits(net, theta, np.random.default_rng(0).normal(size=(4, 2)))
+    z = forward_logits(net, theta, np.random.default_rng(0).normal(size=(4, 2))).data
     assert np.array_equal(z, np.tile(bias, (4, 1)))
 
 
@@ -118,7 +114,7 @@ def test_mlp_jacobian_matches_finite_differences(activation):
         up, down = theta.copy(), theta.copy()
         up[i] += step
         down[i] -= step
-        fd = (batch_logits(net, up, x[None]) - batch_logits(net, down, x[None]))[0] / (2 * step)
+        fd = (forward_logits(net, up, x[None]).data - forward_logits(net, down, x[None]).data)[0] / (2 * step)
         denom = np.maximum(np.abs(J[:, i]), 1e-8)
         assert np.max(np.abs(J[:, i] - fd) / denom) <= 1e-6
 
@@ -128,8 +124,8 @@ def test_batch_forward_equals_stacked_per_sample_bitwise():
     net = NetworkSpec((5, 16, 3), "tanh")
     theta = init_params(net, rng)
     X = rng.normal(size=(32, 5))
-    full = batch_logits(net, theta, X)
-    rows = np.vstack([batch_logits(net, theta, X[i : i + 1]) for i in range(32)])
+    full = forward_logits(net, theta, X).data
+    rows = np.vstack([forward_logits(net, theta, X[i : i + 1]).data for i in range(32)])
     assert np.array_equal(full, rows)
 
 
@@ -145,7 +141,7 @@ def test_softmax_probs_rows_normalized():
     rng = np.random.default_rng(7)
     net = NetworkSpec((2, 4), "none")
     theta = init_params(net, rng)
-    P = softmax_probs(net, theta, rng.normal(size=(6, 2)))
+    P = softmax(forward_logits(net, theta, rng.normal(size=(6, 2))).data)
     assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(P >= 0)
 
@@ -159,14 +155,3 @@ def test_softmax_rows_match_single_vectors_bitwise():
     assert np.all(np.isfinite(P))
     assert np.allclose(P.sum(axis=1), 1.0, atol=1e-15)
 
-
-def test_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(8)
-    net = NetworkSpec((3, 7, 2), "relu")
-    theta = init_params(net, rng)
-    path = tmp_path / "model.f64"
-    save_checkpoint(path, net, theta)
-    net2, theta2 = load_checkpoint(path)
-    assert net2 == net
-    assert np.array_equal(theta2, theta)
-    assert (tmp_path / "model.f64.json").exists()

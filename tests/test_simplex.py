@@ -79,6 +79,27 @@ def test_diag_weight_fim():
         diag_weight_fim([0.1, -0.5])
 
 
+@pytest.mark.parametrize("matrix, kind, message", [
+    (np.ones(3), "diag", r"expected a square matrix, got shape \(3,\)"),
+    (np.eye(2), "gaussian", "unknown kind 'gaussian'"),
+    (np.array([[1.0, 0.5], [0.4, 1.0]]), "hypercube", "matrix is not symmetric"),
+    (np.eye(2), "simplex", "simplex FIM must annihilate the all-ones vector"),
+])
+def test_output_fim_refuses_a_broken_invariant(matrix, kind, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simplex.OutputFim(matrix, kind)
+
+
+@pytest.mark.parametrize("lower, upper, message", [
+    (0.5, 0.4, r"bracket inverted: \[0.5, 0.4\]"),
+    (-0.1, 0.5, r"bracket must lie inside \[0, 1\]"),
+    (0.5, 1.5, r"bracket must lie inside \[0, 1\]"),
+])
+def test_spectrum_bracket_refuses_an_inverted_or_outside_bracket(lower, upper, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simplex.SpectrumBracket(lower, upper)
+
+
 # --- spectrum ----------------------------------------------------------------
 
 
@@ -129,7 +150,7 @@ def test_spectrum_reconstructs_and_is_orthonormal(p):
     V = dec.eigenvectors
     assert np.allclose(V @ V.T, np.eye(4), atol=1e-10)
     M = np.diag(p) - np.outer(p, p)
-    assert np.linalg.norm(dec.reconstruct() - M) <= 1e-10
+    assert np.linalg.norm((V * dec.eigenvalues) @ V.T - M) <= 1e-10
 
 
 @settings(max_examples=60, deadline=None)
