@@ -34,9 +34,12 @@ w^2 R^4).  PROBE_VARIANTS, STORAGES and PROBE_DISTS are the one table of
 each set of names; the CLI and the bench harness accept exactly those.
 
 Every estimate but the pullback is a weighted sum of score outer products,
-sum_i w_i g_i g_i^T = G^T diag(w) G.  The rows g_i stream into a block of at
-most GRAM_BLOCK_FLOATS floats, and each block is added by one Gram product
-G^T diag(w) G (for diagonal storage its diagonal, w . (G * G)).  The
+sum_i w_i g_i g_i^T = G^T diag(w) G (`_gram`).  A sum of one row (one
+probe, one `efim` sample, one Monte Carlo draw) is written once as the
+outer product w g g^T (diagonal: w g*g).  Longer sums stream their rows
+into a block of at most GRAM_BLOCK_FLOATS floats, and each block is added
+by one Gram product G^T diag(w) G (for diagonal storage its diagonal,
+w . (G * G)).  The
 weights are p(y|x) for the definition, 1 for the empirical FIM, 1/m for the
 Monte Carlo estimate and 1/n_probes for the probe average.
 
@@ -218,12 +221,21 @@ def _check_labels(labels, n_samples: int, C: int) -> np.ndarray:
 def _gram(rows, n_rows: int, dim: int, storage: str) -> np.ndarray:
     """sum of w g g^T (dense) or w g*g (diagonal) over the (w, g) pairs of `rows`.
 
-    The rows are copied into a block of min(n_rows, GRAM_BLOCK_FLOATS // dim)
-    rows, and each block is added into one zero-initialised accumulator by a
-    single product: G^T diag(w) G, or w . (G * G) for the diagonal.  A lone
-    block is added too rather than returned: returning the product itself
-    made the large fresh arrays of the call after it measurably slower to fill.
+    One row (one probe, one `efim` sample, one Monte Carlo draw) is its own
+    term, written once: outer(w g, g), or w g*g.  Each entry rounds once, as
+    the blocked sum's product does, so the values are the same bits; only an
+    off-diagonal -0.0 (from a zero coordinate of g) is no longer turned into
+    +0.0 by an add.  More rows are copied into a block of
+    min(n_rows, GRAM_BLOCK_FLOATS // dim) rows, and each block is added into
+    one zero-initialised accumulator by a single product: G^T diag(w) G, or
+    w . (G * G) for the diagonal.  A lone block of several rows is added too
+    rather than returned: returning the product itself made the large fresh
+    arrays of the call after it slower to fill (`pullback_s` 1.27x on the
+    benchmark's dense_2k workload, where `exact_def` sums 5 rows).
     """
+    if n_rows == 1:
+        ((w, g),) = rows  # drains the generator, so its pass counting completes
+        return np.multiply.outer(w * g, g) if storage == "dense" else w * np.square(g)
     acc = np.zeros((dim, dim)) if storage == "dense" else np.zeros(dim)
     size = max(1, min(n_rows, GRAM_BLOCK_FLOATS // dim))
     w = np.empty(size)
@@ -503,9 +515,10 @@ def _probe_gradients(net: NetworkSpec, theta, X, variant: str, n: int, probe: Pr
     gradients; k is the checked rank (an int) for the low-rank variant.
 
     The first probe (or the given one) is taken before the core, whose power
-    route draws from the same rng; later probes are drawn as the generator
-    runs.  Each gradient is one reverse sweep of the one tape, seeded at the
-    logits with M^T (sqrt(w) xi) from the core.
+    route draws from the same rng (so that route needs an rng even with a
+    given probe); later probes are drawn as the generator runs.  Each
+    gradient is one reverse sweep of the one tape, seeded at the logits with
+    M^T (sqrt(w) xi) from the core.
     """
     k = _check_probe_args(variant, net.n_classes, k, weights, eigen, dist)
     X = _finite_inputs(theta, X)
@@ -516,6 +529,9 @@ def _probe_gradients(net: NetworkSpec, theta, X, variant: str, n: int, probe: Pr
         probe = sample_probe(probe_shape, dist, rng)
     if probe.entries.shape != probe_shape:
         raise ValueError(f"probe shape {probe.entries.shape} != expected {probe_shape}")
+    if rng is None and variant == "lowrank" and _eigen_route(eigen, k) == "power":
+        raise ValueError("the k = 1 power route draws its start vectors from rng; "
+                         "pass rng, or eigen='full'")
     logits = forward_logits(net, theta, X)
     core = _core(variant, logits.data, k=k, weights=weights, eigen=eigen, rng=rng)
     sqrt_w = np.sqrt(np.maximum(core.w, 0.0))  # round-off can leave a low-rank eigenvalue at -1e-17

@@ -557,6 +557,22 @@ def test_probe_argument_validation():
         est.hutchinson_fim(net, theta, X, "full")  # no probe, no rng
 
 
+@pytest.mark.parametrize("call", [est.hutchinson_gradient, est.hutchinson_fim])
+def test_lowrank_power_route_without_rng_fails_before_the_forward_pass(monkeypatch, call):
+    rng = np.random.default_rng(43)
+    net, theta, X = random_instance(rng, (2, 4, 3), "tanh", n_samples=2)
+    probe = est.sample_probe((2, 1), "rademacher", rng)
+    call(net, theta, X, "lowrank", probe=probe, eigen="full")  # eigh draws nothing
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no forward pass may run before the rng is checked")
+
+    monkeypatch.setattr(est, "forward_logits", refuse)
+    with pytest.raises(ValueError, match=r"power route draws its start vectors from rng; "
+                                         r"pass rng, or eigen='full'"):
+        call(net, theta, X, "lowrank", probe=probe)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_batched_eigh_route_matches_per_sample_eigenpairs(k):
     P = np.random.default_rng(3).dirichlet(np.ones(4), size=6)
@@ -943,6 +959,50 @@ def test_single_probe_estimate_is_bitwise_the_outer_product(variant):
         got = est.hutchinson_fim(net, theta, X, variant, probe=probe,
                                  rng=np.random.default_rng(1), storage=storage)
         assert np.array_equal(got.values, want)
+
+
+def _one_row_estimate(kind, net, theta, X, storage):
+    """The estimate of `kind` that sums one row: efim on X[:1], one Monte Carlo draw, one probe."""
+    if kind == "efim":
+        return est.efim(net, theta, X[:1], [2], storage)
+    if kind == "mc":
+        return est.mc_fim(net, theta, X, 1, np.random.default_rng(5), storage)
+    return est.hutchinson_fim(net, theta, X, GRAM_PROBES_BY_KIND[kind], rng=np.random.default_rng(5),
+                              n_probes=1, storage=storage)
+
+
+@pytest.mark.parametrize("act", ["tanh", "relu"])
+@pytest.mark.parametrize("kind", ("efim", "mc", *GRAM_PROBES_BY_KIND))
+def test_one_row_estimates_are_bitwise_the_blocked_sum(kind, act):
+    # a one-row estimate skips the accumulator; the blocked sum's zeros + K = 1 product
+    # + add rounds each entry once too, so the bits are the same
+    rng = np.random.default_rng(41)
+    net, theta, X = random_instance(rng, (3, 6, 4), act, n_samples=3)
+    # the first draw or probe is the one a one-row estimate takes, at weight 1
+    g = _reference_terms(kind, net, theta, X[:1] if kind == "efim" else X, [2], seed=5)[0][1]
+    G, w = g[None, :], np.ones(1)
+    for storage, want in (("dense", np.zeros((net.dim, net.dim)) + np.dot(G.T * w, G)),
+                          ("diagonal", np.zeros(net.dim) + np.dot(w, np.square(G)))):
+        got = _one_row_estimate(kind, net, theta, X, storage)
+        assert got.meta["backward_passes"] == 1
+        assert np.array_equal(got.values, want)
+
+
+@pytest.mark.parametrize("kind", ["efim", "mc", "hutch"])
+def test_one_row_dense_estimate_holds_one_dim_by_dim_array(kind):
+    import tracemalloc
+
+    rng = np.random.default_rng(42)
+    net, theta, X = random_instance(rng, (20, 40, 5), "tanh", n_samples=4)
+    assert net.dim >= 1000
+    tracemalloc.start()
+    try:
+        result = _one_row_estimate(kind, net, theta, X, "dense")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.values.shape == (net.dim, net.dim)
+    assert peak < 1.2 * 8 * net.dim**2
 
 
 def test_monte_carlo_never_holds_a_stack_of_all_draws():
