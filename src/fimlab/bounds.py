@@ -12,18 +12,23 @@ exhaustive search.
 
 Everything starts from one stacked pass: the per-sample Jacobians
 J (B, C, dim) and the cores diag(p) - p p^T, eigendecomposed in one batched
-call.  The certificates stay in the core space.  A gap sum_x J_x^T A_x J_x
-equals Q (R A R^T) Q^T for the reduced QR factorization J^T = Q R of the
-stacked Jacobian, so its Frobenius and spectral norms are those of
-R A R^T, at most min(dim, B C) square, and come exactly from eigvalsh.
+call.  The certificates stay in the core space, where they need only the
+cores and K = J J^T, the (B C x B C) Gram of the stacked Jacobian (the
+network's empirical neural tangent kernel).  A gap sum_x J_x^T A_x J_x
+shares its nonzero eigenvalues with S A S^T for any S with S^T S = K, so
+its Frobenius and spectral norms are those of S A S^T, and come exactly
+from eigvalsh.  S has min(dim, B C) rows: it is J^T where dim <= B C, and
+otherwise is read off one eigh of K.
 Each label's error at one sample is such a norm too, of
-R_x (core_x - r r^T) R_x^T with r = e_y - p.  For B samples of C classes,
-from B C^4 >= _SECULAR_MIN_WORK on, these C norms per sample come from one
-eigh of R_x core_x R_x^T and the outer roots of one secular equation per
-label (simplex._secular_extremes), iterated to rounding by a convergence
-test; below it, from one eigvalsh per (sample, label).  The Loewner margin
-that checks a sandwich is exact too: one eigvalsh of the symmetrised
-difference.
+R_x (core_x - r r^T) R_x^T with r = e_y - p and R_x^T R_x = J_x J_x^T, the
+transposed Cholesky factor of the sample's C x C Gram block; that block is
+at least the identity, the Gram of the last bias, so the factor exists.
+For B samples of C classes, from B C^4 >= _SECULAR_MIN_WORK on, these C
+norms per sample come from one eigh of R_x core_x R_x^T and the outer roots
+of one secular equation per label (simplex._secular_extremes), iterated to
+rounding by a convergence test; below it, from one eigvalsh per (sample,
+label).  The Loewner margin that checks a sandwich is exact too: one
+eigvalsh of the symmetrised difference.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import DENSE_DIM_CAP, _check_labels, _check_rank, _core, _jacobian_stack
+from .estimators import DENSE_DIM_CAP, _check_categorical, _check_labels, _check_rank, _core, _jacobian_stack
 from .network import NetworkSpec, softmax
 from .simplex import _secular_extremes, simplex_matrix
 
@@ -88,6 +93,7 @@ def pullback_bounds(net: NetworkSpec, theta, X, k: int) -> BoundPair:
     cores.  The lower bound has rank at most k * n_samples and equals the
     FIM at k = C-1 because the remaining eigenvalue is zero.
     """
+    _check_categorical(net.n_classes)
     k = _check_rank(k, net.n_classes)
     J, z, _ = _jacobian_stack(net, theta, X)
     lower = _core("lowrank", z, k=k).gram(J, "dense")
@@ -105,6 +111,7 @@ class TraceBounds(NamedTuple):
 def trace_bounds(net: NetworkSpec, theta, X) -> TraceBounds:
     """Trace chain: sum lam_max sigma_min^2 <= von Neumann pairing <= tr F
     <= sum_y p_y |dz_y/dtheta|^2, summed over samples."""
+    _check_categorical(net.n_classes)
     return _trace_chain(_core_space(net, theta, X))
 
 
@@ -180,8 +187,15 @@ def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> Tig
     lowest label): every label's error, exact to rounding,
     from one batched eigh per sample and a secular solve per label at
     B C^4 >= _SECULAR_MIN_WORK, from one eigvalsh per label below.
+
+    The norms come from the Gram K = J J^T of the stacked Jacobian: the
+    three gaps of the sums from a root S of K with min(dim, B C) rows (J^T
+    itself where dim <= B C, else from one gemm and one eigh of K), each
+    sample's label errors from the Cholesky factor of its Gram block.  No
+    QR, and no matrix factored larger than min(dim, B C) square.
     """
     C = net.n_classes
+    _check_categorical(C)
     k = _check_rank(k, C)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     B = X.shape[0]
@@ -204,18 +218,18 @@ def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> Tig
 
     # gaps of the sums: upper - F pulls back p p^T, F - lower the bottom C-k
     # eigenpairs, F - efim the core minus r r^T with r = e_y - p
-    R = np.linalg.qr(s.J.reshape(B * C, s.J.shape[2]).T, mode="r")
+    S = _gram_root(s.J)
     bottom = s.V[:, :, : C - k]
     bottom_part = (bottom * s.lam[:, None, : C - k]) @ bottom.swapaxes(1, 2)
-    upper_gap = np.linalg.norm(_core_gap(R, s.p[:, :, None] * s.p[:, None, :]))
-    lower_gap = np.linalg.norm(_core_gap(R, bottom_part))
+    upper_gap = np.linalg.norm(_core_gap(S, s.p[:, :, None] * s.p[:, None, :]))
+    lower_gap = np.linalg.norm(_core_gap(S, bottom_part))
     residuals = np.eye(C) - s.p[:, None, :]  # (B, y, C): row y is e_y - p
     efim_gap = None
     if labels is not None:
         r = residuals[np.arange(B), labels]
-        efim_gap = _spectral(_core_gap(R, s.core - r[:, :, None] * r[:, None, :]))
-    # per sample, J_x^T = Q (R's block x) = Q Q_x R_x, with R_x from one small QR
-    errs = _label_errors(np.linalg.qr(R.reshape(-1, B, C).swapaxes(0, 1), mode="r"), s.core, residuals)
+        efim_gap = _spectral(_core_gap(S, s.core - r[:, :, None] * r[:, None, :]))
+    # per sample, R_x = L_x^T for the Cholesky factor L_x of J_x J_x^T >= I
+    errs = _label_errors(np.linalg.cholesky(s.gram).swapaxes(1, 2), s.core, residuals)
     top = np.max(errs, axis=1)
     worst = np.argmax(top[:, None] - errs <= _LABEL_TIE_RTOL * top[:, None], axis=1)
 
@@ -242,11 +256,26 @@ def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> Tig
     )
 
 
-def _core_gap(R: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """R A R^T for the block-diagonal A with (C, C) blocks A[b]; R is (r, B*C)."""
+def _gram_root(J: np.ndarray) -> np.ndarray:
+    """S (r, B*C) with S^T S = K = J J^T for the stacked (B, C, dim) J, r = min(dim, B*C).
+
+    Where dim <= B*C, J^T itself.  Otherwise S = sqrt(e) U^T from one eigh
+    K = U diag(e) U^T, with the eigenvalues that rounding put below zero
+    (K is singular when two samples share a Jacobian) counted as zero.  An
+    eigh of the B*C square K would cost (B*C)^3 where J^T costs nothing.
+    """
+    flat = J.reshape(-1, J.shape[2])
+    if flat.shape[1] <= flat.shape[0]:
+        return flat.T
+    e, U = np.linalg.eigh(flat @ flat.T)
+    return np.sqrt(np.maximum(e, 0.0))[:, None] * U.T
+
+
+def _core_gap(S: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """S A S^T for the block-diagonal A with (C, C) blocks A[b]; S is (r, B*C)."""
     B, C, _ = A.shape
-    RA = R.reshape(R.shape[0], B, C).swapaxes(0, 1) @ A  # (B, r, C)
-    return RA.swapaxes(0, 1).reshape(R.shape) @ R.T
+    SA = S.reshape(S.shape[0], B, C).swapaxes(0, 1) @ A  # (B, r, C)
+    return SA.swapaxes(0, 1).reshape(S.shape) @ S.T
 
 
 # The adversarial label is the lowest within this relative distance of its sample's largest

@@ -6,6 +6,7 @@ Subcommands:
   estimate    run a configured estimator and serialize the result
   bench       RelMAE and backward passes of the configured estimators (CSV)
   variance    closed-form probe variance vs an empirical check (JSON)
+  bounds      tightness certificates and Loewner margins of the bounds (JSON)
   cv-demo     heavy-tailed Monte Carlo pathology report
   hist        log-axis histogram of a serialized diagonal estimate (CSV)
   inspect     print the header of a serialized estimate (JSON)
@@ -13,8 +14,9 @@ Subcommands:
 Configs are flat key=value text files ('#' starts a comment); unknown keys
 and bad values are rejected.  The FIMLAB_SEED environment variable overrides
 the config seed.  All outputs are reproducible from (config, seed).
-estimate, bench and variance refuse an --out that is a directory or lies in
-a missing directory before they compute anything, and estimate an empty one.
+estimate, bench, variance and bounds refuse an --out that is a directory or
+lies in a missing directory before they compute anything, and estimate an
+empty one.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import bounds as bd
 from . import estimators as est
 from . import harness as hz
 from . import simplex as sx
@@ -128,7 +131,7 @@ def parse_config(path) -> dict:
 def _check_out(path, stdout: bool = True) -> None:
     """Refuse an --out that cannot be written before any work is done: a
     directory, or a file in a directory that does not exist.  An empty one
-    means stdout where the command offers it (bench and variance)."""
+    means stdout where the command offers it (bench, variance and bounds)."""
     if not path:
         if stdout:
             return
@@ -267,6 +270,24 @@ def cmd_variance(args) -> int:
     return 0
 
 
+def cmd_bounds(args) -> int:
+    cfg = parse_config(args.config)
+    _check_out(args.out)
+    X, labels, net, theta = _build_instance(cfg)
+    payload = json.loads(bd.tightness_report(net, theta, X, k=cfg["k"], labels=labels).to_json())
+    if net.dim <= est.DENSE_DIM_CAP:  # the margins need the dim x dim matrices
+        pair = bd.pullback_bounds(net, theta, X, cfg["k"])
+        fim = est.exact_fim_pullback(net, theta, X).values
+        payload["lower_margin"] = bd.loewner_margin(pair.lower, fim)
+        payload["upper_margin"] = bd.loewner_margin(fim, pair.upper)
+    text = json.dumps(payload, indent=2)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    else:
+        print(text)
+    return 0
+
+
 def cmd_cv_demo(args) -> int:
     report = hz.cv_demo(args.nu, args.m, args.trials, np.random.default_rng(args.seed))
     print(f"nu = {_fmt(report.nu)}, m = {report.m}, trials = {report.trials}")
@@ -322,6 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", default="rademacher", choices=est.PROBE_DISTS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_variance)
+
+    p = sub.add_parser("bounds", help="tightness certificates and Loewner margins (JSON)")
+    p.add_argument("--config", required=True)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("cv-demo", help="heavy-tailed Monte Carlo pathology report")
     p.add_argument("--nu", type=float, required=True)

@@ -3,10 +3,11 @@
     PYTHONPATH=src python tests/golden/write.py            # rewrite the files here
     PYTHONPATH=src python tests/golden/write.py --check    # compare, write nothing
 
-For each config in this directory (`dense.cfg`, `diagonal.cfg`) the golden
-set holds the `fimlab estimate` file of every estimator kind, the `fimlab
-variance` JSON of the full, diag and lowrank variants and the `fimlab bench`
-CSV.  `--check`
+For each config in CONFIGS (`dense.cfg`, `diagonal.cfg`) the golden set
+holds the `fimlab estimate` file of every estimator kind, the `fimlab
+variance` JSON of the full, diag and lowrank variants, the `fimlab bench`
+CSV and the `fimlab bounds` JSON; for each config in BOUNDS_ONLY
+(`secular.cfg`) it holds the `fimlab bounds` JSON alone.  `--check`
 prints, per output, whether a fresh run is byte-identical and its largest
 payload difference relative to the golden's largest entry, and exits 1 when
 any difference exceeds RTOL, the limit tests/test_golden.py holds them to,
@@ -35,9 +36,15 @@ from fimlab import estimators as est
 
 HERE = Path(__file__).resolve().parent
 CONFIGS = ("dense", "diagonal")
+# B C^4 at or above bounds._SECULAR_MIN_WORK and B C < dim: its per-label errors take the
+# secular route and its gaps the eigh root of K = J J^T, which neither config above reaches
+BOUNDS_ONLY = ("secular",)
 VARIANCE_VARIANTS = tuple(est.PROBE_VARIANTS.values())
 # variance JSON keys computed from the instance; the others are compared exactly
 VARIANCE_PAYLOAD = ("fim_diag", "var_closed", "var_empirical", "max_cv")
+# bounds JSON keys compared exactly; all others are payload, measured against the file's
+# largest entry, since a margin or a gap that is zero in exact arithmetic holds round-off
+BOUNDS_EXACT = ("k", "adversarial_labels")
 RTOL = 1e-13  # payloads, relative to the golden's largest entry; headers must be equal
 
 
@@ -51,6 +58,8 @@ def commands() -> dict[str, list[str]]:
         for variant in VARIANCE_VARIANTS:
             out[f"{config}.variance.{variant}.json"] = ["variance", "--config", path, "--variant", variant]
         out[f"{config}.bench.csv"] = ["bench", "--config", path]
+    for config in (*CONFIGS, *BOUNDS_ONLY):
+        out[f"{config}.bounds.json"] = ["bounds", "--config", str(HERE / f"{config}.cfg")]
     return out
 
 
@@ -88,8 +97,9 @@ def compare(fresh: Path, golden: Path) -> tuple[bool, float]:
     """(byte-identical, largest payload difference relative to golden's largest entry).
 
     Raises ValueError when the headers differ: an estimate file's header
-    line, a variance JSON's keys outside VARIANCE_PAYLOAD, or a bench CSV's
-    column names, estimator names or backward passes.
+    line, a variance JSON's keys outside VARIANCE_PAYLOAD, a bounds JSON's
+    keys or its BOUNDS_EXACT values, or a bench CSV's column names,
+    estimator names or backward passes.
     """
     identical = fresh.read_bytes() == golden.read_bytes()
     if golden.suffix == ".csv":
@@ -103,13 +113,17 @@ def compare(fresh: Path, golden: Path) -> tuple[bool, float]:
             raise ValueError(f"{fresh.name}: header {est.read_header(fresh)} != golden {est.read_header(golden)}")
         return identical, _relative(est.load_estimate(fresh).values, est.load_estimate(golden).values)
     new, old = json.loads(fresh.read_text()), json.loads(golden.read_text())
-    heads = [{key: value for key, value in d.items() if key not in VARIANCE_PAYLOAD} for d in (new, old)]
+    bounds = golden.name.endswith(".bounds.json")
+    payload = [key for key in old if key not in BOUNDS_EXACT] if bounds else VARIANCE_PAYLOAD
+    heads = [{key: value for key, value in d.items() if key not in payload} for d in (new, old)]
     if heads[0] != heads[1] or set(new) != set(old):
         raise ValueError(f"{fresh.name}: header {heads[0]} != golden {heads[1]}")
-    if any((new[key] is None) != (old[key] is None) for key in VARIANCE_PAYLOAD):
+    if any((new[key] is None) != (old[key] is None) for key in payload):
         raise ValueError(f"{fresh.name}: a payload key is null on one side only")
-    drift = [_relative(new[key], old[key]) for key in VARIANCE_PAYLOAD if old[key] is not None]
-    return identical, max(drift, default=0.0)
+    present = [key for key in payload if old[key] is not None]
+    if bounds:
+        return identical, _relative(*(np.concatenate([np.ravel(d[key]) for key in present]) for d in (new, old)))
+    return identical, max((_relative(new[key], old[key]) for key in present), default=0.0)
 
 
 def main() -> int:

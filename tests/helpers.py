@@ -5,8 +5,8 @@ import itertools
 
 import numpy as np
 
-from fimlab.estimators import ProbeVector, hutchinson_fim
-from fimlab.network import NetworkSpec, init_params
+from fimlab.estimators import ProbeVector, hutchinson_fim, jacobian_and_logits
+from fimlab.network import NetworkSpec, init_params, softmax
 
 
 def charpoly_eigs(M: np.ndarray) -> np.ndarray:
@@ -64,3 +64,61 @@ def enumeration_diag_moments(net, theta, X, variant, **kwargs):
         draws.append(est.values)
     draws = np.array(draws)
     return draws.mean(axis=0), draws.var(axis=0)  # population variance: probes equiprobable
+
+
+def qr_tightness_report(net, theta, X, k, labels):
+    """Every TightnessReport field, by the QR route and per-sample Jacobians.
+
+    The gaps of the sums are norms of R A R^T for the reduced QR factorization
+    J^T = Q R of the stacked Jacobian; each sample's R_x comes from a QR of
+    its column block of R, so R_x^T R_x = J_x J_x^T; every label's error is one
+    eigvalsh of R_x (core_x - r r^T) R_x^T with r = e_y - p.
+    """
+    X = np.atleast_2d(X)
+    B, C = X.shape[0], net.n_classes
+    J, z = (np.stack(parts) for parts in zip(*(jacobian_and_logits(net, theta, x) for x in X)))
+    p = softmax(z)
+    core = np.stack([np.diag(row) - np.outer(row, row) for row in p])
+    lam, V = np.linalg.eigh(core)
+    gram = J @ J.swapaxes(1, 2)
+    sigma2 = np.maximum(np.linalg.eigvalsh(gram), 0.0)
+    blocks = np.linalg.qr(J.reshape(B * C, -1).T, mode="r").reshape(-1, B, C)
+
+    def gap(A):  # R diag(A_1, ..., A_B) R^T
+        return sum(blocks[:, b] @ A[b] @ blocks[:, b].T for b in range(B))
+
+    def spectral(M):
+        return np.max(np.abs(np.linalg.eigvalsh(M)))
+
+    residuals = np.eye(C) - p[:, None, :]  # (B, y, C): row y is e_y - p
+    errs = np.empty((B, C))
+    for b in range(B):
+        Rx = np.linalg.qr(blocks[:, b], mode="r")
+        errs[b] = [spectral(Rx @ (core[b] - np.outer(r, r)) @ Rx.T) for r in residuals[b]]
+    top = errs.max(axis=1)
+    sq = np.sum(p * p, axis=1)
+    q = np.sort(p, axis=1)
+    j = np.arange(1, C - k)
+    bottom = V[:, :, : C - k]
+    omega = np.einsum("bc,bcd->bd", p, J)
+    r = residuals[np.arange(B), labels]
+    return dict(
+        k=k,
+        upper_gap_lhs=np.sqrt(np.sum(np.sum(omega * omega, axis=1) ** 2)),
+        upper_gap=np.linalg.norm(gap(p[:, :, None] * p[:, None, :])),
+        upper_gap_rhs=sq @ sigma2[:, -1],
+        lower_gap=np.linalg.norm(gap((bottom * lam[:, None, : C - k]) @ bottom.swapaxes(1, 2))),
+        lower_gap_rhs=np.sum(np.sqrt(np.sum(sigma2[:, j + k] ** 2 * q[:, j] ** 2, axis=1))),
+        lower_gap_rhs_relaxed=np.sum(np.sqrt(np.sum(q[:, j] ** 2, axis=1)) * sigma2[:, -1]),
+        trace_lower=lam[:, -1] @ sigma2[:, 0],
+        trace_mid=np.sum(lam[:, 1:] * sigma2[:, ::-1][:, 1:]),
+        trace_value=np.sum(core * gram),
+        trace_upper=np.sum(p * np.diagonal(gram, axis1=1, axis2=2)),
+        efim_gap=spectral(gap(core - r[:, :, None] * r[:, None, :])),
+        efim_gap_bound=np.sum((1.0 + sq) * sigma2[:, -1]),
+        adversarial_errors=top,
+        adversarial_floors=sigma2[:, 0] * np.abs(1.0 + sq - lam[:, -1] - 2.0 * q[:, 0]),
+        adversarial_labels=tuple(int(np.flatnonzero(top[b] - errs[b] <= 1e-12 * top[b])[0]) for b in range(B)),
+        per_label_errors=errs,
+        per_sample_efim_bounds=(1.0 + sq) * sigma2[:, -1],
+    )

@@ -15,7 +15,7 @@ from fimlab.bounds import (
 from fimlab.harness import SyntheticTask, gen_task
 from fimlab.network import NetworkSpec, flatten, init_params, softmax
 
-from helpers import random_instance
+from helpers import qr_tightness_report, random_instance
 
 
 def exact(net, theta, X):
@@ -80,6 +80,23 @@ def test_lower_bound_monotone_in_k():
             if previous is not None:
                 assert loewner_margin(previous, bp.lower) >= -1e-10
             previous = bp.lower
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda net, theta, X: pullback_bounds(net, theta, X, k=1), id="pullback_bounds"),
+    pytest.param(trace_bounds, id="trace_bounds"),
+    pytest.param(lambda net, theta, X: tightness_report(net, theta, X, k=1), id="tightness_report"),
+])
+def test_one_class_net_is_refused_before_any_sweep(monkeypatch, call):
+    # trace_bounds returned TraceBounds(0, 0, 0, 10.2) on a 3-4-1 net, and the other two
+    # refused with "rank parameter must be in [1, 0], got 1"
+    def refuse(*args, **kwargs):
+        raise AssertionError("no sweep may start on a one-class net")
+
+    monkeypatch.setattr(bounds, "_jacobian_stack", refuse)
+    net, theta, X = random_instance(np.random.default_rng(5), (3, 4, 1), "tanh", n_samples=2)
+    with pytest.raises(ValueError, match="^categorical estimators need at least 2 classes$"):
+        call(net, theta, X)
 
 
 def test_rank_parameter_validated():
@@ -303,6 +320,34 @@ def test_report_norms_equal_dense_matrix_norms(layers, act, n_samples, theta_sca
         assert rep.adversarial_errors == tuple(np.max(got, axis=1))
 
 
+@pytest.mark.parametrize("layers, act, n_samples, repeat, route", [
+    pytest.param((2, 3, 4), "tanh", 8, False, None, id="BC-above-dim"),  # B C = 32 > dim = 25
+    pytest.param((3, 5, 4), "tanh", 6, True, None, id="repeated-sample"),  # rank K <= 20 < B C = 24 < dim
+    pytest.param((3, 6, 5), "relu", 4, False, None, id="relu"),
+    pytest.param((3, 8, 50), "tanh", 2, False, "stack", id="C50-stack"),
+    pytest.param((3, 8, 50), "tanh", 2, False, "secular", id="C50-secular"),
+])
+def test_report_matches_the_qr_reference(monkeypatch, layers, act, n_samples, repeat, route):
+    rng = np.random.default_rng(24)
+    net, theta, X = random_instance(rng, layers, act, n_samples=n_samples)
+    theta = 2.0 * theta
+    if repeat:
+        X[3] = X[1]
+    C = net.n_classes
+    work = n_samples * C**4  # B C^4
+    if route is not None:
+        monkeypatch.setattr(bounds, "_SECULAR_MIN_WORK", work if route == "secular" else work + 1)
+    labels = rng.integers(C, size=n_samples)
+    for k in sorted({1, C - 2}):
+        rep = tightness_report(net, theta, X, k=k, labels=labels)
+        want = qr_tightness_report(net, theta, X, k, labels)
+        assert rep.adversarial_labels == want.pop("adversarial_labels")
+        assert rep.k == want.pop("k")
+        scale = want["upper_gap_rhs"]
+        for key, value in want.items():
+            assert np.allclose(getattr(rep, key), value, rtol=1e-12, atol=1e-12 * scale), key
+
+
 def _lowest_worst_labels(errs):
     """Per sample, the lowest label whose error is within 1e-12 (relative) of the largest."""
     return tuple(min(y for y, e in enumerate(row) if max(row) - e <= 1e-12 * max(row)) for row in errs)
@@ -358,7 +403,8 @@ def test_label_error_route_follows_samples_and_classes(monkeypatch, C, secular):
 
 def test_label_errors_form_no_matrix_per_label(monkeypatch):
     # at C = 50 the eigensolvers get a few C x C matrices per sample (the core, the
-    # Jacobian Gram, A_x = R_x core R_x^T, at B = 1 the efim gap's), not one per label
+    # Jacobian Gram, A_x = R_x core R_x^T, at B = 1 the efim gap's), not one per label;
+    # at B = 1 the stacked Gram K = J J^T is C x C too, and its one eigh adds one call
     C = 50
     received = []
     for name in ("eigvalsh", "eigh"):
@@ -375,7 +421,7 @@ def test_label_errors_form_no_matrix_per_label(monkeypatch):
         net, theta, X = random_instance(rng, (3, 8, C), "tanh", n_samples=B)
         received.clear()
         tightness_report(net, theta, X, k=1, labels=np.zeros(B, dtype=int))
-        assert 0 < sum(received) <= 4 * B
+        assert 0 < sum(received) <= 4 * B + 1
 
 
 def test_report_serializes_to_json():

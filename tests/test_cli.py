@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fimlab import bounds as bd
 from fimlab import estimators as est
 from fimlab import harness as hz
-from fimlab.cli import CONFIG, ESTIMATOR_KINDS, main, parse_config
+from fimlab.cli import CONFIG, ESTIMATOR_KINDS, _build_instance, main, parse_config
 
 
 def write_config(path, **overrides):
@@ -314,6 +315,7 @@ def test_os_errors_exit_2_with_a_message(tmp_path, capsys, argv):
     (["estimate", "--estimator", "exact"], (est, "exact_fim_definition")),
     (["bench"], (hz, "run_bench")),
     (["variance"], (est, "variance_closed_form")),
+    (["bounds"], (bd, "tightness_report")),
 ])
 def test_unusable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, argv, worker, out, message):
     cfg = write_config(tmp_path / "c.cfg", n_samples=8, batch_size=4, n_batches=2)
@@ -387,6 +389,37 @@ def test_variance_rejects_a_variant_without_closed_form(tmp_path):
     with pytest.raises(SystemExit) as exit_info:
         main(["variance", "--config", str(cfg), "--variant", "sqrt"])
     assert exit_info.value.code == 2
+
+
+def test_bounds_json(tmp_path):
+    cfg = write_config(tmp_path / "c.cfg", **{**SMALL, "k": 2})
+    out = tmp_path / "bounds.json"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    X, labels, net, theta = _build_instance(parse_config(cfg))
+    report = json.loads(bd.tightness_report(net, theta, X, k=2, labels=labels).to_json())
+    margins = {key: payload.pop(key) for key in ("lower_margin", "upper_margin")}
+    assert payload == report
+    assert payload["efim_gap"] is not None  # the config's labels were passed
+    fim = est.exact_fim_pullback(net, theta, X).values
+    pair = bd.pullback_bounds(net, theta, X, 2)
+    assert margins == {"lower_margin": bd.loewner_margin(pair.lower, fim),
+                       "upper_margin": bd.loewner_margin(fim, pair.upper)}
+    for margin in margins.values():  # at k = C - 1 the lower side is an equality: its margin is round-off
+        assert margin >= -1e-12 * np.max(np.abs(fim))
+
+
+def test_bounds_writes_no_margin_above_the_dense_cap(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "c.cfg", **SMALL)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no dim x dim matrix above the cap")
+
+    monkeypatch.setattr(est, "DENSE_DIM_CAP", 8)  # SMALL's net has dim 9
+    monkeypatch.setattr(bd, "pullback_bounds", refuse)
+    assert main(["bounds", "--config", str(cfg)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == set(bd.TightnessReport.__dataclass_fields__)
 
 
 def test_cv_demo_output(capsys):

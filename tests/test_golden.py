@@ -1,10 +1,12 @@
-"""Golden outputs: every `fimlab estimate` kind and the `fimlab variance` JSON
-on two fixed configs, against the files in tests/golden/ (written by
-tests/golden/write.py); no file there may lack a command."""
+"""Golden outputs: every `fimlab estimate` kind, the `fimlab variance` JSON and
+the `fimlab bounds` JSON on fixed configs, against the files in tests/golden/
+(written by tests/golden/write.py); no file there may lack a command."""
 
 import pytest
 
-from golden.write import HERE, RTOL, commands, compare, orphans, write
+from fimlab import bounds
+from fimlab.cli import _build_instance, parse_config
+from golden.write import BOUNDS_ONLY, CONFIGS, HERE, RTOL, commands, compare, orphans, write
 
 
 @pytest.fixture(scope="module")
@@ -27,3 +29,16 @@ def test_output_matches_its_golden_file(name, fresh, record_property):
 def test_every_golden_file_is_written_by_a_command():
     # a file whose command is gone would sit in tests/golden/ unread
     assert orphans() == []
+
+
+def test_bounds_goldens_cover_both_routes():
+    # B C^4 picks the per-label route, and B C against dim the root of K = J J^T (J^T
+    # itself, or from an eigh of K); configs on each side keep every route under a golden
+    def routes(config):
+        cfg = parse_config(HERE / f"{config}.cfg")
+        X, _, net, _ = _build_instance(cfg)
+        B, C = X.shape[0], net.n_classes
+        return B * C**4 >= bounds._SECULAR_MIN_WORK, B * C < net.dim
+
+    assert all(routes(config) == (False, False) for config in CONFIGS)
+    assert all(routes(config) == (True, True) for config in BOUNDS_ONLY)
