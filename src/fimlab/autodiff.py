@@ -3,9 +3,10 @@
 A Tape records primitive operations append-only; each node stores its op
 name, parent indices and the cached forward value, so a tape can be replayed
 bit-exactly.  backward() seeds any node with an adjoint of its shape (a
-scalar root with 1 by default) and runs a single reverse sweep, accumulating
-adjoints into parameter leaves; the result is the gradient of
-sum(adjoint * root).  Seeding a one-hot row of the logits or log-softmax
+scalar root with 1 by default) and runs a single reverse sweep that writes
+each parameter leaf's adjoint into its slice of one flat vector, in creation
+order; it returns that vector, the gradient of sum(adjoint * root), and so
+does gradient().  Seeding a one-hot row of the logits or log-softmax
 gives one Jacobian row without pushing a node onto the tape.  Constants never
 receive gradient: each node records, when it is pushed, whether it reaches a
 parameter leaf, and the sweep forms no adjoint for an operand that does not
@@ -104,10 +105,6 @@ class Tape:
         reaches = op == "param" or any(self.nodes[j].reaches_param for j in parents)
         self.nodes.append(_Node(op, parents, value, ctx, reaches))
         return Value(self, len(self.nodes) - 1)
-
-    def param_ids(self) -> list[int]:
-        """Node ids of the parameter leaves, in creation order (a copy)."""
-        return list(self._param_at)
 
     def replay(self) -> bool:
         """Re-run every recorded op; True iff all values reproduce bit-exactly."""
@@ -342,16 +339,15 @@ def _accumulate(adj: dict, idx: int, delta: np.ndarray):
         adj[idx] = delta
 
 
-def backward(root: Value, adjoint=None, *, _flat: bool = False):
-    """One reverse sweep from `root`; returns {param node id: adjoint}.
+def backward(root: Value, adjoint=None) -> np.ndarray:
+    """One reverse sweep from `root`; returns the flat gradient of sum(adjoint * root).
 
-    The sweep starts at `root` with `adjoint`, an array of the root's shape,
-    and gives the gradient of sum(adjoint * root).  Without an adjoint the
-    root must be a scalar and the sweep starts from 1.  The sweep writes each
-    parameter's adjoint into its slice of one new flat vector over every
-    parameter entry of the tape, in creation order, and each adjoint
-    returned is a view of its slice.  gradient() takes that vector itself
-    (`_flat`), so that every sweep, flat or not, is one call of backward().
+    The sweep starts at `root` with `adjoint`, an array of the root's shape.
+    Without an adjoint the root must be a scalar and the sweep starts from 1.
+    The sweep writes each parameter's adjoint into its slice of one new flat
+    vector over every parameter entry of the tape, in creation order, and
+    returns that vector; parameters the root does not depend on keep exact
+    zeros.
     """
     if adjoint is None:
         if root.data.shape != ():
@@ -369,7 +365,6 @@ def backward(root: Value, adjoint=None, *, _flat: bool = False):
     # reaches none (a constant) starts no sweep
     adj: dict[int, np.ndarray] = {root.idx: seed} if nodes[root.idx].reaches_param else {}
     flat = np.zeros(tape._param_size)
-    reached = []
     for i in range(root.idx, -1, -1):
         g = adj.pop(i, None)
         if g is None:
@@ -378,7 +373,6 @@ def backward(root: Value, adjoint=None, *, _flat: bool = False):
         if node.op == "param":
             at = tape._param_at[i]
             flat[at : at + g.size] = g.ravel()  # a copy: g may be the seed, or shared by add with another param
-            reached.append(i)
             continue
         rule = _RULES[node.op]
         # Parents go in by arity: a generic *[...] call is measurably slower per sweep.
@@ -392,20 +386,17 @@ def backward(root: Value, adjoint=None, *, _flat: bool = False):
                 _accumulate(adj, a, rule[1](node, g, va, vb))
             if nodes[b].reaches_param:
                 _accumulate(adj, b, rule[2](node, g, va, vb))
-    if _flat:
-        return flat
-    at = tape._param_at
-    return {i: flat[at[i] : at[i] + nodes[i].value.size].reshape(nodes[i].value.shape) for i in reached}
+    return flat
 
 
 def gradient(root: Value, adjoint=None) -> np.ndarray:
     """Flat gradient of sum(adjoint * root) over all parameter leaves, in creation order.
 
-    Without an adjoint the root must be a scalar (see backward).  Parameters
-    the root does not depend on contribute exact zeros.  It is the vector
-    backward() writes every parameter's adjoint into, so nothing is copied.
+    Without an adjoint the root must be a scalar.  It is backward()'s vector,
+    so nothing is copied; a function of its own rather than an alias, so
+    that a tracer wrapping backward() sees every sweep as one backward call.
     """
-    return backward(root, adjoint, _flat=True)
+    return backward(root, adjoint)
 
 
 def grad_check(f, theta, step: float = 1e-4) -> float:

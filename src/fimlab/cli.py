@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -142,6 +143,16 @@ def _check_out(path, stdout: bool = True) -> None:
         raise ValueError(f"--out {path}: no directory {Path(path).parent}")
 
 
+def _write(path, text: str) -> None:
+    """Write text to the file at path as it is (no newline translation), or
+    to stdout for an empty path."""
+    if path:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _build_instance(cfg: dict):
     """(X, labels, net, theta) from a parsed config."""
     task = hz.SyntheticTask(
@@ -178,7 +189,7 @@ def cmd_core_probe(args) -> int:
     realized_rank1 = float(np.sqrt(np.sum(dec.eigenvalues[:-1] ** 2)))
     q = sx.order_stats(p.values)
     errors = [
-        float(np.linalg.norm(sx.empirical_simplex_fim(p, y).matrix - sx.simplex_fim(p).matrix))
+        float(np.linalg.norm(sx.empirical_simplex_fim(p, y) - sx.simplex_fim(p).matrix))
         for y in range(p.n_classes)
     ]
     worst = int(np.argmax(errors))
@@ -229,15 +240,12 @@ def cmd_bench(args) -> int:
     X, labels, net, theta = _build_instance(cfg)
     bench_cfg = hz.BenchConfig(**{key: cfg[key] for key in ("batch_size", "n_batches", "estimators", "seed")})
     rows = hz.run_bench(net, theta, X, labels, bench_cfg)
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["estimator", "relmae", "backward_passes"])
-        for row in rows:
-            writer.writerow([row.estimator, _fmt(row.relmae), row.backward_passes])
-    finally:
-        if args.out:
-            out.close()
+    out = io.StringIO()
+    writer = csv.writer(out)  # its rows end in \r\n
+    writer.writerow(["estimator", "relmae", "backward_passes"])
+    for row in rows:
+        writer.writerow([row.estimator, _fmt(row.relmae), row.backward_passes])
+    _write(args.out, out.getvalue())
     return 0
 
 
@@ -262,11 +270,7 @@ def cmd_variance(args) -> int:
         "max_cv": float(cv.max()) if cv.size else None,
         "cv_cap": float(np.sqrt(2.0)),
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _write(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -280,11 +284,7 @@ def cmd_bounds(args) -> int:
         fim = est.exact_fim_pullback(net, theta, X).values
         payload["lower_margin"] = bd.loewner_margin(pair.lower, fim)
         payload["upper_margin"] = bd.loewner_margin(fim, pair.upper)
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _write(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 

@@ -9,10 +9,10 @@ per-sample row (Jacobian, score, efim or Monte Carlo row) comes from one
 routine, `_sample_sweeps`: one batched forward per call (logits or
 log-softmax), checked once and viewed one row per sample by `autodiff.rows`;
 one reverse sweep per one-hot seed (every class, or one given class) adds
-no node to the tape.  The one-sample helpers sweep view 0 of their own
-one-row forward.  The Monte Carlo estimate takes all its draws first, x then
-y per draw, from one batched forward pass, and then sweeps the drawn rows of
-that same forward.
+no node to the tape.  The one-sample helper `loglik_gradients` sweeps view 0
+of its own one-row forward.  The Monte Carlo estimate takes all its draws
+first, x then y per draw, from one batched forward pass, and then sweeps the
+drawn rows of that same forward.
 
 Each probe variant writes its C x C core once (`_core`), as weights w (B, r)
 and output-space rows m_r with core = sum_r w_r m_r m_r^T: w = p with rows
@@ -75,7 +75,6 @@ __all__ = [
     "exact_fim_definition",
     "exact_fim_pullback",
     "loglik_gradients",
-    "jacobian_and_logits",
     "efim",
     "mc_fim",
     "sample_probe",
@@ -286,12 +285,6 @@ def loglik_gradients(net: NetworkSpec, theta, x) -> tuple[np.ndarray, np.ndarray
     lsm = ad.log_softmax(forward_logits(net, theta, _finite_inputs(theta, [x])))
     ((lsm_x, G, _),) = _sample_sweeps(lsm, [0])
     return np.exp(lsm_x), np.array(G)
-
-
-def jacobian_and_logits(net: NetworkSpec, theta, x) -> tuple[np.ndarray, np.ndarray]:
-    """(J, z) for one sample: J[i] = dz_i/dtheta, C sweeps at the logits."""
-    ((z, J, _),) = _sample_sweeps(forward_logits(net, theta, _finite_inputs(theta, [x])), [0])
-    return np.array(J), z
 
 
 def _jacobian_stack(net: NetworkSpec, theta, X) -> tuple[np.ndarray, np.ndarray, int]:

@@ -148,11 +148,6 @@ def train_sgd(
     return TrainResult(theta=theta, losses=losses)
 
 
-def accuracy(net: NetworkSpec, theta, X, labels) -> float:
-    logits = forward_logits(net, theta, X).data
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
-
-
 def relmae(estimate: est.FimEstimate, truth: est.FimEstimate) -> float:
     """Relative mean absolute error of a diagonal estimate against truth.
 

@@ -30,11 +30,9 @@ __all__ = [
     "OutputFim",
     "SpectralDecomp",
     "SpectrumBracket",
-    "EmpiricalFim",
     "EnvelopeErrors",
     "simplex_fim",
     "hypercube_fim",
-    "diag_weight_fim",
     "spectrum",
     "lambda_max_bracket",
     "top_eigenpair",
@@ -98,13 +96,13 @@ class OutputFim:
     """The C x C Fisher information matrix of an output distribution."""
 
     matrix: np.ndarray
-    kind: str  # "simplex" | "hypercube" | "diag"
+    kind: str  # "simplex" | "hypercube"
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if self.kind not in ("simplex", "hypercube", "diag"):
+        if self.kind not in ("simplex", "hypercube"):
             raise ValueError(f"unknown kind {self.kind!r}")
         if np.max(np.abs(m - m.T), initial=0.0) > SYMMETRY_TOL:
             raise ValueError("matrix is not symmetric")
@@ -135,14 +133,6 @@ def hypercube_fim(p) -> OutputFim:
     if np.any(v < 0) or np.any(v > 1):
         raise ValueError("Bernoulli parameters must lie in [0, 1]")
     return OutputFim(np.diag(v * (1.0 - v)), kind="hypercube")
-
-
-def diag_weight_fim(zeta) -> OutputFim:
-    """Diagonal information matrix with caller-supplied nonnegative weights."""
-    v = _as_vector(zeta)
-    if np.any(v < 0):
-        raise ValueError("diagonal weights must be nonnegative")
-    return OutputFim(np.diag(v), kind="diag")
 
 
 def _canonical_sign(V: np.ndarray) -> np.ndarray:
@@ -454,27 +444,15 @@ def envelope_errors(p) -> EnvelopeErrors:
     )
 
 
-@dataclass(frozen=True)
-class EmpiricalFim:
-    """Single-label estimate R(y) = (e_y - p)(e_y - p)^T of the simplex FIM."""
-
-    matrix: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64).copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-
-def empirical_simplex_fim(p, y: int) -> EmpiricalFim:
-    """Rank-1 unbiased estimate of the simplex FIM from one observed label."""
+def empirical_simplex_fim(p, y: int) -> np.ndarray:
+    """R(y) = (e_y - p)(e_y - p)^T, the (C, C) rank-1 unbiased estimate of the
+    simplex FIM from one observed label."""
     v = _prob(p)
     if not 0 <= y < v.size:
         raise ValueError(f"label {y} out of range for {v.size} classes")
     r = -v.copy()
     r[y] += 1.0
-    return EmpiricalFim(matrix=np.outer(r, r), label=int(y))
+    return np.outer(r, r)
 
 
 def empirical_fim_variance(p) -> np.ndarray:

@@ -5,8 +5,9 @@ import itertools
 
 import numpy as np
 
-from fimlab.estimators import ProbeVector, hutchinson_fim, jacobian_and_logits
-from fimlab.network import NetworkSpec, init_params, softmax
+from fimlab import autodiff as ad
+from fimlab.estimators import ProbeVector, hutchinson_fim
+from fimlab.network import NetworkSpec, forward_logits, init_params, softmax
 
 
 def charpoly_eigs(M: np.ndarray) -> np.ndarray:
@@ -18,6 +19,18 @@ def charpoly_eigs(M: np.ndarray) -> np.ndarray:
     coeffs = np.poly(M)
     roots = np.roots(coeffs)
     return np.sort(roots.real)
+
+
+def jacobian_and_logits(net, theta, x):
+    """(J, z) for one sample x: J[i] = dz_i/dtheta and the logits z.
+
+    A per-sample oracle: its own forward of x alone, then one ad.gradient per
+    one-hot seed at those logits; no batched forward, row view or estimator
+    code path.
+    """
+    logits = forward_logits(net, theta, np.asarray(x, dtype=np.float64)[None, :])
+    J = np.array([ad.gradient(logits, e[None, :]) for e in np.eye(net.n_classes)])
+    return J, logits.data[0]
 
 
 def dirichlet(rng: np.random.Generator, C: int, alpha: float = 1.0) -> np.ndarray:

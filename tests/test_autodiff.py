@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fimlab import autodiff as ad
-from fimlab.network import NetworkSpec, forward_logits, init_params
+from fimlab.network import NetworkSpec, forward_logits, init_params, unflatten
 
 
 # --- forward values ---------------------------------------------------------
@@ -118,25 +118,10 @@ def test_seeded_sweep_does_not_alias_the_adjoint():
     b = ad.parameter(tape, np.array([3.0, 4.0]))
     seed = np.array([5.0, 6.0])
     # a param root returns its seed; add passes one adjoint on to both parents
-    for root, scale in ((a, {a.idx: 1.0}), (ad.add(a, b), {a.idx: 1.0, b.idx: 1.0}), (ad.add(a, a), {a.idx: 2.0})):
-        grads = ad.backward(root, seed)
-        assert {i: g.tolist() for i, g in grads.items()} == {i: (c * seed).tolist() for i, c in scale.items()}
-        arrays = [seed, *grads.values()]
-        for i, x in enumerate(arrays):
-            assert not any(np.shares_memory(x, y) for y in arrays[i + 1 :])
-
-
-def test_param_ids_match_a_scan_and_are_a_copy():
-    tape = ad.Tape()
-    W = ad.parameter(tape, np.ones((2, 2)))
-    c = ad.constant(tape, np.ones(2))
-    ad.matmul(ad.constant(tape, np.ones((1, 2))), W)
-    b = ad.parameter(tape, np.ones(2))
-    ad.add(b, c)
-    ids = tape.param_ids()
-    assert ids == [i for i, n in enumerate(tape.nodes) if n.op == "param"] == [W.idx, b.idx]
-    ids.append(99)
-    assert tape.param_ids() == [W.idx, b.idx]
+    for root, scale in ((a, [1.0, 0.0]), (ad.add(a, b), [1.0, 1.0]), (ad.add(a, a), [2.0, 0.0])):
+        g = ad.backward(root, seed)
+        assert g.tolist() == np.outer(scale, seed).ravel().tolist()  # a then b, in creation order
+        assert not np.shares_memory(g, seed)
 
 
 def test_constants_never_receive_gradient():
@@ -144,8 +129,7 @@ def test_constants_never_receive_gradient():
     c = ad.constant(tape, np.array([1.0, 2.0]))
     theta = ad.parameter(tape, np.array([3.0, 4.0]))
     loss = ad.total(ad.mul(c, theta))
-    grads = ad.backward(loss)
-    assert set(grads) == {theta.idx}
+    assert np.array_equal(ad.backward(loss), [1.0, 2.0])  # theta's entries alone
 
 
 def _spy_matmul_adjoints(monkeypatch):
@@ -168,8 +152,7 @@ def test_sweep_forms_no_adjoint_for_a_constant_operand(monkeypatch):
     tape = ad.Tape()
     X = ad.constant(tape, np.ones((4, 3)))
     W = ad.parameter(tape, np.ones((3, 2)))
-    grads = ad.backward(ad.total(ad.matmul(X, W)))
-    assert set(grads) == {W.idx}
+    assert np.array_equal(ad.backward(ad.total(ad.matmul(X, W))), np.full(6, 4.0))
     assert calls == {"a": 0, "b": 1}
     # a two-layer forward: only the hidden layer's matmul needs its left adjoint
     net = NetworkSpec((3, 5, 2), "tanh")
@@ -183,7 +166,7 @@ def test_constant_root_starts_no_sweep_but_counts_one(monkeypatch):
     tape = ad.Tape()
     W = ad.parameter(tape, np.ones((3, 2)))
     root = ad.total(ad.matmul(ad.constant(tape, np.ones((4, 3))), ad.constant(tape, np.ones((3, 2)))))
-    assert ad.backward(root) == {}
+    assert np.array_equal(ad.backward(root), np.zeros(W.data.size))
     assert np.array_equal(ad.gradient(root), np.zeros(W.data.size))
     assert calls == {"a": 0, "b": 0}
     assert tape.backward_calls == 2
@@ -202,9 +185,9 @@ def test_bias_add_adjoint_reduces_rows():
     H = ad.parameter(tape, np.arange(6.0).reshape(3, 2))
     b = ad.parameter(tape, np.array([1.0, -1.0]))
     out = ad.total(ad.add(H, b))
-    grads = ad.backward(out)
-    assert np.array_equal(grads[b.idx], [3.0, 3.0])
-    assert np.array_equal(grads[H.idx], np.ones((3, 2)))
+    g = ad.backward(out)  # H's entries, then b's
+    assert np.array_equal(g[6:], [3.0, 3.0])
+    assert np.array_equal(g[:6], np.ones(6))
 
 
 def test_adjoint_linearity():
@@ -322,7 +305,7 @@ def test_row_view_shares_the_parameter_leaves_and_holds_row_views():
     logits = forward_logits(net, init_params(net, rng), rng.normal(size=(5, 3)))
     (view,) = ad.rows(logits, [2])
     assert view.idx == logits.idx and len(view.tape.nodes) == len(logits.tape.nodes)
-    assert view.tape.param_ids() == logits.tape.param_ids()
+    assert view.tape._param_at == logits.tape._param_at
     for mine, theirs in zip(view.tape.nodes, logits.tape.nodes):
         if theirs.op == "param":
             assert mine is theirs
@@ -342,7 +325,7 @@ def test_rows_gives_each_index_a_view_of_its_own():
     assert np.array_equal(first.data, again.data) and np.array_equal(other.data, logits.data[4:])
     assert list(ad.rows(logits, range(0))) == []
     ad.parameter(first.tape, np.ones(3))  # a parameter pushed onto one view stays on it
-    assert again.tape.param_ids() == logits.tape.param_ids()
+    assert again.tape._param_at == logits.tape._param_at
     fresh = next(ad.rows(logits, [2]))
     assert np.array_equal(ad.gradient(again, np.ones((1, 2))), ad.gradient(fresh, np.ones((1, 2))))
 
@@ -404,13 +387,22 @@ def test_gradient_is_one_fresh_flat_vector():
 
 
 def test_backward_adjoints_view_the_gradient_vector():
+    # each parameter's adjoint is a slice of the one vector backward() returns
     rng = np.random.default_rng(16)
     net = NetworkSpec((3, 4, 2), "relu")
-    (view,) = ad.rows(forward_logits(net, init_params(net, rng), rng.normal(size=(5, 3))), [1])
-    grads = ad.backward(view, np.array([[0.5, -2.0]]))
-    flat = next(iter(grads.values())).base
-    assert set(grads) == set(view.tape.param_ids()) and all(g.base is flat for g in grads.values())
+    theta = init_params(net, rng)
+    X = rng.normal(size=(5, 3))
+    (view,) = ad.rows(forward_logits(net, theta, X), [1])
+    flat = ad.backward(view, np.array([[0.5, -2.0]]))
+    assert flat.shape == (net.dim,)
     assert np.array_equal(flat, ad.gradient(view, np.array([[0.5, -2.0]])))
+    weights, biases = unflatten(net, flat)
+    assert all(g.base is flat for g in (*weights, *biases))
+    # the last layer's adjoints, by hand: dz/dW1 = h^T seed, dz/db1 = seed
+    W, b = unflatten(net, theta)
+    h = np.maximum(X[1:2] @ W[0] + b[0], 0.0)
+    assert np.allclose(weights[1], h.T @ np.array([[0.5, -2.0]]), rtol=1e-14, atol=0)
+    assert np.array_equal(biases[1], [0.5, -2.0])
 
 
 # --- grad_check against central differences -----------------------------------
@@ -544,11 +536,16 @@ def test_blas_sweep_matches_an_einsum_reference_sweep(activation, rows):
         (logits, np.sqrt(p) * rng.choice([-1.0, 1.0], size=(rows, 5))),  # a probe's seed
     ]
     for root, seed in sweeps:
-        grads = ad.backward(root, seed)
+        flat = ad.backward(root, seed)
         reference = _einsum_reference_sweep(root, 1.0 if seed is None else seed)
-        assert set(grads) == set(reference) == set(root.tape.param_ids())
-        for i, ref in reference.items():
-            assert np.max(np.abs(grads[i] - ref)) <= 1e-14 * np.max(np.abs(ref))
+        params = [i for i, node in enumerate(root.tape.nodes) if node.op == "param"]
+        assert sorted(reference) == params
+        at = 0
+        for i in params:  # the flat vector holds each parameter's adjoint in creation order
+            ref = reference[i]
+            assert np.max(np.abs(flat[at : at + ref.size] - ref.ravel())) <= 1e-14 * np.max(np.abs(ref))
+            at += ref.size
+        assert at == flat.size
 
 
 # --- the rule table, op by op -------------------------------------------------

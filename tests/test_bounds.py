@@ -15,7 +15,7 @@ from fimlab.bounds import (
 from fimlab.harness import SyntheticTask, gen_task
 from fimlab.network import NetworkSpec, flatten, init_params, softmax
 
-from helpers import qr_tightness_report, random_instance
+from helpers import jacobian_and_logits, qr_tightness_report, random_instance
 
 
 def exact(net, theta, X):
@@ -222,7 +222,7 @@ def test_efim_bound_binary_symmetric_coefficient():
     rep = tightness_report(net, theta, X, k=1, labels=np.zeros(3, dtype=int))
     sigma_sq = []
     for x in X:
-        J, _ = est.jacobian_and_logits(net, theta, x)
+        J, _ = jacobian_and_logits(net, theta, x)
         sigma_sq.append(np.linalg.eigvalsh(J @ J.T)[-1])
     assert rep.efim_gap_bound == pytest.approx(1.5 * float(np.sum(sigma_sq)), abs=1e-10)
 
@@ -263,7 +263,7 @@ def _dense_gaps(net, theta, X, k, labels):
     """The report's gaps from dim x dim matrices, norms by numpy directly."""
     fim = upper = lower = efim = 0.0
     for x, y in zip(X, labels):
-        J, z = est.jacobian_and_logits(net, theta, x)
+        J, z = jacobian_and_logits(net, theta, x)
         p = softmax(z)
         core = np.diag(p) - np.outer(p, p)
         lam, V = np.linalg.eigh(core)
@@ -285,7 +285,7 @@ def _dense_label_errors(net, theta, X):
     """Per sample and label, the spectral norm of J^T (core - r r^T) J, r = e_y - p."""
     per_label = []
     for x in X:
-        J, z = est.jacobian_and_logits(net, theta, x)
+        J, z = jacobian_and_logits(net, theta, x)
         p = softmax(z)
         core = np.diag(p) - np.outer(p, p)
         per_label.append([np.max(np.abs(np.linalg.eigvalsh(J.T @ (core - np.outer(r, r)) @ J)))

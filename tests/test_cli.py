@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +297,26 @@ def test_bench_csv(tmp_path):
     out2 = tmp_path / "bench2.csv"
     assert main(["bench", "--config", str(cfg), "--out", str(out2)]) == 0
     assert out2.read_bytes() == out.read_bytes()  # reproducible from (config, seed)
+
+
+@pytest.mark.parametrize("argv, line_end", [
+    (["bench"], b"\r\n"),  # the csv module's line end
+    (["variance", "--variant", "diag"], b"\n"),
+    (["bounds"], b"\n"),
+], ids=["bench", "variance", "bounds"])
+def test_stdout_and_out_give_the_same_bytes(tmp_path, argv, line_end):
+    cfg = write_config(tmp_path / "c.cfg", trials=4, **SMALL)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+    # a process of its own, so its stdout is the real one, not a capture
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "fimlab.cli", *argv, "--config", str(cfg)],
+                          capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_bytes()
+    assert proc.stdout.endswith(line_end) and proc.stdout.count(b"\n") == proc.stdout.count(line_end)
 
 
 @pytest.mark.parametrize("argv", [

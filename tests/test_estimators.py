@@ -12,7 +12,7 @@ from fimlab.bounds import pullback_bounds, tightness_report
 from fimlab.network import NetworkSpec, flatten, forward_logits, init_params, unflatten
 from fimlab.simplex import simplex_matrix, spectrum
 
-from helpers import enumeration_diag_moments, enumeration_mean, random_instance
+from helpers import enumeration_diag_moments, enumeration_mean, jacobian_and_logits, random_instance
 
 
 def scalar_binary_model():
@@ -43,6 +43,23 @@ def test_seeded_sweeps_equal_gather_total_roots_bitwise(activation, C):
         assert seeded.tobytes() == rooted.tobytes()
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu", "none"])
+@pytest.mark.parametrize("shape, rows", [((3, 5, 4), 7), ((16, 16, 50), 5), ((20, 80, 5), 9)],
+                         ids=["3-5-4", "16-16-50", "20-80-5"])
+def test_jacobian_stack_equals_the_per_sample_oracle_bitwise(activation, shape, rows):
+    # row invariance: each sample's Jacobian from a row view of one batched
+    # forward is the bits of a forward and sweeps of that sample alone
+    rng = np.random.default_rng(rows)
+    net = NetworkSpec(shape, activation)
+    theta = init_params(net, rng)
+    X = rng.normal(size=(rows, net.n_inputs))
+    J, z, passes = est._jacobian_stack(net, theta, X)
+    oracle_J, oracle_z = (np.stack(parts) for parts in zip(*(jacobian_and_logits(net, theta, x) for x in X)))
+    assert J.tobytes() == oracle_J.tobytes()
+    assert z.tobytes() == oracle_z.tobytes()
+    assert passes == rows * net.n_classes
+
+
 @pytest.mark.parametrize("C", [2, 4, 10])
 def test_per_sample_sweeps_push_no_node(monkeypatch, C):
     rng = np.random.default_rng(C)
@@ -59,7 +76,7 @@ def test_per_sample_sweeps_push_no_node(monkeypatch, C):
 
     monkeypatch.setattr(ad.Tape, "__init__", init)
     # the one-row forward's tape is never swept; its row view gets the C sweeps
-    est.jacobian_and_logits(net, theta, x)
+    est._jacobian_stack(net, theta, x[None, :])
     assert [(len(t.nodes), t.backward_calls) for t in tapes] == [(forward_nodes, 0), (forward_nodes, C)]
     tapes.clear()
     est.loglik_gradients(net, theta, x)
@@ -161,7 +178,6 @@ def test_pullback_saturated_probabilities_vanish():
     theta = flatten(net, [W], [np.zeros(3)])
     X = np.array([[1.0]])
     F = est.exact_fim_pullback(net, theta, X)
-    from fimlab.estimators import jacobian_and_logits
 
     J, _ = jacobian_and_logits(net, theta, X[0])
     assert np.linalg.norm(F.values) <= 1e-10 * np.sum(J * J)
@@ -170,7 +186,6 @@ def test_pullback_saturated_probabilities_vanish():
 def test_pullback_binary_reduces_to_row_difference():
     rng = np.random.default_rng(1)
     net, theta, X = random_instance(rng, (3, 2), "none", n_samples=2)
-    from fimlab.estimators import jacobian_and_logits
     from fimlab.network import softmax
 
     expected = np.zeros((net.dim, net.dim))
@@ -215,7 +230,6 @@ def test_efim_two_routes_agree():
     net, theta, X = random_instance(rng, (2, 5, 3), "tanh", n_samples=4)
     labels = rng.integers(3, size=4)
     F = est.efim(net, theta, X, labels)
-    from fimlab.estimators import jacobian_and_logits
     from fimlab.network import softmax
 
     expected = np.zeros((net.dim, net.dim))
@@ -403,7 +417,7 @@ def test_diag_bernoulli_enumeration_matches_hypercube_pullback():
     rng = np.random.default_rng(12)
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
     mean = enumeration_mean(net, theta, X, "diag", weights="bernoulli")
-    from fimlab.estimators import _sigmoid, jacobian_and_logits
+    from fimlab.estimators import _sigmoid
 
     expected = np.zeros((net.dim, net.dim))
     for x in X:
@@ -502,7 +516,6 @@ def test_diag_full_centering_relation():
     probe = est.sample_probe((2, 4), "rademacher", rng)
     g_full = est.hutchinson_gradient(net, theta, X, "full", probe=probe)
     g_diag = est.hutchinson_gradient(net, theta, X, "diag", probe=probe, weights="p")
-    from fimlab.estimators import jacobian_and_logits
     from fimlab.network import softmax
 
     correction = np.zeros_like(g_full)
@@ -1310,7 +1323,6 @@ def _entry_points():
         "efim": lambda net, theta, X: est.efim(net, theta, X, [0, 1]),
         "mc_fim": lambda net, theta, X: est.mc_fim(net, theta, X, 2, rng(0)),
         "loglik_gradients": lambda net, theta, X: est.loglik_gradients(net, theta, X[1]),
-        "jacobian_and_logits": lambda net, theta, X: est.jacobian_and_logits(net, theta, X[1]),
         "hutchinson_gradient": lambda net, theta, X: est.hutchinson_gradient(net, theta, X, rng=rng(0)),
         "hutchinson_fim": lambda net, theta, X: est.hutchinson_fim(net, theta, X, rng=rng(0)),
         "variance_closed_form": lambda net, theta, X: est.variance_closed_form(net, theta, X),

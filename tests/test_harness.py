@@ -9,7 +9,6 @@ from fimlab.harness import (
     BenchConfig,
     SyntheticTask,
     TrainingDiverged,
-    accuracy,
     cv_demo,
     gen_task,
     histogram,
@@ -17,9 +16,14 @@ from fimlab.harness import (
     run_bench,
     train_sgd,
 )
-from fimlab.network import NetworkSpec, init_params
+from fimlab.network import NetworkSpec, forward_logits, init_params
 
 from helpers import enumeration_mean
+
+
+def accuracy(net, theta, X, labels):
+    """Share of samples whose largest logit is their label."""
+    return float(np.mean(np.argmax(forward_logits(net, theta, X).data, axis=1) == labels))
 
 
 def blobs(seed=0, n=128, d=2, C=3, separation=2.0):

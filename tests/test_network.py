@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fimlab.estimators import jacobian_and_logits
 from fimlab.network import (
     NetworkSpec,
     flatten,
@@ -12,6 +11,8 @@ from fimlab.network import (
     softmax,
     unflatten,
 )
+
+from helpers import jacobian_and_logits
 
 
 def test_spec_validation():

@@ -6,11 +6,9 @@ from hypothesis.extra.numpy import arrays
 
 from fimlab import simplex
 from fimlab.simplex import (
-    EmpiricalFim,
     _secular_extremes,
     _canonical_sign,
     ProbVector,
-    diag_weight_fim,
     empirical_fim_variance,
     empirical_simplex_fim,
     envelope_errors,
@@ -69,14 +67,6 @@ def test_hypercube_examples():
     assert np.allclose(np.diag(f.matrix), [0.1875, 0.1875, 0.25])
     with pytest.raises(ValueError):
         hypercube_fim([0.5, 1.2])
-
-
-def test_diag_weight_fim():
-    f = diag_weight_fim([0.1, 2.0, 0.0])
-    assert f.kind == "diag"
-    assert np.array_equal(f.matrix, np.diag([0.1, 2.0, 0.0]))
-    with pytest.raises(ValueError):
-        diag_weight_fim([0.1, -0.5])
 
 
 @pytest.mark.parametrize("matrix, kind, message", [
@@ -443,27 +433,27 @@ def test_envelope_random_sweep():
 
 def test_empirical_fim_symmetric_binary_is_exact():
     r = empirical_simplex_fim([0.5, 0.5], 0)
-    assert np.allclose(r.matrix, simplex_fim([0.5, 0.5]).matrix, atol=1e-15)
+    assert np.allclose(r, simplex_fim([0.5, 0.5]).matrix, atol=1e-15)
 
 
 def test_empirical_fim_exhaustive_expectation():
     rng = np.random.default_rng(12)
     for C in (2, 4, 7):
         p = dirichlet(rng, C)
-        mean = sum(p[y] * empirical_simplex_fim(p, y).matrix for y in range(C))
+        mean = sum(p[y] * empirical_simplex_fim(p, y) for y in range(C))
         assert np.max(np.abs(mean - simplex_fim(p).matrix)) <= 1e-14
 
 
 def test_empirical_fim_is_rank_one():
     r = empirical_simplex_fim([0.2, 0.3, 0.5], 1)
-    s = np.linalg.svd(r.matrix, compute_uv=False)
+    s = np.linalg.svd(r, compute_uv=False)
     assert s[1] <= 1e-12
 
 
 def test_empirical_fim_adversarial_floor():
     p = np.array([0.1, 0.2, 0.7])
     y = int(np.argmin(p))  # the least likely label
-    err = np.linalg.norm(empirical_simplex_fim(p, y).matrix - simplex_fim(p).matrix)
+    err = np.linalg.norm(empirical_simplex_fim(p, y) - simplex_fim(p).matrix)
     floor = 2 * float(p @ p) - 2 * float(np.min(p))
     assert floor == pytest.approx(0.88, abs=1e-15)
     assert err >= floor - 1e-12
@@ -497,7 +487,7 @@ def test_variance_matches_exhaustive():
             p = dirichlet(rng, C)
             fim = simplex_fim(p).matrix
             exhaustive = sum(
-                p[y] * (empirical_simplex_fim(p, y).matrix - fim) ** 2 for y in range(C)
+                p[y] * (empirical_simplex_fim(p, y) - fim) ** 2 for y in range(C)
             )
             var = empirical_fim_variance(p)
             assert np.max(np.abs(var - exhaustive)) <= 1e-12
@@ -529,10 +519,3 @@ def test_boundary_probabilities_allowed():
     assert dec.eigenvalues[0] >= -1e-12
     assert abs(dec.eigenvalues.sum() - (1 - p.values @ p.values)) <= 1e-12
     assert lambda_max_bracket(p).contains(dec.lambda_max)
-
-
-def test_empirical_fim_type_is_frozen():
-    r = empirical_simplex_fim([0.5, 0.5], 0)
-    assert isinstance(r, EmpiricalFim)
-    with pytest.raises(ValueError):
-        r.matrix[0, 0] = 5.0
