@@ -17,18 +17,18 @@ cores and K = J J^T, the (B C x B C) Gram of the stacked Jacobian (the
 network's empirical neural tangent kernel).  A gap sum_x J_x^T A_x J_x
 shares its nonzero eigenvalues with S A S^T for any S with S^T S = K, so
 its Frobenius and spectral norms are those of S A S^T, and come exactly
-from eigvalsh.  S has min(dim, B C) rows: it is J^T where dim <= B C, and
-otherwise is read off one eigh of K.
+from eigvalsh.  S is J^T, with dim rows, from B C >= 0.6 dim on, and
+otherwise is read off one eigh of K, with B C rows.
 Each label's error at one sample is such a norm too, of
 R_x (core_x - r r^T) R_x^T with r = e_y - p and R_x^T R_x = J_x J_x^T, the
 transposed Cholesky factor of the sample's C x C Gram block; that block is
 at least the identity, the Gram of the last bias, so the factor exists.
 For B samples of C classes, from B C^4 >= _SECULAR_MIN_WORK on, these C
 norms per sample come from one eigh of R_x core_x R_x^T and the outer roots
-of one secular equation per label (simplex._secular_extremes), iterated to
-rounding by a convergence test; below it, from one eigvalsh per (sample,
-label).  The Loewner margin that checks a sandwich is exact too: one
-eigvalsh of the symmetrised difference.
+of one secular equation per label (simplex._secular_extremes: one batched
+iteration for both roots, run to rounding by a convergence test); below
+it, from one eigvalsh per (sample, label).  The Loewner margin that checks
+a sandwich is exact too: one eigvalsh of the symmetrised difference.
 """
 
 from __future__ import annotations
@@ -189,10 +189,11 @@ def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> Tig
     B C^4 >= _SECULAR_MIN_WORK, from one eigvalsh per label below.
 
     The norms come from the Gram K = J J^T of the stacked Jacobian: the
-    three gaps of the sums from a root S of K with min(dim, B C) rows (J^T
-    itself where dim <= B C, else from one gemm and one eigh of K), each
-    sample's label errors from the Cholesky factor of its Gram block.  No
-    QR, and no matrix factored larger than min(dim, B C) square.
+    three gaps of the sums from a root S of K (J^T itself from
+    B C >= _JT_ROOT_MIN_FILL * dim on, else from one gemm and one eigh of
+    K), each sample's label errors from the Cholesky factor of its Gram
+    block.  No QR, and no matrix factored larger than
+    min(dim, B C / _JT_ROOT_MIN_FILL) square.
     """
     C = net.n_classes
     _check_categorical(C)
@@ -256,16 +257,28 @@ def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> Tig
     )
 
 
-def _gram_root(J: np.ndarray) -> np.ndarray:
-    """S (r, B*C) with S^T S = K = J J^T for the stacked (B, C, dim) J, r = min(dim, B*C).
+# S = J^T, with dim rows, from B*C >= _JT_ROOT_MIN_FILL * dim on; below it, S from one eigh
+# of K, with B*C rows.  tightness_report, eigh root / J^T in ms at B*C/dim (one OpenBLAS
+# 0.3.31 thread on a 2-core x86 box, the routes interleaved, best of 7, of 3 at dim 2085):
+# 10-32-5 tanh net (dim 517): 0.41 22.6/22.9, 0.50 19.6/20.0, 0.61 29.3/37.2, 0.71 58.4/44.6,
+# 0.80 75.5/41.4, 0.91 109/58.4; 16-16-50 (dim 1122): 0.40 86.3/106, 0.53 149/154,
+# 0.62 199/161, 0.71 231/143, 0.80 313/173; 20-80-5 (dim 2085): 0.50 476/402, 0.60 831/545,
+# 0.70 1275/704, 0.90 2669/902.  The routes cross between 0.5 and 0.7; runs on a shared
+# machine moved single readings by up to 30%.
+_JT_ROOT_MIN_FILL = 0.6
 
-    Where dim <= B*C, J^T itself.  Otherwise S = sqrt(e) U^T from one eigh
-    K = U diag(e) U^T, with the eigenvalues that rounding put below zero
-    (K is singular when two samples share a Jacobian) counted as zero.  An
-    eigh of the B*C square K would cost (B*C)^3 where J^T costs nothing.
+
+def _gram_root(J: np.ndarray) -> np.ndarray:
+    """S with S^T S = K = J J^T for the stacked (B, C, dim) J.
+
+    From B*C >= _JT_ROOT_MIN_FILL * dim on, J^T itself.  Below it,
+    S = sqrt(e) U^T (B*C rows) from one eigh K = U diag(e) U^T, with the
+    eigenvalues that rounding put below zero (K is singular when two
+    samples share a Jacobian) counted as zero: there the gaps' dim x dim
+    products would cost more than the (B*C)^3 eigh.
     """
     flat = J.reshape(-1, J.shape[2])
-    if flat.shape[1] <= flat.shape[0]:
+    if flat.shape[0] >= _JT_ROOT_MIN_FILL * flat.shape[1]:
         return flat.T
     e, U = np.linalg.eigh(flat @ flat.T)
     return np.sqrt(np.maximum(e, 0.0))[:, None] * U.T
@@ -285,11 +298,12 @@ _LABEL_TIE_RTOL = 1e-12
 # Below this B C^4 (B samples, C classes) the per-label errors come from the (B, C, C, C)
 # stack, one eigvalsh per (sample, label), whose cost grows with B C^4; from it on, from
 # one eigh per sample and the secular solver, whose cost is mostly per iteration.
-# _label_errors alone on a (16, 16, C) tanh net, best of 7 x 20 calls, one OpenBLAS
-# 0.3.31 thread on a 2-core x86 box, stack / solver in ms at (B, C): (4, 16) 0.81 / 0.77,
-# (4, 20) 1.52 / 0.84, (16, 8) 0.51 / 0.91, (16, 12) 1.51 / 1.23, (64, 8) 2.32 / 2.14,
-# (64, 12) 6.02 / 3.39, (1, 24) 0.62 / 0.56, (1, 32) 1.41 / 0.62.  Just below the line, at
-# (4, 16) and (64, 8), the two routes stay within 10% of each other.
+# _label_errors alone on a (16, 16, C) tanh net, best of 4 runs of 7 x 20 calls, one
+# OpenBLAS 0.3.31 thread on a 2-core x86 box, stack / solver in ms at (B, C): (4, 16)
+# 1.02 / 0.77, (4, 20) 2.08 / 0.83, (16, 8) 0.61 / 0.80, (16, 12) 1.69 / 1.29, (64, 8)
+# 2.24 / 2.10, (64, 12) 6.73 / 3.88, (1, 24) 0.80 / 0.55, (1, 32) 1.71 / 0.61.  Just below
+# the line, at (4, 16) and (64, 8), the solver leads by 25% and 6%, inside the spread of
+# single readings between runs on this shared machine (up to 30%), so the line stays.
 _SECULAR_MIN_WORK = 24**4
 
 

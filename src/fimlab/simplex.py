@@ -218,7 +218,7 @@ def lambda_max_bracket(p) -> SpectrumBracket:
     return SpectrumBracket(lower=lower, upper=upper)
 
 
-_SECULAR_MAX_STEPS = 64  # a guard on _secular_extremes' loops; reaching it raises
+_SECULAR_MAX_STEPS = 64  # a guard on _secular_roots' loop; reaching it raises
 _EPS = np.finfo(np.float64).eps
 
 
@@ -226,17 +226,17 @@ def _secular_extremes(lam, z) -> tuple[np.ndarray, np.ndarray]:
     """Smallest and largest eigenvalue of diag(lam) - z z^T, row by row.
 
     lam (..., r) holds ascending eigenvalues and z (..., r) the update
-    vectors; the two broadcast against each other.  By interlacing, each
-    extreme eigenvalue is lam_end - delta with delta the root of the
-    increasing secular function 1 - sum_i z_i^2 / (delta - (lam_end - lam_i))
-    in a known bracket (Golub 1973; Bunch, Nielsen and Sorensen 1978):
-    [0, |z|^2] below lam_1 and [0, min(z_r^2, lam_r - lam_(r-1))] below
-    lam_r.  A z_i too small to move any eigenvalue by more than rounding
-    against the row's scale max|lam| + |z|^2 is deflated, and lam_i then
-    stays an eigenvalue.  Both roots come from rational models that keep
-    the pole at lam_end exact (LAPACK dlaed4's approach), and a row stops
-    once its step falls under 4 eps of its scale, so both ends are exact to
-    rounding in that scale.
+    vectors; the two broadcast against each other.  A z_i too small to move
+    any eigenvalue by more than rounding against the row's scale
+    max|lam| + |z|^2 is deflated, and lam_i then stays an eigenvalue.  By
+    interlacing, each extreme is lam_e - x for an end pole lam_e and the
+    root x in (0, hi] of the increasing secular function
+    f(x) = 1 - w_e / x + sum_(i != e) w_i / (lam_e - lam_i - x), w = z^2
+    (Golub 1973; Bunch, Nielsen and Sorensen 1978).  The smallest has lam_e
+    the lowest live pole and hi = |z|^2; the largest has lam_e = lam_r and
+    hi = min(z_r^2, lam_r - lam_(r-1)).  Both ends of every row run in one
+    batched iteration, _secular_roots, that stops a row once its step falls
+    under 4 eps of its scale, so both are exact to rounding in that scale.
     """
     lam, z = np.broadcast_arrays(np.asarray(lam, dtype=np.float64), np.asarray(z, dtype=np.float64))
     shape, r = lam.shape[:-1], lam.shape[-1]
@@ -245,119 +245,60 @@ def _secular_extremes(lam, z) -> tuple[np.ndarray, np.ndarray]:
     total = np.sum(w, axis=1)
     tol = 4.0 * _EPS * (np.max(np.abs(lam), axis=1) + total)
     w[np.sqrt(w * total[:, None]) <= 2.0 * tol[:, None]] = 0.0
-    bottom, top = lam[:, 0].copy(), lam[:, -1].copy()
-    rows = np.flatnonzero(np.any(w > 0, axis=1))
-    bottom[rows] = np.minimum(bottom[rows], _bottom_root(lam[rows], w[rows], tol[rows]))
-    rows = np.flatnonzero(w[:, -1] > 0)
-    top[rows] = _top_root(lam[rows], w[rows], tol[rows])
-    return bottom.reshape(shape), top.reshape(shape)
+    n = len(lam)
+    live = w > 0
+    # rows 0..n-1 solve for the smallest eigenvalue, rows n..2n-1 for the largest
+    end = np.concatenate([np.argmax(live, axis=1), np.full(n, r - 1)])
+    hi = np.concatenate([total, np.minimum(w[:, -1], lam[:, -1] - lam[:, -2] if r > 1 else np.inf)])
+    rows = np.flatnonzero(np.concatenate([live.any(axis=1), live[:, -1]]) & (hi > 0))
+    x = np.zeros(2 * n)
+    x[rows] = _secular_roots(lam[rows % n], w[rows % n], end[rows], hi[rows], tol[rows % n])
+    ends = lam[np.arange(2 * n) % n, end] - x
+    return np.minimum(lam[:, 0], ends[:n]).reshape(shape), ends[n:].reshape(shape)
 
 
-def _bottom_root(lam, w, tol):
-    """lam_o - delta, the smallest eigenvalue of diag(lam) - z z^T (w = z^2)
-    restricted to its live components; lam_o is the lowest live pole.
+def _secular_roots(lam, w, end, hi, tol):
+    """Root x in (0, hi] of f(x) = 1 - a / x + sum_i w_i / (p_i - x), row by row.
 
-    The pole at lam_o, of weight a, is kept exact; the rest of the secular
-    sum is fitted by c / (delta + s) in value and slope.  That fit never
-    exceeds the rest (1 / rest is concave in delta), so from the
-    Rayleigh-quotient start every iterate stays below the root and rises.
+    a = w_end, and p_i = lam_end - lam_i for the other live components:
+    all at or below 0, or all at or above hi.  A hi where f is not positive
+    is the root itself.  Each step keeps the pole at 0 exact and fits the
+    rest of the sum by c / (g - x) in value and slope, then takes the root
+    of 1 - a / x + c / (g - x) on x's side of g; a step that leaves the sign
+    bracket goes half way to the bracket's end instead.  1 / |rest| is
+    concave, so the fit lies above the rest where the poles are at or below
+    0 and below it where they are at or above hi: after one step every
+    iterate stays below the smallest end's root and above the largest
+    end's.  When hi is itself the nearest pole gn, the iteration starts just
+    inside it.
     """
-    n = np.arange(len(lam))
-    first = np.argmax(w > 0, axis=1)
-    origin, a = lam[n, first], w[n, first]
-    rest = w.copy()
-    rest[n, first] = 0.0
-    h = np.where(rest > 0, lam - origin[:, None], np.inf)
-    total = np.sum(w, axis=1)
-    # Rayleigh quotients at e_o and at z bound the root from below
-    delta = np.maximum(a, total - np.sum(w * (lam - origin[:, None]), axis=1) / total)
-    done = np.zeros(len(lam), dtype=bool)
+    k = np.arange(len(lam))
+    a = w[k, end]
+    w = w.copy()
+    w[k, end] = 0.0
+    poles = np.where(w > 0, lam[k, end][:, None] - lam, np.inf)
+    gn = np.min(np.where(poles > 0, poles, np.inf), axis=1)
+    x = np.where(hi < gn, hi, np.maximum(gn - tol, gn / 2.0))
+    lo = np.zeros(len(x))
+    done = np.zeros(len(x), dtype=bool)
     for _ in range(_SECULAR_MAX_STEPS):
-        d = delta[:, None] + h
-        q = rest / d
-        r0, r1 = np.sum(q, axis=1), np.sum(q / d, axis=1)
-        fit = r1 > 0
-        r1 = np.where(fit, r1, 1.0)
-        s = np.where(fit, r0 / r1 - delta, 0.0)
-        c = np.where(fit, r0 * r0 / r1, 0.0)
-        # root of 1 = a / delta + c / (delta + s) to the right of both poles
-        t = a + c - s
-        disc = np.sqrt(t * t + 4.0 * a * s)
-        new = np.where(t >= 0, (t + disc) / 2.0, 2.0 * a * s / (disc + np.abs(t)))
-        done |= np.abs(new - delta) <= tol
-        delta = np.where(done, delta, new)
-        if done.all():
-            return origin - delta
-    raise RuntimeError(f"secular solver did not converge in {_SECULAR_MAX_STEPS} steps")
-
-
-def _top_root(lam, w, tol):
-    """Largest eigenvalue of diag(lam) - z z^T, w = z^2, for rows whose z_r is live.
-
-    With x = lam_r - mu the secular function is f(x) = 1 - w_r / x +
-    sum_(i<r) w_i / (lam_r - lam_i - x), and the root lies in (0, hi],
-    hi = min(w_r, lam_r - lam_(r-1)).  It is hi itself when f(hi) <= 0,
-    which is how a deflated lam_(r-1) wins.  When hi is the nearest live
-    pole gn, f(gn / 2) tells which pole the root is nearer, and that pole
-    becomes the origin of the iteration, as in LAPACK's dlaed4.
-    """
-    r = lam.shape[1]
-    a = w[:, -1]
-    gaps = np.where(w > 0, lam[:, -1:] - lam, np.inf)
-    gaps[:, -1] = np.inf  # live poles below lam_r, as distances from it
-    gn = np.min(gaps, axis=1)
-    hi = np.minimum(a, lam[:, -1] - lam[:, -2]) if r > 1 else a.copy()
-    top = lam[:, -1] - hi
-
-    def f(rows, x):
-        return 1.0 - a[rows] / x + np.sum(w[rows] / (gaps[rows] - x[:, None]), axis=1)
-
-    i = np.flatnonzero((hi > 0) & (hi < gn))
-    i = i[f(i, hi[i]) > 0]  # the root lies below hi
-    j = np.flatnonzero((hi > 0) & (hi >= gn))  # hi is the pole gn: split at gn / 2
-    hi[j] = gn[j] / 2.0
-    near = f(j, hi[j]) < 0  # the root lies nearer lam_n = lam_r - gn
-    rows = np.concatenate([i, j])
-    sign = np.ones(len(rows))
-    sign[len(i):][near] = -1.0
-    origin = lam[rows, np.where(sign < 0, np.argmin(gaps[rows], axis=1), r - 1)]
-    # mu = origin - sign * x; the poles sit at x = sign * (origin - lam_i)
-    poles = np.where(w[rows] > 0, sign[:, None] * (origin[:, None] - lam[rows]), np.inf)
-    top[rows] = origin - sign * _interior_root(poles, w[rows], sign, hi[rows], tol[rows])
-    return top
-
-
-def _interior_root(poles, w, s0, hi, tol):
-    """Root x in (0, hi] of F(x) = s0 + sum_i w_i / (poles_i - x), F(hi) >= 0.
-
-    Every row has a live pole at 0, the rest at or below 0 ("near") or at
-    or above gn > hi ("far").  The "middle way" model fits the near terms
-    by c + b / x and the far terms by c' + b' / (gn - x), each in value and
-    slope, and solves the quadratic; a step that leaves the sign bracket
-    goes half way to the bracket's end instead.
-    """
-    near = poles <= 0
-    gn = np.min(np.where(near, np.inf, poles), axis=1)
-    lo, x = np.zeros(len(hi)), hi.copy()
-    done = np.zeros(len(hi), dtype=bool)
-    for k in range(_SECULAR_MAX_STEPS):
         d = poles - x[:, None]
-        t = w / d
-        t2 = t / d
-        F = s0 + np.sum(t, axis=1)
-        if k:
-            lo = np.where(F < 0, x, lo)
-            hi = np.where(F > 0, x, hi)
-        done |= F == 0
-        e = gn - x
-        bn = x * x * np.sum(np.where(near, t2, 0.0), axis=1)
-        bf = e * e * np.sum(np.where(near, 0.0, t2), axis=1)
-        c = F + bn / x - bf / e
-        cg = c * gn
-        # root in (0, gn) of c - bn / x + bf / (gn - x); its discriminant
-        # (cg + bn + bf)^2 - 4 cg bn is written as a sum of squares where it would cancel
-        disc = np.where(c > 0, (cg - bn) ** 2 + bf * (bf + 2.0 * (cg + bn)), (cg + bn + bf) ** 2 - 4.0 * cg * bn)
-        new = 2.0 * bn * gn / (cg + bn + bf + np.sqrt(disc))
+        q = w / d
+        rest, slope = np.sum(q, axis=1), np.sum(q / d, axis=1)
+        f = 1.0 - a / x + rest
+        done |= (f <= 0) & (x == hi)  # f(hi) <= 0: hi is the root
+        lo = np.where(f < 0, x, lo)
+        hi = np.where(f > 0, x, hi)
+        slope = np.where(slope > 0, slope, 1.0)  # a row whose sum has no other term
+        g = x + rest / slope
+        c = rest * rest / slope
+        # x^2 - t x + a g = 0; where g > 0, t^2 - 4 a g is written without cancellation
+        t = a + g + c
+        disc = np.where(g > 0, (a - g) ** 2 + c * (c + 2.0 * (a + g)), t * t - 4.0 * a * g)
+        # its roots are u, of t's sign, and a g / u; x's side of g holds the smaller
+        # where the rest is positive (g > x) and the positive one where not (g <= 0)
+        u = (t + np.copysign(np.sqrt(disc), t)) / 2.0
+        new = np.where((rest > 0) | (t < 0), a * g / u, u)
         new = np.where(new >= hi, (x + hi) / 2.0, np.where(new <= lo, (x + lo) / 2.0, new))
         done |= np.abs(new - x) <= tol
         x = np.where(done, x, new)

@@ -322,6 +322,7 @@ def test_report_norms_equal_dense_matrix_norms(layers, act, n_samples, theta_sca
 
 @pytest.mark.parametrize("layers, act, n_samples, repeat, route", [
     pytest.param((2, 3, 4), "tanh", 8, False, None, id="BC-above-dim"),  # B C = 32 > dim = 25
+    pytest.param((2, 3, 4), "tanh", 5, False, None, id="BC-near-dim"),  # S = J^T at B C = 0.8 dim
     pytest.param((3, 5, 4), "tanh", 6, True, None, id="repeated-sample"),  # rank K <= 20 < B C = 24 < dim
     pytest.param((3, 6, 5), "relu", 4, False, None, id="relu"),
     pytest.param((3, 8, 50), "tanh", 2, False, "stack", id="C50-stack"),

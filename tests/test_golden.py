@@ -32,13 +32,14 @@ def test_every_golden_file_is_written_by_a_command():
 
 
 def test_bounds_goldens_cover_both_routes():
-    # B C^4 picks the per-label route, and B C against dim the root of K = J J^T (J^T
-    # itself, or from an eigh of K); configs on each side keep every route under a golden
+    # B C^4 picks the per-label route, and B C against a fraction of dim the root of
+    # K = J J^T (J^T itself, or from an eigh of K); configs on each side keep every
+    # route under a golden
     def routes(config):
         cfg = parse_config(HERE / f"{config}.cfg")
         X, _, net, _ = _build_instance(cfg)
         B, C = X.shape[0], net.n_classes
-        return B * C**4 >= bounds._SECULAR_MIN_WORK, B * C < net.dim
+        return B * C**4 >= bounds._SECULAR_MIN_WORK, B * C < bounds._JT_ROOT_MIN_FILL * net.dim
 
     assert all(routes(config) == (False, False) for config in CONFIGS)
     assert all(routes(config) == (True, True) for config in BOUNDS_ONLY)

@@ -327,12 +327,21 @@ def test_secular_top_root_is_the_simplex_lambda_max(pmax):
 
 
 def test_secular_step_guard_raises_and_is_far_from_reached(monkeypatch):
-    rng = np.random.default_rng(13)
-    lam = np.sort(rng.normal(size=(256, 8)), axis=1)
-    z = rng.normal(size=(256, 8)) * 10.0 ** rng.uniform(-15, 0, size=(256, 8))
+    # the decades test's family over 40 seeds needs at most 10 steps; a start at gn / 2
+    # that bisects toward a pole at hi needs 48.  The last input is a top root within
+    # 1e-19 of the pole lam_1, where hi = lam_2 - lam_1 is itself a pole.
+    cases = []
+    for seed in range(40):
+        for r in (2, 3, 8, 50):
+            rng = np.random.default_rng(seed)
+            lam = np.sort(rng.normal(size=(256, r)), axis=1)
+            z = rng.normal(size=(256, r)) * 10.0 ** rng.uniform(-15, 0, size=(256, r))
+            cases.append((lam, z))
+    cases.append((np.array([-0.32547079112317423, 0.0]), np.sqrt([1.65e-20, 0.3655])))
     monkeypatch.setattr(simplex, "_SECULAR_MAX_STEPS", 16)  # a quarter of the guard
-    assert _secular_error(lam, z) <= 1e-12
+    assert max(_secular_error(lam, z) for lam, z in cases) <= 1e-12
     monkeypatch.setattr(simplex, "_SECULAR_MAX_STEPS", 1)
+    lam, z = cases[13 * 4 + 2]  # seed 13, r = 8
     with pytest.raises(RuntimeError, match="did not converge in 1 steps"):
         _secular_extremes(lam, z)
 
