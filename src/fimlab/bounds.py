@@ -208,8 +208,8 @@ def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> Tig
     sq = np.sum(s.p * s.p, axis=1)
     q = np.sort(s.p, axis=1)
     top_sigma2 = s.sigma2[:, -1]
+    pulled_p = np.einsum("bc,bcd,bd->b", s.p, s.gram, s.p)  # |p J_x|^2 = p^T K_xx p per sample
 
-    omega = np.einsum("bc,bcd->bd", s.p, s.J)
     # ascending order-stat index j in [1, C-k-1] pairs with singular j+k
     j = np.arange(1, C - k)
     lower_rhs = np.sqrt(np.sum(s.sigma2[:, j + k] ** 2 * q[:, j] ** 2, axis=1))
@@ -237,7 +237,7 @@ def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> Tig
     tb = _trace_chain(s)
     return TightnessReport(
         k=k,
-        upper_gap_lhs=float(np.sqrt(np.sum(np.sum(omega * omega, axis=1) ** 2))),
+        upper_gap_lhs=float(np.sqrt(np.sum(pulled_p**2))),
         upper_gap=float(upper_gap),
         upper_gap_rhs=float(sq @ top_sigma2),
         lower_gap=float(lower_gap),

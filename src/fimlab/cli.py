@@ -183,15 +183,13 @@ def _fmt(x) -> str:
 
 def cmd_core_probe(args) -> int:
     p = sx.ProbVector(np.array([float(s) for s in args.p.split(",")]))
-    dec = sx.spectrum(sx.simplex_fim(p))
+    fim = sx.simplex_fim(p)
+    dec = sx.spectrum(fim)
     bracket = sx.lambda_max_bracket(p)
     env = sx.envelope_errors(p)
     realized_rank1 = float(np.sqrt(np.sum(dec.eigenvalues[:-1] ** 2)))
     q = sx.order_stats(p.values)
-    errors = [
-        float(np.linalg.norm(sx.empirical_simplex_fim(p, y) - sx.simplex_fim(p).matrix))
-        for y in range(p.n_classes)
-    ]
+    errors = [float(np.linalg.norm(sx.empirical_simplex_fim(p, y) - fim)) for y in range(p.n_classes)]
     worst = int(np.argmax(errors))
     floor = 2.0 * float(p.values @ p.values) - 2.0 * float(q[0])
     var = sx.empirical_fim_variance(p)

@@ -389,15 +389,6 @@ def mc_fim(
     return FimEstimate("mc", storage, acc, "mean", meta)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _check_probe_args(variant: str, C: int, k: int, weights: str, eigen: str, dist: str) -> int:
     """k, as an int for the low-rank variant, once the arguments pass: reject an
     unknown variant, diagonal `weights`, eigenpair route or probe distribution
@@ -495,8 +486,10 @@ def _core(variant: str, z: np.ndarray, *, k: int = 1, weights: str = "p", eigen:
         return _Core(p, p=p)
     if variant == "diag":
         if weights == "bernoulli":
-            s = _sigmoid(z)
-            return _Core(s * (1.0 - s))
+            # s(1 - s) for s the sigmoid of z is e / (1 + e)^2 with e = exp(-|z|),
+            # exact for either sign of z: no 1 - s to cancel
+            e = np.exp(-np.abs(z))
+            return _Core(e / (1.0 + e) ** 2)
         return _Core(p)
     lams, V = _lowrank_eigenpairs(p, k, eigen, rng)
     return _Core(lams, V=V)

@@ -2,7 +2,8 @@
 
 A C-way softmax head parameterizes a point on the probability simplex; a
 multi-label sigmoid head parameterizes a point on the unit hypercube.  Both
-carry a closed-form C x C Fisher information matrix over the logits:
+carry a closed-form C x C Fisher information matrix over the logits, which
+simplex_fim and hypercube_fim return as a plain (C, C) array:
 
     simplex:    diag(p) - p p^T          (rank C-1, kernel spanned by ones)
     hypercube:  diag(p_i (1 - p_i))
@@ -27,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "ProbVector",
-    "OutputFim",
     "SpectralDecomp",
     "SpectrumBracket",
     "EnvelopeErrors",
@@ -43,8 +43,6 @@ __all__ = [
 ]
 
 SIMPLEX_SUM_TOL = 1e-12
-SYMMETRY_TOL = 1e-14
-KERNEL_TOL = 1e-12
 
 
 def _as_vector(values) -> np.ndarray:
@@ -91,48 +89,23 @@ def order_stats(p) -> np.ndarray:
     return v[np.argsort(v, kind="stable")]
 
 
-@dataclass(frozen=True)
-class OutputFim:
-    """The C x C Fisher information matrix of an output distribution."""
-
-    matrix: np.ndarray
-    kind: str  # "simplex" | "hypercube"
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if self.kind not in ("simplex", "hypercube"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if np.max(np.abs(m - m.T), initial=0.0) > SYMMETRY_TOL:
-            raise ValueError("matrix is not symmetric")
-        if self.kind == "simplex":
-            kernel = m @ np.ones(m.shape[0])
-            if np.max(np.abs(kernel)) > KERNEL_TOL:
-                raise ValueError("simplex FIM must annihilate the all-ones vector")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-
 def simplex_matrix(p: np.ndarray) -> np.ndarray:
     """diag(p) - p p^T without validation; a (B, C) stack gives (B, C, C)."""
     p = np.asarray(p)
     return p[..., :, None] * np.eye(p.shape[-1]) - p[..., :, None] * p[..., None, :]
 
 
-def simplex_fim(p) -> OutputFim:
-    """Fisher information of a categorical distribution: diag(p) - p p^T."""
-    v = _prob(p)
-    return OutputFim(simplex_matrix(v), kind="simplex")
+def simplex_fim(p) -> np.ndarray:
+    """Fisher information of a categorical distribution: diag(p) - p p^T, (C, C)."""
+    return simplex_matrix(_prob(p))
 
 
-def hypercube_fim(p) -> OutputFim:
-    """Fisher information of independent Bernoulli coordinates: diag(p(1-p))."""
+def hypercube_fim(p) -> np.ndarray:
+    """Fisher information of independent Bernoulli coordinates: diag(p(1-p)), (C, C)."""
     v = _as_vector(p)
     if np.any(v < 0) or np.any(v > 1):
         raise ValueError("Bernoulli parameters must lie in [0, 1]")
-    return OutputFim(np.diag(v * (1.0 - v)), kind="hypercube")
+    return np.diag(v * (1.0 - v))
 
 
 def _canonical_sign(V: np.ndarray) -> np.ndarray:
@@ -168,9 +141,11 @@ class SpectralDecomp:
 
 
 def spectrum(matrix) -> SpectralDecomp:
-    """Full eigendecomposition of an output FIM (or any symmetric matrix):
-    ascending eigenvalues, eigenvector columns with canonical signs."""
-    m = np.asarray(matrix.matrix if isinstance(matrix, OutputFim) else matrix, dtype=np.float64)
+    """Full eigendecomposition of a symmetric matrix, such as an output FIM:
+    ascending eigenvalues, eigenvector columns with canonical signs.  A
+    matrix that is not square, or not symmetric to 1e-12 of its largest
+    entry, raises ValueError."""
+    m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if np.max(np.abs(m - m.T), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(m))):
@@ -328,7 +303,7 @@ def top_eigenpair(
     """
     v = _prob(p)
     if method == "full":
-        dec = spectrum(simplex_fim(v))
+        dec = spectrum(simplex_matrix(v))
         return dec.lambda_max, dec.top_vector
     if method != "power":
         raise ValueError(f"unknown method {method!r}")

@@ -214,10 +214,16 @@ def test_choice_sets_are_read_from_their_owner_tuples(capsys):
 
 def test_core_probe_output(capsys):
     assert main(["core-probe", "--p", "0.1,0.2,0.7"]) == 0
-    out = capsys.readouterr().out
-    assert "0.23" in out and "0.42" in out  # the analytic bracket
-    assert "lambda_max" in out
-    assert "worst-label" in out
+    assert capsys.readouterr().out == (
+        "p = 0.1, 0.2, 0.7\n"
+        "trace = 0.45999999999999996 (identity 1-|p|^2 = 0.4600000000000001)\n"
+        "lambda_max = 0.33440306508910544 in [0.23000000000000004, 0.42000000000000004]"
+        " (bracket gap 0.19)\n"
+        "diag envelope error = 0.5399999999999999 (floor 1/C = 0.3333333333333333)\n"
+        "rank1 envelope error = 0.12559693491089452 (bound 0.2)\n"
+        "worst-label error = 1.2026637102698328 at y=0 (floor 0.8799999999999999)\n"
+        "max entrywise label variance = 0.0576 (cap 1/16)\n"
+    )
 
 
 def test_core_probe_rejects_bad_vector(capsys):

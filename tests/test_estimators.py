@@ -10,7 +10,7 @@ from fimlab import autodiff as ad
 from fimlab import estimators as est
 from fimlab.bounds import pullback_bounds, tightness_report
 from fimlab.network import NetworkSpec, flatten, forward_logits, init_params, unflatten
-from fimlab.simplex import simplex_matrix, spectrum
+from fimlab.simplex import hypercube_fim, simplex_matrix, spectrum
 
 from helpers import enumeration_diag_moments, enumeration_mean, jacobian_and_logits, random_instance
 
@@ -417,14 +417,21 @@ def test_diag_bernoulli_enumeration_matches_hypercube_pullback():
     rng = np.random.default_rng(12)
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
     mean = enumeration_mean(net, theta, X, "diag", weights="bernoulli")
-    from fimlab.estimators import _sigmoid
-
     expected = np.zeros((net.dim, net.dim))
     for x in X:
         J, z = jacobian_and_logits(net, theta, x)
-        s = _sigmoid(z)
-        expected += J.T @ ((s * (1 - s))[:, None] * J)
+        expected += J.T @ hypercube_fim(1.0 / (1.0 + np.exp(-z))) @ J
     assert np.max(np.abs(mean - expected)) <= 1e-10
+
+
+def test_bernoulli_diag_weight_is_exact_at_large_logits():
+    # s(1 - s) at s = sigmoid(z) against the independent form 1 / (2 + 2 cosh z); at
+    # z = 40 the true weight is 4.2e-18, which a 1 - s would round to zero
+    z = np.array([[0.0, 1.0, -1.0, 20.0, -20.0, 30.0, -30.0, 40.0, -40.0]])
+    w = est._core("diag", z, weights="bernoulli").w
+    expected = 1.0 / (2.0 + 2.0 * np.cosh(z))
+    assert np.max(np.abs(w - expected) / expected) <= 1e-15
+    assert w[0, 1::2].tobytes() == w[0, 2::2].tobytes()  # w(z) == w(-z) bitwise
 
 
 @pytest.mark.parametrize("k", [1, 2])
