@@ -353,10 +353,6 @@ def efim(net: NetworkSpec, theta, X, labels, storage: str = "dense") -> FimEstim
     return FimEstimate("efim", storage, acc, "sum", meta)
 
 
-def _sample_label(p: np.ndarray, rng: np.random.Generator) -> int:
-    return int(np.searchsorted(np.cumsum(p), rng.uniform(), side="right").clip(0, p.size - 1))
-
-
 def mc_fim(
     net: NetworkSpec, theta, X, m: int, rng: np.random.Generator, storage: str = "dense"
 ) -> FimEstimate:
@@ -364,8 +360,10 @@ def mc_fim(
 
     Mean-normalized: its expectation is the exact FIM divided by the number
     of samples in X.  Every draw is taken first, x then y per draw, from one
-    batched forward pass; then each draw sweeps its row of that forward
-    (`ad.rows`), so the m draws run no forward of their own and are never stacked.
+    batched forward pass; y inverts one cumulative sum per row of its
+    probabilities, taken once for the batch.  Then each draw sweeps its row of
+    that forward (`ad.rows`), so the m draws run no forward of their own and
+    are never stacked.
     """
     m = _check_int(m, "m")
     if m < 1:
@@ -378,12 +376,13 @@ def mc_fim(
     _check_categorical(net.n_classes)
     _check_dense(storage, net.dim)
     lsm = ad.log_softmax(forward_logits(net, theta, X))
-    p = np.exp(lsm.data)
+    cdf = np.cumsum(np.exp(lsm.data), axis=1)
+    top = cdf.shape[1] - 1  # a uniform at or above a row's rounded total takes the last label
     rows = np.empty(m, dtype=np.intp)
     labels = np.empty(m, dtype=np.intp)
     for t in range(m):
-        rows[t] = rng.integers(X.shape[0])
-        labels[t] = _sample_label(p[rows[t]], rng)
+        rows[t] = b = rng.integers(X.shape[0])
+        labels[t] = min(int(np.searchsorted(cdf[b], rng.uniform(), side="right")), top)
     acc, passes = _score_gram(lsm, rows, m, net.dim, storage, labels, 1.0 / m)
     meta = {"n_samples": X.shape[0], "probe_count": m, "backward_passes": passes}
     return FimEstimate("mc", storage, acc, "mean", meta)

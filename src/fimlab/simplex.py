@@ -21,6 +21,7 @@ Class labels are 0-based throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -297,7 +298,8 @@ def top_eigenpair(
     inside the kernel would stall).  The default budget of 30 steps follows
     the fixed-budget convention; pass `tol` to stop early once the iterate
     moves by less than tol (needed when the eigenvalue ratio is close to 1
-    and a tight eigenvalue is required).
+    and a tight eigenvalue is required).  Each step's arithmetic, in its order,
+    is held bit for bit to the reference loop in tests/helpers.py.
 
     Returns (lambda_max, v) with v sign-canonicalized.
     """
@@ -315,21 +317,27 @@ def top_eigenpair(
     ones = np.ones(C)
     while True:
         u = rng.normal(size=C)
-        u -= (u @ ones) / C * ones
-        norm = float(np.linalg.norm(u))
+        u -= u.dot(ones) / C
+        norm = math.sqrt(u.dot(u))
         if norm > 1e-12:
             u /= norm
             break
+    # one step is w = v*u - (v.u) v, then w / |w|: written into two buffers that
+    # swap, with |w| = sqrt(w.w) as np.linalg.norm forms it
+    w = np.empty(C)
+    vs = np.empty(C)
     for _ in range(iters):
-        w = v * u - (v @ u) * v
-        norm = float(np.linalg.norm(w))
+        np.multiply(v, v.dot(u), out=vs)
+        np.multiply(v, u, out=w)
+        w -= vs
+        norm = math.sqrt(w.dot(w))
         if norm == 0.0:
             break  # u hit the kernel exactly; keep the previous iterate
         w /= norm
-        if tol is not None and float(np.linalg.norm(w - u)) <= tol:
+        if tol is not None and math.sqrt(np.subtract(w, u, out=vs).dot(vs)) <= tol:
             u = w
             break
-        u = w
+        u, w = w, u
     lam = float(v @ (u * u) - (v @ u) ** 2)
     i = int(np.argmax(np.abs(u)))
     if u[i] < 0:

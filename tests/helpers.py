@@ -33,6 +33,41 @@ def jacobian_and_logits(net, theta, x):
     return J, logits.data[0]
 
 
+def sample_label(p: np.ndarray, rng: np.random.Generator) -> int:
+    """One label y ~ p from one uniform: its own cumulative sum of p, clipped to
+    the last label where the uniform reaches the rounded total."""
+    return int(np.searchsorted(np.cumsum(p), rng.uniform(), side="right").clip(0, p.size - 1))
+
+
+def power_top_eigenpair(v: np.ndarray, iters: int, rng: np.random.Generator, tol=None):
+    """(lam, u): the power iteration on diag(v) - v v^T, one fresh array per
+    operation, in the arithmetic order simplex.top_eigenpair keeps bit for bit."""
+    C = v.size
+    ones = np.ones(C)
+    while True:
+        u = rng.normal(size=C)
+        u -= (u @ ones) / C * ones
+        norm = float(np.linalg.norm(u))
+        if norm > 1e-12:
+            u /= norm
+            break
+    for _ in range(iters):
+        w = v * u - (v @ u) * v
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            break
+        w /= norm
+        if tol is not None and float(np.linalg.norm(w - u)) <= tol:
+            u = w
+            break
+        u = w
+    lam = float(v @ (u * u) - (v @ u) ** 2)
+    i = int(np.argmax(np.abs(u)))
+    if u[i] < 0:
+        u = -u
+    return lam, u
+
+
 def dirichlet(rng: np.random.Generator, C: int, alpha: float = 1.0) -> np.ndarray:
     return rng.dirichlet(np.full(C, alpha))
 

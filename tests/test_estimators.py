@@ -12,7 +12,7 @@ from fimlab.bounds import pullback_bounds, tightness_report
 from fimlab.network import NetworkSpec, flatten, forward_logits, init_params, unflatten
 from fimlab.simplex import hypercube_fim, simplex_matrix, spectrum
 
-from helpers import enumeration_diag_moments, enumeration_mean, jacobian_and_logits, random_instance
+from helpers import enumeration_diag_moments, enumeration_mean, jacobian_and_logits, random_instance, sample_label
 
 
 def scalar_binary_model():
@@ -310,6 +310,36 @@ def test_mc_exhaustive_expectation_is_exact_over_sample_count():
     exact = est.exact_fim_definition(net, theta, X)
     assert draw.normalization == "mean"
     assert np.max(np.abs(mean - exact.values / X.shape[0])) <= 1e-12
+
+
+# biases of a 1-3 linear net, and uniforms at the edges of its label bins (cdf: their ends)
+_MC_LABEL_CASES = {
+    # the rounded cumulative sum ends below 1: a uniform at or past it takes the last label
+    "short-total": ([0.0, 1.0, 2.0], lambda cdf: [np.nextafter(1.0, 0.0), cdf[2], 0.5, cdf[0]]),
+    # exp underflows to an exact 0, whose empty bin no uniform lands in
+    "zero-entry": ([0.0, -1000.0, 1.0], lambda cdf: [0.0, cdf[0], np.nextafter(cdf[0], 0.0), 0.5]),
+}
+
+
+@pytest.mark.parametrize("case", list(_MC_LABEL_CASES))
+def test_mc_labels_are_the_per_draw_oracle(case):
+    bias, edges = _MC_LABEL_CASES[case]
+    net = NetworkSpec((1, 3), "none")
+    theta = flatten(net, [np.zeros((1, 3))], [np.array(bias)])
+    X = np.zeros((2, 1))
+    p = np.exp(ad.log_softmax(forward_logits(net, theta, X)).data)
+    uniforms = edges(np.cumsum(p[0]))
+    m = len(uniforms)
+    rows = [t % 2 for t in range(m)]
+    oracle = _ScriptedRng([], uniforms)
+    labels = [sample_label(p[b], oracle) for b in rows]
+    if case == "short-total":
+        assert np.cumsum(p[0])[-1] < 1.0 and labels[:2] == [2, 2]
+    else:
+        assert p[0, 1] == 0.0 and labels == [0, 2, 0, 2]
+    got = est.mc_fim(net, theta, X, m, _ScriptedRng(rows, uniforms))
+    want = est.efim(net, theta, X[rows], labels).values / m
+    assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("X, rng, message", [
@@ -921,7 +951,7 @@ def _reference_terms(kind, net, theta, X, labels, seed):
         terms = []
         for _ in range(GRAM_M):
             p, G = est.loglik_gradients(net, theta, X[int(rng.integers(X.shape[0]))])
-            terms.append((1.0 / GRAM_M, G[est._sample_label(p, rng)]))
+            terms.append((1.0 / GRAM_M, G[sample_label(p, rng)]))
         return terms
     if kind == "hutch_lowrank":
         # the first probe, then the one core (its power route draws start vectors), then the

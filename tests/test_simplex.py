@@ -20,7 +20,7 @@ from fimlab.simplex import (
     top_eigenpair,
 )
 
-from helpers import charpoly_eigs, dirichlet
+from helpers import charpoly_eigs, dirichlet, power_top_eigenpair
 
 
 def probs(C, min_mass=1e-3):
@@ -385,6 +385,33 @@ def test_top_eigenpair_full_delegates():
     dec = spectrum(simplex_fim(p))
     assert lam == dec.lambda_max
     assert np.allclose(v, dec.top_vector)
+
+
+def _power_inputs(C, kind):
+    if kind == "uniform":
+        return np.full(C, 1.0 / C)
+    p = dirichlet(np.random.default_rng(C), C)
+    if kind == "zero-entry":
+        p[0] = 0.0
+        p /= p.sum()
+    return p
+
+
+@pytest.mark.parametrize("tol", [None, 1e-10], ids=["fixed-budget", "tol"])
+@pytest.mark.parametrize("kind", ["uniform", "zero-entry", "dirichlet"])
+@pytest.mark.parametrize("C", [2, 3, 5, 50])
+def test_power_route_is_bitwise_the_reference_loop(C, kind, tol):
+    # the route writes each step into reused buffers; every iterate, the eigenvalue
+    # and the rng state after the start draws must keep the reference loop's bits
+    p = _power_inputs(C, kind)
+    iters = 30 if tol is None else 500
+    for seed in range(5):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in (1, 2, iters):
+            lam, v = top_eigenpair(p, method="power", iters=n, rng=got_rng, tol=tol)
+            want_lam, want_v = power_top_eigenpair(p, n, want_rng, tol)
+            assert lam == want_lam and np.array_equal(v, want_v)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_power_requires_rng_and_budget():
