@@ -1,16 +1,16 @@
 """Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
 A Tape records primitive operations append-only; each node stores its op
-name, parent indices and the cached forward value, so a tape can be replayed
-bit-exactly.  backward() seeds any node with an adjoint of its shape (a
-scalar root with 1 by default) and runs a single reverse sweep that writes
-each parameter leaf's adjoint into its slice of one flat vector, in creation
-order; it returns that vector, the gradient of sum(adjoint * root), and so
-does gradient().  Seeding a one-hot row of the logits or log-softmax
-gives one Jacobian row without pushing a node onto the tape.  Constants never
-receive gradient: each node records, when it is pushed, whether it reaches a
-parameter leaf, and the sweep forms no adjoint for an operand that does not
-(such as the constant input under a first layer).
+name, parent indices and the cached forward value.  backward() seeds any
+node with an adjoint of its shape (a scalar root with 1 by default) and runs
+a single reverse sweep that writes each parameter leaf's adjoint into its
+slice of one flat vector, in creation order; it returns that vector, the
+gradient of sum(adjoint * root), and so does gradient().  Seeding a one-hot
+row of the logits or log-softmax gives one Jacobian row without pushing a
+node onto the tape.  Constants never receive gradient: each node records,
+when it is pushed, whether it reaches a parameter leaf, and the sweep forms
+no adjoint for an operand that does not (such as the constant input under a
+first layer).
 
 rows() checks a tape recorded on a batch once, then views each given row as
 a one-row tape: the batch's parameter leaves and a (1, n) view of every other
@@ -18,8 +18,8 @@ value.  As every op it admits is row-wise and the forward is row-invariant
 (below), a view holds what a tape of that row alone would, bit for bit.
 
 Each op is one entry of a rule table that pairs its forward rule with one
-adjoint rule per operand; recording, replay() and backward() all read that
-table, so an op's maths is written exactly once.
+adjoint rule per operand; recording and backward() both read that table, so
+an op's maths is written exactly once.
 
 The op set is intentionally small: what a dense classifier forward pass, a
 log-softmax likelihood and sign-flipped probe sums need, nothing more.  A
@@ -54,12 +54,10 @@ __all__ = [
     "constant",
     "parameter",
     "add",
-    "mul",
     "matmul",
     "scale",
     "tanh",
     "relu",
-    "exp",
     "log_softmax",
     "gather",
     "wsum",
@@ -81,7 +79,7 @@ class _Node:
 
 
 class Tape:
-    """Append-only record of primitive operations, replayable bit-exactly.
+    """Append-only record of primitive operations.
 
     Single-writer while recording; once the forward pass is done the node
     list is only read, so backward() may run from any thread (each sweep
@@ -105,17 +103,6 @@ class Tape:
         reaches = op == "param" or any(self.nodes[j].reaches_param for j in parents)
         self.nodes.append(_Node(op, parents, value, ctx, reaches))
         return Value(self, len(self.nodes) - 1)
-
-    def replay(self) -> bool:
-        """Re-run every recorded op; True iff all values reproduce bit-exactly."""
-        for node in self.nodes:
-            if node.op in ("const", "param"):
-                continue
-            forward = _RULES[node.op][0]
-            again = forward(node.ctx, *[self.nodes[j].value for j in node.parents])
-            if not np.array_equal(again, node.value):
-                return False
-        return True
 
 
 class Value:
@@ -144,7 +131,7 @@ def parameter(tape: Tape, array) -> Value:
 
 
 # Rules, keyed by op name: (forward, then one adjoint rule per parent).
-#   forward(ctx, *parent_values) -> value; replay() re-runs it from the record.
+#   forward(ctx, *parent_values) -> value.
 #   adjoint_k(node, g, *parent_values) -> the adjoint of parent k.  backward()
 #   calls it only when parent k reaches a parameter.  A rule may return g
 #   itself; an adjoint is never written to in place.
@@ -156,12 +143,6 @@ def _add_forward(ctx, a, b):
     if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
         return a + b  # bias add over rows
     raise ValueError(f"add: incompatible shapes {a.shape} and {b.shape}")
-
-
-def _mul_forward(ctx, a, b):
-    if a.shape != b.shape:
-        raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-    return a * b
 
 
 def _matmul_forward(ctx, a, b):
@@ -188,12 +169,10 @@ def _gather_adjoint(node, g, a):
 
 _RULES = {
     "add": (_add_forward, lambda node, g, a, b: g, lambda node, g, a, b: g if a.shape == b.shape else g.sum(axis=0)),
-    "mul": (_mul_forward, lambda node, g, a, b: g * b, lambda node, g, a, b: g * a),
     "matmul": (_matmul_forward, lambda node, g, a, b: np.dot(g, b.T), lambda node, g, a, b: np.dot(a.T, g)),
     "scale": (lambda ctx, a: ctx[0] * a, lambda node, g, a: node.ctx[0] * g),
     "tanh": (lambda ctx, a: np.tanh(a), lambda node, g, a: g * (1.0 - node.value**2)),
     "relu": (lambda ctx, a: np.maximum(a, 0.0), lambda node, g, a: g * (a > 0)),
-    "exp": (lambda ctx, a: np.exp(a), lambda node, g, a: g * node.value),
     "log_softmax": (
         _log_softmax_forward,
         lambda node, g, a: g - np.exp(node.value) * np.sum(g, axis=-1, keepdims=True),
@@ -218,10 +197,6 @@ def add(a: Value, b: Value) -> Value:
     return _binary("add", a, b)
 
 
-def mul(a: Value, b: Value) -> Value:
-    return _binary("mul", a, b)
-
-
 def matmul(a: Value, b: Value) -> Value:
     return _binary("matmul", a, b)
 
@@ -236,10 +211,6 @@ def tanh(a: Value) -> Value:
 
 def relu(a: Value) -> Value:
     return _unary("relu", a)
-
-
-def exp(a: Value) -> Value:
-    return _unary("exp", a)
 
 
 def log_softmax(a: Value) -> Value:

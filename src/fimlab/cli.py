@@ -370,7 +370,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, hz.TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

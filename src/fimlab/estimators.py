@@ -23,15 +23,16 @@ empirical variance: one forward pass and one core per call, then one reverse
 sweep per probe, seeded at the logits with M^T (sqrt(w) xi) for random signs
 (or Gaussians) xi.  The weights come off the tape from the forward values,
 so a probe gradient g needs no stop-gradient and no clamp; E[g g^T] =
-sum_x J_x^T core_x J_x.  The paper's sqrt-probe scalar 2 sum_y sqrt(p_y) xi_y
-is the full core under another name, because d(2 sqrt(p_y))/dz =
-sqrt(p_y) (e_y - p): its logit gradient sum_y xi_y sqrt(p_y) (e_y - p) is
-the full core's seed, so `variant="sqrt"` gives bitwise the full variant's
-outputs (kind hutch_sqrt) and is no estimator name of its own.  The same
-rows R = M J give the exact pullback and both Loewner bounds (one Gram
-product sum w R R^T each) and the closed-form variances (sums of w R^2 and
-w^2 R^4).  PROBE_VARIANTS, STORAGES and PROBE_DISTS are the one table of
-each set of names; the CLI and the bench harness accept exactly those.
+sum_x J_x^T core_x J_x, and g . g is unbiased for its trace.  The paper's
+sqrt-probe scalar 2 sum_y sqrt(p_y) xi_y is the full core under another
+name, because d(2 sqrt(p_y))/dz = sqrt(p_y) (e_y - p): its logit gradient
+sum_y xi_y sqrt(p_y) (e_y - p) is the full core's seed, so
+`variant="sqrt"` gives bitwise the full variant's outputs (kind hutch_sqrt)
+and is no estimator name of its own.  The same rows R = M J give the exact
+pullback and both Loewner bounds (one Gram product sum w R R^T each) and
+the closed-form variances (sums of w R^2 and w^2 R^4).  PROBE_VARIANTS,
+STORAGES and PROBE_DISTS are the one table of each set of names; the CLI
+and the bench harness accept exactly those.
 
 Every estimate but the pullback is a weighted sum of score outer products,
 sum_i w_i g_i g_i^T = G^T diag(w) G (`_gram`).  A sum of one row (one
@@ -64,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .network import NetworkSpec, as_flat, forward_logits, softmax
+from .network import NetworkSpec, forward_logits, softmax
 from .simplex import _canonical_sign, simplex_matrix, top_eigenpair
 
 __all__ = [
@@ -82,8 +83,6 @@ __all__ = [
     "hutchinson_gradient",
     "variance_closed_form",
     "empirical_probe_variance",
-    "trace_estimate",
-    "ema_update",
     "save_estimate",
     "load_estimate",
     "read_header",
@@ -194,7 +193,7 @@ def _finite_inputs(theta, X) -> np.ndarray:
     would turn the whole estimate into NaN without a word.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if not np.isfinite(as_flat(theta)).all():
+    if not np.isfinite(np.asarray(theta, dtype=np.float64)).all():
         raise ValueError("theta has a non-finite entry (NaN or infinity)")
     if not np.isfinite(X).all():
         raise ValueError("X has a non-finite entry (NaN or infinity)")
@@ -293,7 +292,7 @@ def _jacobian_stack(net: NetworkSpec, theta, X) -> tuple[np.ndarray, np.ndarray,
     start here, and so does their check that theta and X are finite."""
     X = _finite_inputs(theta, X)
     logits = forward_logits(net, theta, X)
-    J = np.empty((X.shape[0], net.n_classes, as_flat(theta).size))
+    J = np.empty((X.shape[0], net.n_classes, net.dim))
     passes = 0
     for b, (_, rows, n) in enumerate(_sample_sweeps(logits, range(X.shape[0]))):
         J[b] = rows
@@ -559,14 +558,13 @@ def hutchinson_fim(
     tape's backward-pass counter is recorded in meta["backward_passes"].
     """
     n_probes = _check_int(n_probes, "n_probes")
-    dim = as_flat(theta).size
-    _check_dense(storage, dim)
+    _check_dense(storage, net.dim)
     if probe is not None and n_probes != 1:
         raise ValueError("an explicit probe fixes n_probes = 1")
     if n_probes < 1:
         raise ValueError("need at least one probe")
     tape, k, grads = _probe_gradients(net, theta, X, variant, n_probes, probe, rng, dist, k, weights, eigen)
-    acc = _gram(((1.0 / n_probes, g) for g in grads), n_probes, dim, storage)
+    acc = _gram(((1.0 / n_probes, g) for g in grads), n_probes, net.dim, storage)
     meta = {
         "probe_count": n_probes,
         "probe_dist": probe.dist if probe is not None else dist,
@@ -578,12 +576,6 @@ def hutchinson_fim(
     if variant == "diag":
         meta["weights"] = weights
     return FimEstimate(HUTCH_KINDS[variant], storage, acc, "sum", meta)
-
-
-def trace_estimate(g: np.ndarray) -> float:
-    """Squared norm of the probe gradient: unbiased for the FIM trace."""
-    g = np.asarray(g, dtype=np.float64)
-    return float(g @ g)
 
 
 @dataclass
@@ -642,42 +634,10 @@ def empirical_probe_variance(
     if n_trials < 2:
         raise ValueError(f"a sample variance needs at least 2 trials, got {n_trials}")
     _, _, grads = _probe_gradients(net, theta, X, variant, n_trials, None, rng, dist, k, weights, "full")
-    draws = np.empty((n_trials, as_flat(theta).size))
+    draws = np.empty((n_trials, net.dim))
     for t, g in enumerate(grads):
         np.square(g, out=draws[t])
     return draws.var(axis=0, ddof=1)
-
-
-def ema_update(acc: FimEstimate, new: FimEstimate, beta: float) -> FimEstimate:
-    """Exponential moving average: beta * acc + (1 - beta) * new, of one kind.
-
-    Two estimates whose meta differ in a key that sets what a probe estimate
-    estimates or how (k, eigen, weights, probe_dist) are refused, naming the
-    key.  The probe counts and backward passes of the two are summed where
-    both carry one; where either lacks it or holds None, the blend has none,
-    so an unknown count stays unknown.
-    """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("decay must lie in [0, 1)")
-    if acc.kind != new.kind:
-        raise ValueError(f"cannot blend estimates of different kinds: {acc.kind!r} and {new.kind!r}")
-    if acc.storage != new.storage or acc.values.shape != new.values.shape:
-        raise ValueError("cannot blend estimates with different storage or shape")
-    if acc.normalization != new.normalization:
-        raise ValueError("cannot blend estimates with different normalization")
-    for key in ("k", "eigen", "weights", "probe_dist"):
-        if acc.meta.get(key) != new.meta.get(key):
-            raise ValueError(f"cannot blend estimates with different {key}: "
-                             f"{acc.meta.get(key)!r} and {new.meta.get(key)!r}")
-    meta = dict(acc.meta)
-    meta["ema_beta"] = beta
-    for key in ("probe_count", "backward_passes"):
-        if acc.meta.get(key) is not None and new.meta.get(key) is not None:
-            meta[key] = acc.meta[key] + new.meta[key]
-        else:
-            meta.pop(key, None)
-    return FimEstimate(acc.kind, acc.storage, beta * acc.values + (1.0 - beta) * new.values,
-                       acc.normalization, meta)
 
 
 def save_estimate(est: FimEstimate, path) -> None:

@@ -118,7 +118,8 @@ def train_sgd(
     """Full-batch gradient descent on mean cross-entropy.
 
     steps=0 returns the (seeded) initialization untouched: the random-head
-    regime.  Raises TrainingDiverged if the loss stops being finite.
+    regime.  Raises TrainingDiverged, and warns of no overflow, if the loss
+    stops being finite.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -136,15 +137,19 @@ def train_sgd(
     theta = init_params(net, np.random.default_rng(seed))
     losses = np.empty(steps)
     B = X.shape[0]
-    for t in range(steps):
-        logits = forward_logits(net, theta, X)
-        lsm = log_softmax(logits)
-        loss = scale(total(gather(lsm, labels)), -1.0 / B)
-        value = float(loss.data)
-        if not math.isfinite(value):
-            raise TrainingDiverged(f"loss became {value} at step {t}")
-        losses[t] = value
-        theta = theta - lr * gradient(loss)
+    # an overflow either saturates a tanh or makes the loss non-finite, which is
+    # checked each step; the estimators refuse a non-finite theta.  The errstate
+    # wraps the whole loop: entering one per step slows every step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            logits = forward_logits(net, theta, X)
+            lsm = log_softmax(logits)
+            loss = scale(total(gather(lsm, labels)), -1.0 / B)
+            value = float(loss.data)
+            if not math.isfinite(value):
+                raise TrainingDiverged(f"loss became {value} at step {t}")
+            losses[t] = value
+            theta = theta - lr * gradient(loss)
     return TrainResult(theta=theta, losses=losses)
 
 
@@ -203,11 +208,17 @@ def cv_demo(
     empirical CV over trials next to sqrt((r-1)/m) where r = E(x^4)/E(x^2)^2.
     The estimator variance needs nu > 4, and the importance check needs
     nu > 4 + PROPOSAL_NU / 2 = 4.25 (see below); a smaller nu is refused.
+    So is a nu above 1e6, NaN or infinity: the importance weights' log
+    normalizer lgamma((nu+1)/2) - lgamma(nu/2) cancels, with an error of
+    about eps (nu/2) ln(nu/2), 5e-10 at 1e6 and 2e-4 at 1e12.
     """
-    limit = 4.0 + PROPOSAL_NU / 2.0
+    limit, top = 4.0 + PROPOSAL_NU / 2.0, 1e6
     if nu <= limit:
         raise ValueError(f"nu must exceed {limit:g}: at or below it the importance check under the "
                          f"Student-t proposal with {PROPOSAL_NU:g} degrees of freedom has infinite variance")
+    if not nu <= top:
+        raise ValueError(f"nu must be at most {top:g}, got {nu!r}: above it the Student-t log normalizer "
+                         "lgamma((nu+1)/2) - lgamma(nu/2) loses its digits")
     if m < 1 or trials < 1:
         raise ValueError("need at least one draw and one trial")
     ratio_formula = 3.0 * (nu - 2.0) / (nu - 4.0)

@@ -18,7 +18,6 @@ from . import autodiff as ad
 
 __all__ = [
     "NetworkSpec",
-    "as_flat",
     "flatten",
     "unflatten",
     "init_params",
@@ -70,11 +69,6 @@ class NetworkSpec:
         return tuple(out)
 
 
-def as_flat(theta) -> np.ndarray:
-    """Coerce an array-like into the flat float64 vector."""
-    return np.asarray(theta, dtype=np.float64)
-
-
 def flatten(net: NetworkSpec, weights, biases) -> np.ndarray:
     """Pack per-layer tensors into a flat vector; lossless and bit-exact."""
     layout = net.layout()
@@ -93,7 +87,7 @@ def flatten(net: NetworkSpec, weights, biases) -> np.ndarray:
 
 def unflatten(net: NetworkSpec, theta) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Split a flat vector back into per-layer (weights, biases)."""
-    flat = as_flat(theta)
+    flat = np.asarray(theta, dtype=np.float64)
     if flat.size != net.dim:
         raise ValueError(f"expected {net.dim} parameters, got {flat.size}")
     weights, biases = [], []

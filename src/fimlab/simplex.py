@@ -1,16 +1,14 @@
 """Fisher information geometry of classifier output distributions.
 
-A C-way softmax head parameterizes a point on the probability simplex; a
-multi-label sigmoid head parameterizes a point on the unit hypercube.  Both
-carry a closed-form C x C Fisher information matrix over the logits, which
-simplex_fim and hypercube_fim return as a plain (C, C) array:
+A C-way softmax head parameterizes a point on the probability simplex, and
+carries a closed-form C x C Fisher information matrix over the logits, which
+simplex_fim returns as a plain (C, C) array:
 
-    simplex:    diag(p) - p p^T          (rank C-1, kernel spanned by ones)
-    hypercube:  diag(p_i (1 - p_i))
+    diag(p) - p p^T          (rank C-1, kernel spanned by ones)
 
 Everything downstream -- pullback estimates, deterministic bounds, probe
-estimators -- reduces to spectral questions about these small matrices, so
-this module also provides their eigendecompositions, the analytic bracket on
+estimators -- reduces to spectral questions about this small matrix, so
+this module also provides its eigendecomposition, the analytic bracket on
 the top eigenvalue, a batched secular solver for the extreme eigenvalues of a
 rank-one downdate diag(lam) - z z^T, the diagonal / rank-1 envelopes with their
 error bounds, and the single-label empirical counterpart
@@ -33,7 +31,6 @@ __all__ = [
     "SpectrumBracket",
     "EnvelopeErrors",
     "simplex_fim",
-    "hypercube_fim",
     "spectrum",
     "lambda_max_bracket",
     "top_eigenpair",
@@ -46,15 +43,6 @@ __all__ = [
 SIMPLEX_SUM_TOL = 1e-12
 
 
-def _as_vector(values) -> np.ndarray:
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector contains non-finite entries")
-    return v
-
-
 @dataclass(frozen=True)
 class ProbVector:
     """A categorical distribution: nonnegative entries summing to one, C >= 2."""
@@ -62,7 +50,11 @@ class ProbVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _as_vector(self.values)
+        v = np.asarray(self.values, dtype=np.float64)
+        if v.ndim != 1:
+            raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("vector contains non-finite entries")
         if v.size < 2:
             raise ValueError("a categorical distribution needs at least 2 classes")
         if np.any(v < 0):
@@ -99,14 +91,6 @@ def simplex_matrix(p: np.ndarray) -> np.ndarray:
 def simplex_fim(p) -> np.ndarray:
     """Fisher information of a categorical distribution: diag(p) - p p^T, (C, C)."""
     return simplex_matrix(_prob(p))
-
-
-def hypercube_fim(p) -> np.ndarray:
-    """Fisher information of independent Bernoulli coordinates: diag(p(1-p)), (C, C)."""
-    v = _as_vector(p)
-    if np.any(v < 0) or np.any(v > 1):
-        raise ValueError("Bernoulli parameters must lie in [0, 1]")
-    return np.diag(v * (1.0 - v))
 
 
 def _canonical_sign(V: np.ndarray) -> np.ndarray:
@@ -285,18 +269,18 @@ def _secular_roots(lam, w, end, hi, tol):
 
 def top_eigenpair(
     p,
-    method: str = "full",
+    method: str = "power",
     iters: int = 30,
     rng: np.random.Generator | None = None,
     tol: float | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Top eigenpair of the simplex FIM at p.
+    """Top eigenpair of the simplex FIM at p, by power iteration.
 
-    method="full" delegates to the dense eigendecomposition.  method="power"
-    iterates v <- normalize(p*v - (p.v) p) for `iters` steps from a seeded
-    random unit vector projected orthogonal to the all-ones direction (a start
-    inside the kernel would stall).  The default budget of 30 steps follows
-    the fixed-budget convention; pass `tol` to stop early once the iterate
+    The one route, method="power", iterates v <- normalize(p*v - (p.v) p)
+    for `iters` steps from a seeded random unit vector projected orthogonal
+    to the all-ones direction (a start inside the kernel would stall); the
+    exact eigenpairs come from `spectrum`.  The default budget of 30 steps
+    follows the fixed-budget convention; pass `tol` to stop early once the iterate
     moves by less than tol (needed when the eigenvalue ratio is close to 1
     and a tight eigenvalue is required).  Each step's arithmetic, in its order,
     is held bit for bit to the reference loop in tests/helpers.py.
@@ -304,9 +288,6 @@ def top_eigenpair(
     Returns (lambda_max, v) with v sign-canonicalized.
     """
     v = _prob(p)
-    if method == "full":
-        dec = spectrum(simplex_matrix(v))
-        return dec.lambda_max, dec.top_vector
     if method != "power":
         raise ValueError(f"unknown method {method!r}")
     if rng is None:

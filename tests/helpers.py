@@ -33,6 +33,17 @@ def jacobian_and_logits(net, theta, x):
     return J, logits.data[0]
 
 
+def replay(tape: ad.Tape) -> bool:
+    """Re-run every recorded op of `tape` by its forward rule in autodiff's rule
+    table; True iff every value reproduces bit for bit."""
+    for node in tape.nodes:
+        if node.op not in ("const", "param"):
+            again = ad._RULES[node.op][0](node.ctx, *[tape.nodes[j].value for j in node.parents])
+            if not np.array_equal(again, node.value):
+                return False
+    return True
+
+
 def sample_label(p: np.ndarray, rng: np.random.Generator) -> int:
     """One label y ~ p from one uniform: its own cumulative sum of p, clipped to
     the last label where the uniform reaches the rounded total."""

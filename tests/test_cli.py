@@ -463,6 +463,20 @@ def test_cv_demo_rejects_nu_at_boundary(capsys):
     # above the fourth-moment boundary, but below the importance check's limit 4.25
     assert main(["cv-demo", "--nu", "4.2", "--m", "4"]) == 2
     assert "nu must exceed 4.25" in capsys.readouterr().err
+    # NaN passes no comparison; above 1e6 the Student-t log normalizer cancels, and
+    # at 1e308 math.lgamma overflows
+    for nu, shown in (("nan", "nan"), ("inf", "inf"), ("1e308", "1e+308"), ("1e16", "1e+16")):
+        assert main(["cv-demo", "--nu", nu, "--m", "4", "--trials", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: nu must be at most 1e+06, got {shown}: ") and err.count("\n") == 1
+
+
+def test_diverging_training_exits_2_with_one_line(tmp_path, capsys):
+    # a RuntimeWarning would fail this test (pyproject.toml), so none is printed either
+    cfg = write_config(tmp_path / "d.cfg", seed=1, d=3, hidden=5, classes=3, n_samples=12, train_steps=50, lr=1e308)
+    assert main(["estimate", "--config", str(cfg), "--estimator", "exact", "--out", str(tmp_path / "d.fim")]) == 2
+    assert capsys.readouterr().err == "error: loss became inf at step 1\n"
+    assert not (tmp_path / "d.fim").exists()
 
 
 def test_hist_rejects_dense_estimate(tmp_path, capsys):

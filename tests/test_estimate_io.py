@@ -62,13 +62,12 @@ def test_probe_estimate_keeps_every_meta_key(tmp_path):
     net, theta, X = random_instance(np.random.default_rng(4), (2, 4), "none", n_samples=3)
     e = est.hutchinson_fim(net, theta, X, "lowrank", rng=np.random.default_rng(0), k=2,
                            eigen="full", storage="diagonal")
-    e.meta.update(seed=5, dataset_id="blobs")
-    e = est.ema_update(e, e, 0.5)
+    e.meta.update(seed=5, dataset_id="blobs", lr=0.05)
     path = tmp_path / "lowrank.fim"
     est.save_estimate(e, path)
     meta = est.load_estimate(path).meta
     assert meta == e.meta
-    for key in ("backward_passes", "k", "eigen", "ema_beta", "seed", "dataset_id", "probe_count"):
+    for key in ("backward_passes", "k", "eigen", "lr", "seed", "dataset_id", "probe_count"):
         assert key in meta
 
 

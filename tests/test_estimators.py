@@ -9,8 +9,8 @@ import pytest
 from fimlab import autodiff as ad
 from fimlab import estimators as est
 from fimlab.bounds import pullback_bounds, tightness_report
-from fimlab.network import NetworkSpec, flatten, forward_logits, init_params, unflatten
-from fimlab.simplex import hypercube_fim, simplex_matrix, spectrum
+from fimlab.network import NetworkSpec, flatten, forward_logits, init_params, softmax, unflatten
+from fimlab.simplex import simplex_matrix, spectrum
 
 from helpers import enumeration_diag_moments, enumeration_mean, jacobian_and_logits, random_instance, sample_label
 
@@ -186,8 +186,6 @@ def test_pullback_saturated_probabilities_vanish():
 def test_pullback_binary_reduces_to_row_difference():
     rng = np.random.default_rng(1)
     net, theta, X = random_instance(rng, (3, 2), "none", n_samples=2)
-    from fimlab.network import softmax
-
     expected = np.zeros((net.dim, net.dim))
     for x in X:
         J, z = jacobian_and_logits(net, theta, x)
@@ -230,8 +228,6 @@ def test_efim_two_routes_agree():
     net, theta, X = random_instance(rng, (2, 5, 3), "tanh", n_samples=4)
     labels = rng.integers(3, size=4)
     F = est.efim(net, theta, X, labels)
-    from fimlab.network import softmax
-
     expected = np.zeros((net.dim, net.dim))
     for x, y in zip(X, labels):
         J, z = jacobian_and_logits(net, theta, x)
@@ -443,6 +439,23 @@ def test_diag_enumeration_matches_upper_bound():
     assert np.max(np.abs(mean - bp.upper)) <= 1e-10
 
 
+def hypercube_fim(p) -> np.ndarray:
+    """Fisher information of independent Bernoulli coordinates: diag(p(1-p)), (C, C)."""
+    v = np.asarray(p, dtype=np.float64)
+    if np.any(v < 0) or np.any(v > 1):
+        raise ValueError("Bernoulli parameters must lie in [0, 1]")
+    return np.diag(v * (1.0 - v))
+
+
+def test_hypercube_examples():
+    assert np.allclose(hypercube_fim([0.5, 0.5]), np.diag([0.25, 0.25]))
+    assert np.allclose(hypercube_fim([0.0, 1.0]), np.zeros((2, 2)))
+    f = hypercube_fim([0.25, 0.75, 0.5])
+    assert np.allclose(np.diag(f), [0.1875, 0.1875, 0.25])
+    with pytest.raises(ValueError):
+        hypercube_fim([0.5, 1.2])
+
+
 def test_diag_bernoulli_enumeration_matches_hypercube_pullback():
     rng = np.random.default_rng(12)
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
@@ -553,8 +566,6 @@ def test_diag_full_centering_relation():
     probe = est.sample_probe((2, 4), "rademacher", rng)
     g_full = est.hutchinson_gradient(net, theta, X, "full", probe=probe)
     g_diag = est.hutchinson_gradient(net, theta, X, "diag", probe=probe, weights="p")
-    from fimlab.network import softmax
-
     correction = np.zeros_like(g_full)
     for i, x in enumerate(X):
         J, z = jacobian_and_logits(net, theta, x)
@@ -772,7 +783,7 @@ def test_variance_rejects_unsupported():
         est.variance_closed_form(net, theta, X, "lowrank", k=net.n_classes)
 
 
-# --- trace, EMA, serialization ---------------------------------------------------------
+# --- trace, serialization ---------------------------------------------------------
 
 
 def test_trace_enumeration_matches_exact_trace():
@@ -785,7 +796,7 @@ def test_trace_enumeration_matches_exact_trace():
         for bits in itertools.product((-1.0, 1.0), repeat=6)
     ):
         g = est.hutchinson_gradient(net, theta, X, "full", probe=probe)
-        total += est.trace_estimate(g)
+        total += g @ g
         count += 1
     exact = est.exact_fim_definition(net, theta, X)
     assert total / count == pytest.approx(float(np.trace(exact.values)), abs=1e-10)
@@ -800,65 +811,7 @@ def test_trace_zero_for_insensitive_network():
     )
     # x = 0 and uniform p: weight grads vanish and bias grads cancel the mean,
     # so only rounding noise survives
-    assert est.trace_estimate(g) <= 1e-28
-
-def test_trace_single_parameter_is_first_diagonal():
-    g = np.array([1.7])
-    assert est.trace_estimate(g) == pytest.approx(1.7**2)
-
-
-def test_ema_zero_decay_returns_new():
-    a = est.FimEstimate("hutch_full", "diagonal", np.ones(3), "sum", {"probe_count": 1, "backward_passes": 1})
-    b = est.FimEstimate("hutch_full", "diagonal", np.full(3, 5.0), "sum", {"probe_count": 1, "backward_passes": 1})
-    out = est.ema_update(a, b, beta=0.0)
-    assert np.array_equal(out.values, b.values)
-    assert out.meta["probe_count"] == 2
-    assert out.meta["backward_passes"] == 2
-
-
-def test_ema_keeps_a_count_only_where_both_inputs_carry_it():
-    bare = est.FimEstimate("exact_def", "diagonal", np.ones(2), "sum", {})
-    assert est.ema_update(bare, bare, 0.5).meta == {"ema_beta": 0.5}
-    counted = est.FimEstimate("exact_def", "diagonal", np.ones(2), "sum", {"probe_count": 3, "backward_passes": 6})
-    for a, b in ((bare, counted), (counted, bare)):
-        meta = est.ema_update(a, b, 0.5).meta
-        assert "probe_count" not in meta and "backward_passes" not in meta
-    assert est.ema_update(counted, counted, 0.5).meta == {"probe_count": 6, "backward_passes": 12, "ema_beta": 0.5}
-    unknown = est.FimEstimate("exact_def", "diagonal", np.ones(2), "sum", {"probe_count": None})
-    assert "probe_count" not in est.ema_update(unknown, counted, 0.5).meta
-
-
-def test_ema_validates_inputs():
-    a = est.FimEstimate("hutch_full", "diagonal", np.ones(3), "sum", {})
-    b = est.FimEstimate("hutch_full", "dense", np.eye(3), "sum", {})
-    with pytest.raises(ValueError):
-        est.ema_update(a, b, 0.5)
-    c = est.FimEstimate("mc", "diagonal", np.ones(3), "mean", {})
-    with pytest.raises(ValueError):
-        est.ema_update(a, c, 0.5)
-    mean = est.FimEstimate("hutch_full", "diagonal", np.ones(3), "mean", {})
-    with pytest.raises(ValueError, match="^cannot blend estimates with different normalization$"):
-        est.ema_update(a, mean, 0.5)
-    with pytest.raises(ValueError):
-        est.ema_update(a, a, 1.0)
-    efim = est.FimEstimate("efim", "diagonal", np.ones(3), "sum", {})
-    with pytest.raises(ValueError, match="different kinds: 'hutch_full' and 'efim'"):
-        est.ema_update(a, efim, 0.5)
-    # one kind, another target or probe: the blend would report the first one's
-    rng = np.random.default_rng(41)
-    net, theta, X = random_instance(rng, (2, 5), "none", n_samples=2)
-
-    def probe(variant, **kwargs):
-        return est.hutchinson_fim(net, theta, X, variant, rng=rng, storage="diagonal", **kwargs)
-
-    for acc, new, key in (
-        (probe("lowrank", k=1), probe("lowrank", k=3), "k: 1 and 3"),
-        (probe("lowrank", eigen="power"), probe("lowrank", eigen="full"), "eigen: 'power' and 'full'"),
-        (probe("diag", weights="bernoulli"), probe("diag"), "weights: 'bernoulli' and 'p'"),
-        (probe("full"), probe("full", dist="gaussian"), "probe_dist: 'rademacher' and 'gaussian'"),
-    ):
-        with pytest.raises(ValueError, match=f"different {key}$"):
-            est.ema_update(acc, new, 0.5)
+    assert g @ g <= 1e-28
 
 
 def test_probe_averaging_variance_drops_like_one_over_j():
@@ -1206,9 +1159,10 @@ def test_seeded_probe_sweep_equals_the_traced_probe_scalar_bitwise(variant):
     g = est.hutchinson_gradient(net, theta, X, variant, probe=probe)
     assert np.array_equal(g, ad.gradient(h))
     if variant == "sqrt":
-        # the paper's scalar 2 sum sqrt(p) xi, traced through exp(0.5 log_softmax): an
-        # independent route, so it agrees to round-off rather than bitwise
-        paper = ad.scale(ad.wsum(ad.exp(ad.scale(ad.log_softmax(logits), 0.5)), probe.entries), 2.0)
+        # the paper's scalar 2 sum sqrt(p) xi has the logit gradient sum xi sqrt(p) (e_y - p),
+        # that of sum xi sqrt(p) log p with sqrt(p) held off the tape: an independent
+        # route through the log-softmax rule, so it is held to round-off, not bitwise
+        paper = ad.wsum(ad.log_softmax(logits), probe.entries * np.sqrt(softmax(logits.data)))
         assert np.max(np.abs(g - ad.gradient(paper))) <= 1e-12 * np.max(np.abs(g))
 
 

@@ -99,9 +99,9 @@ def test_divergence_is_reported():
     # ceiling plus persistently misclassified (overlapping) classes
     task = blobs(seed=6, n=64, d=2, C=2, separation=0.0)
     net = NetworkSpec((2, 2), "none")
-    with pytest.warns(RuntimeWarning):
-        with pytest.raises(TrainingDiverged):
-            train_sgd(net, task, steps=10, lr=1e308)
+    # the overflow behind it shows as the loss: a RuntimeWarning would fail the suite
+    with pytest.raises(TrainingDiverged, match="^loss became inf at step 1$"):
+        train_sgd(net, task, steps=10, lr=1e308)
 
 
 # --- RelMAE ------------------------------------------------------------------------
@@ -199,6 +199,15 @@ def test_cv_demo_refuses_nu_where_the_importance_check_has_infinite_variance():
         cv_demo(4.25, m=4, trials=4, rng=np.random.default_rng(0))
     report = cv_demo(4.26, m=4, trials=4, rng=np.random.default_rng(0), importance_samples=10**3)
     assert report.ratio_formula == pytest.approx(3.0 * 2.26 / 0.26)
+
+
+def test_cv_demo_refuses_nu_where_the_log_normalizer_cancels():
+    # lgamma((nu+1)/2) - lgamma(nu/2) is off by about eps (nu/2) ln(nu/2): 5e-10 at 1e6
+    for nu in (np.nextafter(1e6, np.inf), 1e12, 1e16, 1e308, np.inf, np.nan):
+        with pytest.raises(ValueError, match="^nu must be at most 1e\\+06, got "):
+            cv_demo(nu, m=4, trials=4, rng=np.random.default_rng(0))
+    report = cv_demo(1e6, m=4, trials=4, rng=np.random.default_rng(0), importance_samples=10**5)
+    assert abs(report.ratio_importance - 3.0) <= 0.05 * 3.0
 
 
 # --- histograms -----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from fimlab.simplex import (
     empirical_fim_variance,
     empirical_simplex_fim,
     envelope_errors,
-    hypercube_fim,
     lambda_max_bracket,
     order_stats,
     simplex_fim,
@@ -58,15 +57,6 @@ def test_simplex_fim_hand_evaluated():
 def test_simplex_rejects_invalid_points(bad):
     with pytest.raises(ValueError):
         simplex_fim(bad)
-
-
-def test_hypercube_examples():
-    assert np.allclose(hypercube_fim([0.5, 0.5]), np.diag([0.25, 0.25]))
-    assert np.allclose(hypercube_fim([0.0, 1.0]), np.zeros((2, 2)))
-    f = hypercube_fim([0.25, 0.75, 0.5])
-    assert np.allclose(np.diag(f), [0.1875, 0.1875, 0.25])
-    with pytest.raises(ValueError):
-        hypercube_fim([0.5, 1.2])
 
 
 @pytest.mark.parametrize("lower, upper, message", [
@@ -379,14 +369,6 @@ def test_power_with_tolerance_converges_tightly():
         assert abs(lam - dec.lambda_max) <= 1e-6
 
 
-def test_top_eigenpair_full_delegates():
-    p = [0.2, 0.3, 0.5]
-    lam, v = top_eigenpair(p, method="full")
-    dec = spectrum(simplex_fim(p))
-    assert lam == dec.lambda_max
-    assert np.allclose(v, dec.top_vector)
-
-
 def _power_inputs(C, kind):
     if kind == "uniform":
         return np.full(C, 1.0 / C)
@@ -419,6 +401,8 @@ def test_power_requires_rng_and_budget():
         top_eigenpair([0.5, 0.5], method="power")
     with pytest.raises(ValueError):
         top_eigenpair([0.5, 0.5], method="power", iters=0, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^unknown method 'full'$"):  # spectrum() is the exact route
+        top_eigenpair([0.5, 0.5], method="full", rng=np.random.default_rng(0))
 
 
 # --- envelopes -------------------------------------------------------------------
