@@ -221,9 +221,10 @@ def log_softmax(a: Value) -> Value:
 def _check_integral(values: np.ndarray, what: str) -> None:
     """Raise ValueError naming the first entry of `values` that is not an integer.
 
-    Integral floats such as 2.0 pass; 0.7 and NaN are refused, not cut to 0.
+    Integral floats such as 2.0 pass; 0.7 and NaN are refused, not cut to 0,
+    and so is a boolean mask, not read as 1 and 0.
     """
-    if values.dtype.kind not in "biu":
+    if values.dtype.kind not in "iu":
         bad = values[~(np.floor(values) == values)] if values.dtype.kind == "f" else values.ravel()
         if bad.size:
             raise ValueError(f"{what} {bad.tolist()[0]!r} is not an integer")

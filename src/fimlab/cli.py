@@ -235,8 +235,9 @@ def cmd_estimate(args) -> int:
 def cmd_bench(args) -> int:
     cfg = parse_config(args.config)
     _check_out(args.out)
-    X, labels, net, theta = _build_instance(cfg)
     bench_cfg = hz.BenchConfig(**{key: cfg[key] for key in ("batch_size", "n_batches", "estimators", "seed")})
+    hz._check_sample_count(cfg["n_samples"], bench_cfg, f"{args.config}: ")  # before any training
+    X, labels, net, theta = _build_instance(cfg)
     rows = hz.run_bench(net, theta, X, labels, bench_cfg)
     out = io.StringIO()
     writer = csv.writer(out)  # its rows end in \r\n

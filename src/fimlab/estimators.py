@@ -16,8 +16,8 @@ drawn rows of that same forward.
 
 Each probe variant writes its C x C core once (`_core`), as weights w (B, r)
 and output-space rows m_r with core = sum_r w_r m_r m_r^T: w = p with rows
-e_y - p (full and sqrt), w = zeta (p or s(1-s)) with rows e_y (diag), or the
-top-k eigenpairs of diag(p) - p p^T (lowrank).  One pipeline
+e_y - p (full and sqrt), w = p with rows e_y (diag), or the top-k
+eigenpairs of diag(p) - p p^T (lowrank).  One pipeline
 (`_probe_gradients`) serves the probe gradient, the probe estimate and the
 empirical variance: one forward pass and one core per call, then one reverse
 sweep per probe, seeded at the logits with M^T (sqrt(w) xi) for random signs
@@ -134,20 +134,6 @@ class FimEstimate:
 
     def diagonal(self) -> np.ndarray:
         return np.diag(self.values) if self.storage == "dense" else self.values
-
-    def validate(self) -> None:
-        """Check the finite/symmetry/psd invariants; raises on violation."""
-        if not np.isfinite(self.values).all():  # NaN passes every test below, an infinity warns
-            raise ValueError(f"{self.storage} estimate has a non-finite entry (NaN or infinity)")
-        if self.storage == "diagonal":
-            if np.min(self.values, initial=0.0) < -1e-12:
-                raise ValueError("diagonal estimate has a negative entry")
-            return
-        m = self.values
-        if np.max(np.abs(m - m.T), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(m))):
-            raise ValueError("dense estimate is not symmetric")
-        if float(np.linalg.eigvalsh((m + m.T) / 2.0)[0]) < -1e-10:
-            raise ValueError("dense estimate is not positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -390,15 +376,14 @@ def mc_fim(
 def _check_probe_args(variant: str, C: int, k: int, weights: str, eigen: str, dist: str) -> int:
     """k, as an int for the low-rank variant, once the arguments pass: reject an
     unknown variant, diagonal `weights`, eigenpair route or probe distribution
-    whatever the variant, C < 2 but for diag, and a low-rank k outside [1, C-1]."""
-    if weights not in ("p", "bernoulli"):
-        raise ValueError(f"unknown diagonal weights {weights!r}; expected 'p' or 'bernoulli'")
+    whatever the variant, C < 2, and a low-rank k outside [1, C-1]."""
+    if weights != "p":
+        raise ValueError(f"unknown diagonal weights {weights!r}; expected 'p'")
     if eigen not in ("power", "full"):
         raise ValueError(f"unknown eigenpair route {eigen!r}; expected 'power' or 'full'")
     if variant not in HUTCH_KINDS:
         raise ValueError(f"unknown variant {variant!r}")
-    if variant != "diag":
-        _check_categorical(C)
+    _check_categorical(C)
     if dist not in PROBE_DISTS:
         raise ValueError(f"unknown probe distribution {dist!r}")
     return _check_rank(k, C) if variant == "lowrank" else k
@@ -473,21 +458,16 @@ class _Core(NamedTuple):
         return np.einsum("r,rd,rd->d", w, R, R)
 
 
-def _core(variant: str, z: np.ndarray, *, k: int = 1, weights: str = "p", eigen: str = "full",
+def _core(variant: str, z: np.ndarray, *, k: int = 1, eigen: str = "full",
           rng: np.random.Generator | None = None) -> _Core:
     """The core of a probe variant at logits z (B, C); "sqrt" takes the full core.
 
-    `weights` and `eigen` are checked by the public callers (`_check_probe_args`).
+    `eigen` is checked by the public callers (`_check_probe_args`).
     """
     p = softmax(z)
     if variant in ("full", "sqrt"):
         return _Core(p, p=p)
     if variant == "diag":
-        if weights == "bernoulli":
-            # s(1 - s) for s the sigmoid of z is e / (1 + e)^2 with e = exp(-|z|),
-            # exact for either sign of z: no 1 - s to cancel
-            e = np.exp(-np.abs(z))
-            return _Core(e / (1.0 + e) ** 2)
         return _Core(p)
     lams, V = _lowrank_eigenpairs(p, k, eigen, rng)
     return _Core(lams, V=V)
@@ -517,7 +497,7 @@ def _probe_gradients(net: NetworkSpec, theta, X, variant: str, n: int, probe: Pr
         raise ValueError("the k = 1 power route draws its start vectors from rng; "
                          "pass rng, or eigen='full'")
     logits = forward_logits(net, theta, X)
-    core = _core(variant, logits.data, k=k, weights=weights, eigen=eigen, rng=rng)
+    core = _core(variant, logits.data, k=k, eigen=eigen, rng=rng)
     sqrt_w = np.sqrt(np.maximum(core.w, 0.0))  # round-off can leave a low-rank eigenvalue at -1e-17
 
     def gradients():
@@ -609,7 +589,7 @@ def variance_closed_form(
     """
     k = _check_probe_args(variant, net.n_classes, k, weights, "full", dist)
     J, z, _ = _jacobian_stack(net, theta, X)
-    core = _core(variant, z, k=k, weights=weights)
+    core = _core(variant, z, k=k)
     R2 = core.rows(J)
     np.square(R2, out=R2)  # R's own buffer; the diag core's is J, not used after this
     target = np.einsum("br,brd->d", core.w, R2)

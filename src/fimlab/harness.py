@@ -342,6 +342,15 @@ class BenchRow:
     backward_passes: int
 
 
+def _check_sample_count(n_samples: int, cfg: BenchConfig, where: str = "") -> int:
+    """batch_size * n_batches, once n_samples covers it; else ValueError naming the three after `where`."""
+    needed = cfg.batch_size * cfg.n_batches
+    if n_samples < needed:
+        raise ValueError(f"{where}n_samples = {n_samples} is below batch_size * n_batches = "
+                         f"{cfg.batch_size} * {cfg.n_batches} = {needed}")
+    return needed
+
+
 def _batches(X, labels, cfg: BenchConfig):
     for j in range(cfg.n_batches):
         sel = slice(j * cfg.batch_size, (j + 1) * cfg.batch_size)
@@ -358,9 +367,7 @@ def run_bench(net: NetworkSpec, theta, X, labels, cfg: BenchConfig) -> list[Benc
     probe name of estimators.PROBE_VARIANTS; others are rejected.
     """
     X = np.asarray(X, dtype=np.float64)
-    needed = cfg.batch_size * cfg.n_batches
-    if X.shape[0] < needed:
-        raise ValueError(f"need {needed} samples, got {X.shape[0]}")
+    needed = _check_sample_count(X.shape[0], cfg)
     if labels is None:
         raise ValueError("the empirical FIM needs labels")
     X = X[:needed]

@@ -44,6 +44,22 @@ def replay(tape: ad.Tape) -> bool:
     return True
 
 
+def validate(estimate) -> None:
+    """Raise ValueError unless the estimate is finite and, diagonal, nonnegative
+    or, dense, symmetric and positive semidefinite (one dense eigvalsh)."""
+    if not np.isfinite(estimate.values).all():  # NaN passes every test below, an infinity warns
+        raise ValueError(f"{estimate.storage} estimate has a non-finite entry (NaN or infinity)")
+    if estimate.storage == "diagonal":
+        if np.min(estimate.values, initial=0.0) < -1e-12:
+            raise ValueError("diagonal estimate has a negative entry")
+        return
+    m = estimate.values
+    if np.max(np.abs(m - m.T), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(m))):
+        raise ValueError("dense estimate is not symmetric")
+    if float(np.linalg.eigvalsh((m + m.T) / 2.0)[0]) < -1e-10:
+        raise ValueError("dense estimate is not positive semidefinite")
+
+
 def sample_label(p: np.ndarray, rng: np.random.Generator) -> int:
     """One label y ~ p from one uniform: its own cumulative sum of p, clipped to
     the last label where the uniform reaches the rounded total."""

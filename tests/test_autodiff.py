@@ -56,6 +56,7 @@ def test_gather_refuses_non_integral_indices():
     for operand, bad, message in (
         (A, [0.7, 1.9], "gather index 0.7 is not an integer"),
         (A, [1.0, np.nan], "gather index nan is not an integer"),
+        (A, np.array([True, False]), "gather index True is not an integer"),  # a mask, not 1 and 0
         (A, [0.0, np.inf], "gather index out of range"),  # inf is integral, and out of any range
         (A, [1], "gather on a matrix needs one index per row"),
         (a, [1, 2, 0], "gather expects a 2-D operand"),

@@ -255,8 +255,9 @@ def test_report_refuses_zero_samples():
 def test_report_refuses_labels_that_are_not_integers():
     rng = np.random.default_rng(19)
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
-    with pytest.raises(ValueError, match="^label 0.7 is not an integer$"):
-        tightness_report(net, theta, X, k=1, labels=[0.7, 1.9])
+    for labels, first in (([0.7, 1.9], "0.7"), (np.array([True, False]), "True")):
+        with pytest.raises(ValueError, match=f"^label {first} is not an integer$"):
+            tightness_report(net, theta, X, k=1, labels=labels)
 
 
 def _dense_gaps(net, theta, X, k, labels):

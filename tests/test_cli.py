@@ -305,6 +305,19 @@ def test_bench_csv(tmp_path):
     assert out2.read_bytes() == out.read_bytes()  # reproducible from (config, seed)
 
 
+def test_bench_refuses_too_few_samples_before_training(tmp_path, capsys, monkeypatch):
+    # 100 samples cannot fill the default 8 batches of 64; no training step may run first
+    cfg = write_config(tmp_path / "c.cfg", n_samples=100, hidden=16, train_steps=3000)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no training step may run for a bench that cannot fill its batches")
+
+    monkeypatch.setattr(hz, "train_sgd", refuse)
+    assert main(["bench", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: n_samples = 100 is below batch_size * n_batches = 64 * 8 = 512\n")
+
+
 @pytest.mark.parametrize("argv, line_end", [
     (["bench"], b"\r\n"),  # the csv module's line end
     (["variance", "--variant", "diag"], b"\n"),

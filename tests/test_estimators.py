@@ -12,7 +12,9 @@ from fimlab.bounds import pullback_bounds, tightness_report
 from fimlab.network import NetworkSpec, flatten, forward_logits, init_params, softmax, unflatten
 from fimlab.simplex import simplex_matrix, spectrum
 
-from helpers import enumeration_diag_moments, enumeration_mean, jacobian_and_logits, random_instance, sample_label
+from helpers import (
+    enumeration_diag_moments, enumeration_mean, jacobian_and_logits, random_instance, sample_label, validate,
+)
 
 
 def scalar_binary_model():
@@ -96,7 +98,7 @@ def test_validate_refuses_a_non_finite_entry(storage, bad):
         values[at] = values[at[::-1]] = bad
         estimate = est.FimEstimate("efim", storage, values if storage == "dense" else values[at[0]], "sum")
         with pytest.raises(ValueError, match=f"^{storage} estimate has a non-finite entry"):
-            estimate.validate()
+            validate(estimate)
 
 
 @pytest.mark.parametrize("storage, values, message", [
@@ -106,7 +108,7 @@ def test_validate_refuses_a_non_finite_entry(storage, bad):
 ])
 def test_validate_refuses_a_broken_invariant(storage, values, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        est.FimEstimate("efim", storage, values, "sum").validate()
+        validate(est.FimEstimate("efim", storage, values, "sum"))
 
 
 def _one_class_entry_points():
@@ -118,6 +120,9 @@ def _one_class_entry_points():
         "mc_fim": lambda net, theta, X: est.mc_fim(net, theta, X, 2, rng(0)),
         "hutch": lambda net, theta, X: est.hutchinson_fim(net, theta, X, "full", rng=rng(0)),
         "hutch_lowrank": lambda net, theta, X: est.hutchinson_fim(net, theta, X, "lowrank", rng=rng(0)),
+        "hutch_diag": lambda net, theta, X: est.hutchinson_fim(net, theta, X, "diag", rng=rng(0)),
+        "variance_diag": lambda net, theta, X: est.variance_closed_form(net, theta, X, "diag"),
+        "empirical_variance_diag": lambda net, theta, X: est.empirical_probe_variance(net, theta, X, "diag", 2, rng(0)),
     }
 
 
@@ -132,13 +137,6 @@ def test_one_class_net_is_refused_before_the_forward_pass(monkeypatch, entry):
     monkeypatch.setattr(est, "forward_logits", refuse)
     with pytest.raises(ValueError, match="^categorical estimators need at least 2 classes$"):
         _one_class_entry_points()[entry](net, theta, X)
-
-
-@pytest.mark.parametrize("weights", ["p", "bernoulli"])
-def test_hutch_diag_accepts_a_one_class_net(weights):
-    net, theta, X = random_instance(np.random.default_rng(42), (2, 1), "none", n_samples=2)
-    estimate = est.hutchinson_fim(net, theta, X, "diag", rng=np.random.default_rng(0), weights=weights)
-    assert estimate.dim == net.dim and np.all(np.isfinite(estimate.values))
 
 
 def test_exact_fim_scalar_model_quarter_x_squared():
@@ -168,8 +166,8 @@ def test_definition_equals_pullback(layers, act):
     a = est.exact_fim_definition(net, theta, X)
     b = est.exact_fim_pullback(net, theta, X)
     assert np.linalg.norm(a.values - b.values) <= 1e-10
-    a.validate()
-    b.validate()
+    validate(a)
+    validate(b)
 
 
 def test_pullback_saturated_probabilities_vanish():
@@ -261,6 +259,7 @@ def test_efim_rejects_bad_labels():
     ([1.0, np.nan], "label nan is not an integer"),
     (["0", "1"], "label '0' is not an integer"),
     ([0.0, np.inf], "label out of range"),
+    (np.array([True, False]), "label True is not an integer"),  # a mask, not labels 1 and 0
 ])
 def test_efim_refuses_labels_that_are_not_integers(labels, message):
     net, theta = scalar_binary_model()
@@ -437,44 +436,6 @@ def test_diag_enumeration_matches_upper_bound():
     mean = enumeration_mean(net, theta, X, "diag", weights="p")
     bp = pullback_bounds(net, theta, X, k=1)
     assert np.max(np.abs(mean - bp.upper)) <= 1e-10
-
-
-def hypercube_fim(p) -> np.ndarray:
-    """Fisher information of independent Bernoulli coordinates: diag(p(1-p)), (C, C)."""
-    v = np.asarray(p, dtype=np.float64)
-    if np.any(v < 0) or np.any(v > 1):
-        raise ValueError("Bernoulli parameters must lie in [0, 1]")
-    return np.diag(v * (1.0 - v))
-
-
-def test_hypercube_examples():
-    assert np.allclose(hypercube_fim([0.5, 0.5]), np.diag([0.25, 0.25]))
-    assert np.allclose(hypercube_fim([0.0, 1.0]), np.zeros((2, 2)))
-    f = hypercube_fim([0.25, 0.75, 0.5])
-    assert np.allclose(np.diag(f), [0.1875, 0.1875, 0.25])
-    with pytest.raises(ValueError):
-        hypercube_fim([0.5, 1.2])
-
-
-def test_diag_bernoulli_enumeration_matches_hypercube_pullback():
-    rng = np.random.default_rng(12)
-    net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
-    mean = enumeration_mean(net, theta, X, "diag", weights="bernoulli")
-    expected = np.zeros((net.dim, net.dim))
-    for x in X:
-        J, z = jacobian_and_logits(net, theta, x)
-        expected += J.T @ hypercube_fim(1.0 / (1.0 + np.exp(-z))) @ J
-    assert np.max(np.abs(mean - expected)) <= 1e-10
-
-
-def test_bernoulli_diag_weight_is_exact_at_large_logits():
-    # s(1 - s) at s = sigmoid(z) against the independent form 1 / (2 + 2 cosh z); at
-    # z = 40 the true weight is 4.2e-18, which a 1 - s would round to zero
-    z = np.array([[0.0, 1.0, -1.0, 20.0, -20.0, 30.0, -30.0, 40.0, -40.0]])
-    w = est._core("diag", z, weights="bernoulli").w
-    expected = 1.0 / (2.0 + 2.0 * np.cosh(z))
-    assert np.max(np.abs(w - expected) / expected) <= 1e-15
-    assert w[0, 1::2].tobytes() == w[0, 2::2].tobytes()  # w(z) == w(-z) bitwise
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -690,11 +651,10 @@ def test_full_variance_matches_enumeration():
 def test_diag_variance_matches_enumeration():
     rng = np.random.default_rng(21)
     net, theta, X = random_instance(rng, (3, 3), "none", n_samples=2)
-    for weights in ("p", "bernoulli"):
-        mean, var = enumeration_diag_moments(net, theta, X, "diag", weights=weights)
-        report = est.variance_closed_form(net, theta, X, "diag", "rademacher", weights=weights)
-        assert np.max(np.abs(var - report.var_closed)) <= 1e-10
-        assert np.max(np.abs(mean - report.fim_diag)) <= 1e-12
+    mean, var = enumeration_diag_moments(net, theta, X, "diag")
+    report = est.variance_closed_form(net, theta, X, "diag", "rademacher")
+    assert np.max(np.abs(var - report.var_closed)) <= 1e-10
+    assert np.max(np.abs(mean - report.fim_diag)) <= 1e-12
 
 
 def test_lowrank_variance_matches_enumeration():
@@ -761,17 +721,21 @@ def test_empirical_variance_needs_two_trials(n_trials):
 
 
 @pytest.mark.parametrize("variant", ["full", "diag", "lowrank", "sqrt"])
-@pytest.mark.parametrize("option", [{"weights": "bogus"}, {"eigen": "bogus"}, {"dist": "bogus"}])
+@pytest.mark.parametrize("option", [{"weights": "bogus"}, {"eigen": "bogus"}, {"dist": "bogus"},
+                                    {"weights": "bernoulli"}])  # no sigmoid-head weights either
 def test_unknown_weights_and_eigen_rejected_for_every_variant(variant, option):
     rng = np.random.default_rng(26)
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
-    with pytest.raises(ValueError, match="'bogus'"):
+    named = repr(*option.values())
+    with pytest.raises(ValueError, match=named):
         est.hutchinson_fim(net, theta, X, variant, rng=rng, **option)
-    with pytest.raises(ValueError, match="'bogus'"):
+    with pytest.raises(ValueError, match=named):
         est.hutchinson_gradient(net, theta, X, variant, rng=rng, **option)
-    if "eigen" not in option:  # variance_closed_form takes no eigenpair route
-        with pytest.raises(ValueError, match="'bogus'"):
+    if "eigen" not in option:  # the variances take no eigenpair route
+        with pytest.raises(ValueError, match=named):
             est.variance_closed_form(net, theta, X, variant, **option)
+        with pytest.raises(ValueError, match=named):
+            est.empirical_probe_variance(net, theta, X, variant, 2, rng, **option)
 
 
 def test_variance_rejects_unsupported():
@@ -949,7 +913,7 @@ def test_gram_accumulation_equals_outer_product_loop(monkeypatch, kind, act, blo
         assert got.values.shape == ref.shape
         assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
         if storage == "dense":
-            got.validate()
+            validate(got)
 
 
 @pytest.mark.parametrize("variant", list(est.HUTCH_KINDS))

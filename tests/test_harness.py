@@ -305,7 +305,7 @@ def test_bench_reproducible_estimates():
 def test_bench_requires_enough_samples():
     net, theta, X, labels = bench_setup()
     cfg = BenchConfig(batch_size=64, n_batches=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n_samples = 64 is below batch_size \* n_batches = 64 \* 4 = 256$"):
         run_bench(net, theta, X, labels, cfg)
 
 

@@ -1,8 +1,9 @@
-"""Every public name of fimlab is used by the package, its scripts, the
-benchmark or the acceptance gate; a name that only unit tests reach does not
-belong in src/."""
+"""Every public name of fimlab, and every public method and property of a
+public class, is used by the package, its scripts, the benchmark or the
+acceptance gate; a name that only unit tests reach does not belong in src/."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import fimlab
@@ -15,42 +16,66 @@ USERS = sorted(
 )
 
 
-def _uses(tree: ast.Module) -> list[tuple[set[str], set[str]]]:
-    """(names it defines, identifiers it reads or writes) per top-level statement.
+def _idents(nodes) -> set[str]:
+    """Names and attribute names read or written anywhere in the nodes."""
+    idents = set()
+    for node in (sub for top in nodes for sub in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            idents.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            idents.add(node.attr)
+    return idents
 
-    Identifiers are names and attribute names; the __all__ list is left out.
+
+def _uses(tree: ast.Module) -> list[tuple[set[str], set[str]]]:
+    """(names it defines, identifiers it reads or writes) per top-level statement,
+    and per method of a top-level class, which defines "Class.method" and Class.
+
+    The __all__ list is left out.
     """
     out = []
     for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(stmt, ast.ClassDef):
+            methods = [m for m in stmt.body if isinstance(m, ast.FunctionDef)]
+            out += [({stmt.name, f"{stmt.name}.{m.name}"}, _idents([m])) for m in methods]
+            rest = [n for n in stmt.body if n not in methods]
+            out.append(({stmt.name}, _idents([*stmt.bases, *stmt.keywords, *stmt.decorator_list, *rest])))
+            continue
+        if isinstance(stmt, ast.FunctionDef):
             defines = {stmt.name}
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             defines = {t.id for t in targets if isinstance(t, ast.Name)}
         else:
             defines = set()
-        if "__all__" in defines:
-            continue
-        idents = set()
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                idents.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                idents.add(node.attr)
-        out.append((defines, idents))
+        if "__all__" not in defines:
+            out.append((defines, _idents([stmt])))
     return out
 
 
 FILES = [(path.resolve(), _uses(ast.parse(path.read_text(), str(path)))) for path in USERS]
 
 
+def _public_names(module):
+    """(name as used, name as defined) for each name in the module's __all__ and
+    each public method and property that a class there defines itself."""
+    for name in module.__all__:
+        yield name, name
+        obj = getattr(module, name)
+        if inspect.isclass(obj) and obj.__module__ == module.__name__:
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and (
+                        inspect.isfunction(member) or isinstance(member, (property, staticmethod, classmethod))):
+                    yield attr, f"{name}.{attr}"
+
+
 def test_every_public_name_has_a_user_outside_the_unit_tests():
     unused = []
     for module in (getattr(fimlab, name) for name in fimlab.__all__):
         own = Path(module.__file__).resolve()
-        for name in module.__all__:
+        for used_as, defined_as in _public_names(module):
             # a name's own definition does not count as a use of it
-            if not any(name in idents and not (path == own and name in defines)
+            if not any(used_as in idents and not (path == own and defined_as in defines)
                        for path, uses in FILES for defines, idents in uses):
-                unused.append(f"{module.__name__}.{name}")
+                unused.append(f"{module.__name__}.{defined_as}")
     assert not unused, f"public names that only unit tests use: {unused}"
