@@ -89,7 +89,9 @@ CONFIG = {
 
 
 def _entries(path):
-    """(location, key, text) for each key=value line of the file, then for FIMLAB_SEED."""
+    """(location, key, text) for each key=value line of the file, then for FIMLAB_SEED.
+    A key given twice in the file is refused, naming both lines."""
+    seen = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -99,7 +101,11 @@ def _entries(path):
         key, text = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        yield f"{path}:{lineno}", key, text
+        at = f"{path}:{lineno}"
+        if key in seen:
+            raise ValueError(f"{at}: config key {key!r} is already set at {seen[key]}")
+        seen[key] = at
+        yield at, key, text
     if "FIMLAB_SEED" in os.environ:
         yield "FIMLAB_SEED", "seed", os.environ["FIMLAB_SEED"]
 

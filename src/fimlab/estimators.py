@@ -9,10 +9,9 @@ per-sample row (Jacobian, score, efim or Monte Carlo row) comes from one
 routine, `_sample_sweeps`: one batched forward per call (logits or
 log-softmax), checked once and viewed one row per sample by `autodiff.rows`;
 one reverse sweep per one-hot seed (every class, or one given class) adds
-no node to the tape.  The one-sample helper `loglik_gradients` sweeps view 0
-of its own one-row forward.  The Monte Carlo estimate takes all its draws
-first, x then y per draw, from one batched forward pass, and then sweeps the
-drawn rows of that same forward.
+no node to the tape.  The Monte Carlo estimate takes all its draws first,
+x then y per draw, from one batched forward pass, and then sweeps the drawn
+rows of that same forward.
 
 Each probe variant writes its C x C core once (`_core`), as weights w (B, r)
 and output-space rows m_r with core = sum_r w_r m_r m_r^T: w = p with rows
@@ -75,7 +74,6 @@ __all__ = [
     "VarianceReport",
     "exact_fim_definition",
     "exact_fim_pullback",
-    "loglik_gradients",
     "efim",
     "mc_fim",
     "sample_probe",
@@ -265,13 +263,6 @@ def _sample_sweeps(root: ad.Value, samples, classes=None):
         yield r.data[0], rows, r.tape.backward_calls
 
 
-def loglik_gradients(net: NetworkSpec, theta, x) -> tuple[np.ndarray, np.ndarray]:
-    """(p, G) for one sample: G[y] = d log p(y|x) / d theta, C sweeps at the log-softmax."""
-    lsm = ad.log_softmax(forward_logits(net, theta, _finite_inputs(theta, [x])))
-    ((lsm_x, G, _),) = _sample_sweeps(lsm, [0])
-    return np.exp(lsm_x), np.array(G)
-
-
 def _jacobian_stack(net: NetworkSpec, theta, X) -> tuple[np.ndarray, np.ndarray, int]:
     """(J, z, passes): J (B, C, dim), logits z (B, C) and the backward passes
     on the tapes.  The pullback, the closed-form variances and the bounds all
@@ -373,12 +364,10 @@ def mc_fim(
     return FimEstimate("mc", storage, acc, "mean", meta)
 
 
-def _check_probe_args(variant: str, C: int, k: int, weights: str, eigen: str, dist: str) -> int:
+def _check_probe_args(variant: str, C: int, k: int, eigen: str, dist: str) -> int:
     """k, as an int for the low-rank variant, once the arguments pass: reject an
-    unknown variant, diagonal `weights`, eigenpair route or probe distribution
-    whatever the variant, C < 2, and a low-rank k outside [1, C-1]."""
-    if weights != "p":
-        raise ValueError(f"unknown diagonal weights {weights!r}; expected 'p'")
+    unknown variant, eigenpair route or probe distribution whatever the
+    variant, C < 2, and a low-rank k outside [1, C-1]."""
     if eigen not in ("power", "full"):
         raise ValueError(f"unknown eigenpair route {eigen!r}; expected 'power' or 'full'")
     if variant not in HUTCH_KINDS:
@@ -422,7 +411,7 @@ def _lowrank_eigenpairs(
         lams = np.empty((B, 1))
         vecs = np.empty((B, 1, C))
         for b in range(B):
-            lams[b, 0], vecs[b, 0] = top_eigenpair(probs[b], method="power", rng=rng)
+            lams[b, 0], vecs[b, 0] = top_eigenpair(probs[b], rng=rng)
         return lams, vecs
     w, V = np.linalg.eigh(simplex_matrix(probs))
     return w[:, C - k:], _canonical_sign(V[:, :, C - k:]).swapaxes(1, 2)
@@ -474,7 +463,7 @@ def _core(variant: str, z: np.ndarray, *, k: int = 1, eigen: str = "full",
 
 
 def _probe_gradients(net: NetworkSpec, theta, X, variant: str, n: int, probe: ProbeVector | None,
-                     rng: np.random.Generator | None, dist: str, k: int, weights: str, eigen: str):
+                     rng: np.random.Generator | None, dist: str, k: int, eigen: str):
     """(tape, k, gradients): the checks, one forward pass and one core, then n probe
     gradients; k is the checked rank (an int) for the low-rank variant.
 
@@ -484,7 +473,7 @@ def _probe_gradients(net: NetworkSpec, theta, X, variant: str, n: int, probe: Pr
     gradient is one reverse sweep of the one tape, seeded at the logits with
     M^T (sqrt(w) xi) from the core.
     """
-    k = _check_probe_args(variant, net.n_classes, k, weights, eigen, dist)
+    k = _check_probe_args(variant, net.n_classes, k, eigen, dist)
     X = _finite_inputs(theta, X)
     probe_shape = (X.shape[0], k if variant == "lowrank" else net.n_classes)
     if probe is None:
@@ -512,8 +501,7 @@ def _probe_gradients(net: NetworkSpec, theta, X, variant: str, n: int, probe: Pr
 
 def hutchinson_gradient(
     net: NetworkSpec, theta, X, variant: str = "full", *, probe: ProbeVector | None = None,
-    rng: np.random.Generator | None = None, dist: str = "rademacher", k: int = 1, weights: str = "p",
-    eigen: str = "power",
+    rng: np.random.Generator | None = None, dist: str = "rademacher", k: int = 1, eigen: str = "power",
 ) -> np.ndarray:
     """Gradient of the probe scalar h for one probe; exactly one backward pass.
 
@@ -521,13 +509,13 @@ def hutchinson_gradient(
     (`_core`) at the forward values; only the logits carry gradient.  h
     itself is never recorded: its adjoint seeds the sweep.
     """
-    return next(_probe_gradients(net, theta, X, variant, 1, probe, rng, dist, k, weights, eigen)[2])
+    return next(_probe_gradients(net, theta, X, variant, 1, probe, rng, dist, k, eigen)[2])
 
 
 def hutchinson_fim(
     net: NetworkSpec, theta, X, variant: str = "full", *, rng: np.random.Generator | None = None,
     probe: ProbeVector | None = None, n_probes: int = 1, dist: str = "rademacher", k: int = 1,
-    weights: str = "p", eigen: str = "power", storage: str = "dense",
+    eigen: str = "power", storage: str = "dense",
 ) -> FimEstimate:
     """Probe estimate of the FIM (or of its diagonal/low-rank targets).
 
@@ -543,7 +531,7 @@ def hutchinson_fim(
         raise ValueError("an explicit probe fixes n_probes = 1")
     if n_probes < 1:
         raise ValueError("need at least one probe")
-    tape, k, grads = _probe_gradients(net, theta, X, variant, n_probes, probe, rng, dist, k, weights, eigen)
+    tape, k, grads = _probe_gradients(net, theta, X, variant, n_probes, probe, rng, dist, k, eigen)
     acc = _gram(((1.0 / n_probes, g) for g in grads), n_probes, net.dim, storage)
     meta = {
         "probe_count": n_probes,
@@ -554,7 +542,7 @@ def hutchinson_fim(
         meta["k"] = k
         meta["eigen"] = _eigen_route(eigen, k)
     if variant == "diag":
-        meta["weights"] = weights
+        meta["weights"] = "p"  # the core's weights w = p, kept so hutch_diag headers keep their bytes
     return FimEstimate(HUTCH_KINDS[variant], storage, acc, "sum", meta)
 
 
@@ -576,7 +564,6 @@ def variance_closed_form(
     variant: str = "full",
     dist: str = "rademacher",
     k: int = 1,
-    weights: str = "p",
 ) -> VarianceReport:
     """Exact variance of the diagonal of a single-probe estimate.
 
@@ -587,7 +574,7 @@ def variance_closed_form(
     Var = 2 T_ii^2 - 2 sum_{x,r} w^2 R_ri^4.  The low-rank variant takes
     any rank k in [1, C-1].
     """
-    k = _check_probe_args(variant, net.n_classes, k, weights, "full", dist)
+    k = _check_probe_args(variant, net.n_classes, k, "full", dist)
     J, z, _ = _jacobian_stack(net, theta, X)
     core = _core(variant, z, k=k)
     R2 = core.rows(J)
@@ -605,7 +592,7 @@ def variance_closed_form(
 
 def empirical_probe_variance(
     net: NetworkSpec, theta, X, variant: str, n_trials: int, rng: np.random.Generator,
-    dist: str = "rademacher", k: int = 1, weights: str = "p",
+    dist: str = "rademacher", k: int = 1,
 ) -> np.ndarray:
     """Sample variance of the diagonal estimate g * g over n_trials independent
     probes, all through one forward pass and one core: the exact (eigh)
@@ -613,7 +600,7 @@ def empirical_probe_variance(
     n_trials = _check_int(n_trials, "n_trials")
     if n_trials < 2:
         raise ValueError(f"a sample variance needs at least 2 trials, got {n_trials}")
-    _, _, grads = _probe_gradients(net, theta, X, variant, n_trials, None, rng, dist, k, weights, "full")
+    _, _, grads = _probe_gradients(net, theta, X, variant, n_trials, None, rng, dist, k, "full")
     draws = np.empty((n_trials, net.dim))
     for t, g in enumerate(grads):
         np.square(g, out=draws[t])

@@ -25,6 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .autodiff import _check_integral
+
 __all__ = [
     "ProbVector",
     "SpectralDecomp",
@@ -128,11 +130,13 @@ class SpectralDecomp:
 def spectrum(matrix) -> SpectralDecomp:
     """Full eigendecomposition of a symmetric matrix, such as an output FIM:
     ascending eigenvalues, eigenvector columns with canonical signs.  A
-    matrix that is not square, or not symmetric to 1e-12 of its largest
-    entry, raises ValueError."""
+    matrix that is not square, has a NaN or infinite entry, or is not
+    symmetric to 1e-12 of its largest entry, raises ValueError."""
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():  # NaN passes the symmetry test below, an infinity warns
+        raise ValueError("matrix has a non-finite entry")
     if np.max(np.abs(m - m.T), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(m))):
         raise ValueError("matrix is not symmetric")
     w, V = np.linalg.eigh((m + m.T) / 2.0)
@@ -269,27 +273,24 @@ def _secular_roots(lam, w, end, hi, tol):
 
 def top_eigenpair(
     p,
-    method: str = "power",
     iters: int = 30,
     rng: np.random.Generator | None = None,
     tol: float | None = None,
 ) -> tuple[float, np.ndarray]:
     """Top eigenpair of the simplex FIM at p, by power iteration.
 
-    The one route, method="power", iterates v <- normalize(p*v - (p.v) p)
-    for `iters` steps from a seeded random unit vector projected orthogonal
-    to the all-ones direction (a start inside the kernel would stall); the
-    exact eigenpairs come from `spectrum`.  The default budget of 30 steps
-    follows the fixed-budget convention; pass `tol` to stop early once the iterate
-    moves by less than tol (needed when the eigenvalue ratio is close to 1
-    and a tight eigenvalue is required).  Each step's arithmetic, in its order,
-    is held bit for bit to the reference loop in tests/helpers.py.
+    It iterates v <- normalize(p*v - (p.v) p) for `iters` steps from a
+    seeded random unit vector projected orthogonal to the all-ones direction
+    (a start inside the kernel would stall); the exact eigenpairs come from
+    `spectrum`.  The default budget of 30 steps follows the fixed-budget
+    convention; pass `tol` to stop early once the iterate moves by less than
+    tol (needed when the eigenvalue ratio is close to 1 and a tight
+    eigenvalue is required).  Each step's arithmetic, in its order, is held
+    bit for bit to the reference loop in tests/helpers.py.
 
     Returns (lambda_max, v) with v sign-canonicalized.
     """
     v = _prob(p)
-    if method != "power":
-        raise ValueError(f"unknown method {method!r}")
     if rng is None:
         raise ValueError("power iteration needs an explicit rng")
     if iters < 1:
@@ -351,8 +352,12 @@ def envelope_errors(p) -> EnvelopeErrors:
 
 def empirical_simplex_fim(p, y: int) -> np.ndarray:
     """R(y) = (e_y - p)(e_y - p)^T, the (C, C) rank-1 unbiased estimate of the
-    simplex FIM from one observed label."""
+    simplex FIM from one observed label.  An integral float such as 1.0 is
+    that label; True and 1.5 raise ValueError."""
     v = _prob(p)
+    label = np.asarray(y)
+    _check_integral(label, "label")
+    y = int(label)
     if not 0 <= y < v.size:
         raise ValueError(f"label {y} out of range for {v.size} classes")
     r = -v.copy()

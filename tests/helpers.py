@@ -33,6 +33,17 @@ def jacobian_and_logits(net, theta, x):
     return J, logits.data[0]
 
 
+def loglik_gradients(net, theta, x):
+    """(p, G) for one sample x: p(y|x) and G[y] = d log p(y|x) / dtheta.
+
+    A per-sample oracle like `jacobian_and_logits`: its own forward of x
+    alone, its log-softmax, then one ad.gradient per one-hot seed.
+    """
+    lsm = ad.log_softmax(forward_logits(net, theta, np.asarray(x, dtype=np.float64)[None, :]))
+    G = np.array([ad.gradient(lsm, e[None, :]) for e in np.eye(net.n_classes)])
+    return np.exp(lsm.data[0]), G
+
+
 def replay(tape: ad.Tape) -> bool:
     """Re-run every recorded op of `tape` by its forward rule in autodiff's rule
     table; True iff every value reproduces bit for bit."""

@@ -25,7 +25,7 @@ from fimlab.simplex import (
     top_eigenpair,
 )
 
-from helpers import enumeration_diag_moments, enumeration_mean, random_instance
+from helpers import enumeration_diag_moments, enumeration_mean, loglik_gradients, random_instance
 
 
 @contextmanager
@@ -161,7 +161,7 @@ def test_criterion_5_hutchinson_unbiasedness():
         # diagonal-weight variant targets the probability-weighted upper bound
         net, theta, X = random_instance(rng, (3, 3), "none", n_samples=2)
         upper = pullback_bounds(net, theta, X, k=1).upper
-        mean = enumeration_mean(net, theta, X, "diag", weights="p")
+        mean = enumeration_mean(net, theta, X, "diag")
         assert np.max(np.abs(mean - upper)) <= 1e-10
 
         # low-rank variants target the rank-k lower bound
@@ -183,7 +183,7 @@ def test_criterion_6_variance_formulas():
         cases = [
             ("full", {}, (2, 3), 2),
             ("full", {}, (2, 2), 3),
-            ("diag", {"weights": "p"}, (3, 3), 2),
+            ("diag", {}, (3, 3), 2),
             ("lowrank", {"k": 1, "eigen": "full"}, (2, 4), 3),
         ]
         for variant, kwargs, layers, B in cases:
@@ -204,7 +204,7 @@ def test_criterion_6_variance_formulas():
         B, C = X.shape[0], net.n_classes
         G = np.empty((B * C, net.dim))
         for i, x in enumerate(X):
-            p, rows = est.loglik_gradients(net, theta, x)
+            p, rows = loglik_gradients(net, theta, x)
             G[i * C:(i + 1) * C] = np.sqrt(p)[:, None] * rows
         for _ in range(5):
             probe = est.sample_probe((B, C), "gaussian", rng)
@@ -376,13 +376,13 @@ def test_criterion_11_power_iteration():
                 # budget sized for the worst admissible eigenvalue ratio at
                 # this gap; the default 30-step budget is a cost choice, not
                 # an accuracy guarantee
-                lam, _ = top_eigenpair(p, method="power", iters=4000, tol=1e-14, rng=rng)
+                lam, _ = top_eigenpair(p, iters=4000, tol=1e-14, rng=rng)
                 assert abs(lam - dec.lambda_max) <= 1e-6
                 checked += 1
         assert checked >= 200
 
         for C in (3, 10):
             p = np.full(C, 1.0 / C)  # fully degenerate top eigenspace
-            lam, v = top_eigenpair(p, method="power", rng=rng)
+            lam, v = top_eigenpair(p, rng=rng)
             M = simplex_matrix(p)
             assert np.linalg.norm(M @ v - lam * v) <= 1e-8

@@ -429,6 +429,33 @@ def test_grad_check_constant_function():
     assert ad.grad_check(f, np.array([1.0, 2.0])) == 0.0
 
 
+def _linear(theta):
+    return ad.wsum(ad.parameter(ad.Tape(), theta), np.array([2.0, -0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["difference", "gradient"])
+def test_grad_check_fails_on_a_non_finite_entry(monkeypatch, where, bad):
+    # a NaN error must not be dropped by the maximum, which would score 0.0, a pass
+    theta0 = np.array([0.3, -1.2])
+    f = _linear
+    if where == "difference":
+        def f(theta):
+            value = _linear(theta)
+            if np.array_equal(theta, theta0):
+                return value
+            return ad.add(value, ad.constant(value.tape, np.asarray(bad)))
+    else:
+        monkeypatch.setattr(ad, "gradient", lambda root: np.array([bad, -0.5]))
+    assert not math.isfinite(ad.grad_check(f, theta0))
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-4, np.nan, np.inf])
+def test_grad_check_refuses_a_step_that_is_not_positive_and_finite(step):
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        ad.grad_check(_linear, np.array([0.3, -1.2]), step=step)
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_grad_check_mixed_ops(seed):
     # fixed seeds: an adversarial search could always find a coordinate whose

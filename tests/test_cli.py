@@ -77,6 +77,21 @@ def test_env_seed_override(tmp_path, monkeypatch):
     assert parse_config(cfg_path)["seed"] == 99
 
 
+@pytest.mark.parametrize("env_seed", [None, "5"])
+def test_config_refuses_a_repeated_key(tmp_path, monkeypatch, env_seed):
+    # the last line does not win; FIMLAB_SEED overrides the seed and repeats no line
+    if env_seed is None:
+        monkeypatch.delenv("FIMLAB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("FIMLAB_SEED", env_seed)
+    path = tmp_path / "c.cfg"
+    path.write_text("seed = 1\nd = 3\n\nseed = 2\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: config key 'seed' is already set at {path}:1")):
+        parse_config(path)
+    path.write_text("seed = 1\nd = 3\n")
+    assert parse_config(path)["seed"] == (1 if env_seed is None else 5)
+
+
 @pytest.mark.parametrize("value, message", [
     ("abc", "FIMLAB_SEED: bad value for 'seed': 'abc'"),
     ("-3", "FIMLAB_SEED: seed must be at least 0, got -3"),

@@ -13,7 +13,8 @@ from fimlab.network import NetworkSpec, flatten, forward_logits, init_params, so
 from fimlab.simplex import simplex_matrix, spectrum
 
 from helpers import (
-    enumeration_diag_moments, enumeration_mean, jacobian_and_logits, random_instance, sample_label, validate,
+    enumeration_diag_moments, enumeration_mean, jacobian_and_logits, loglik_gradients, random_instance,
+    sample_label, validate,
 )
 
 
@@ -80,10 +81,6 @@ def test_per_sample_sweeps_push_no_node(monkeypatch, C):
     # the one-row forward's tape is never swept; its row view gets the C sweeps
     est._jacobian_stack(net, theta, x[None, :])
     assert [(len(t.nodes), t.backward_calls) for t in tapes] == [(forward_nodes, 0), (forward_nodes, C)]
-    tapes.clear()
-    est.loglik_gradients(net, theta, x)
-    lsm_nodes = forward_nodes + 1  # the log-softmax
-    assert [(len(t.nodes), t.backward_calls) for t in tapes] == [(lsm_nodes, 0), (lsm_nodes, C)]
 
 
 # --- exact oracles ------------------------------------------------------------
@@ -239,7 +236,7 @@ def test_efim_two_routes_agree():
 def test_efim_exhaustive_label_mean_is_exact():
     rng = np.random.default_rng(4)
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
-    probs = [est.loglik_gradients(net, theta, x)[0] for x in X]
+    probs = [loglik_gradients(net, theta, x)[0] for x in X]
     mean = np.zeros((net.dim, net.dim))
     for assignment in itertools.product(range(3), repeat=2):
         weight = probs[0][assignment[0]] * probs[1][assignment[1]]
@@ -296,7 +293,7 @@ def test_mc_exhaustive_expectation_is_exact_over_sample_count():
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
     mean = np.zeros((net.dim, net.dim))
     for i, x in enumerate(X):
-        p, _ = est.loglik_gradients(net, theta, x)
+        p, _ = loglik_gradients(net, theta, x)
         cum = np.cumsum(p)
         for y in range(3):
             u = cum[y] - p[y] / 2.0  # lands inside label y's bin
@@ -433,7 +430,7 @@ def test_sqrt_enumeration_matches_exact():
 def test_diag_enumeration_matches_upper_bound():
     rng = np.random.default_rng(11)
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
-    mean = enumeration_mean(net, theta, X, "diag", weights="p")
+    mean = enumeration_mean(net, theta, X, "diag")
     bp = pullback_bounds(net, theta, X, k=1)
     assert np.max(np.abs(mean - bp.upper)) <= 1e-10
 
@@ -453,7 +450,7 @@ def test_expectation_sandwich_across_variants():
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
     F = est.exact_fim_definition(net, theta, X).values
     low = enumeration_mean(net, theta, X, "lowrank", k=1, eigen="full")
-    up = enumeration_mean(net, theta, X, "diag", weights="p")
+    up = enumeration_mean(net, theta, X, "diag")
     assert np.linalg.eigvalsh(F - low)[0] >= -1e-10
     assert np.linalg.eigvalsh(up - F)[0] >= -1e-10
 
@@ -467,7 +464,7 @@ def test_gaussian_probe_unbiasedness_by_clt():
     B, C = X.shape[0], net.n_classes
     G = np.empty((B * C, net.dim))
     for i, x in enumerate(X):
-        p, rows = est.loglik_gradients(net, theta, x)
+        p, rows = loglik_gradients(net, theta, x)
         G[i * C:(i + 1) * C] = np.sqrt(p)[:, None] * rows
     for _ in range(3):
         probe = est.sample_probe((B, C), "gaussian", rng)
@@ -513,7 +510,7 @@ def test_full_gradient_matches_per_term_differentiation():
     g = est.hutchinson_gradient(net, theta, X, "full", probe=probe)
     expected = np.zeros_like(g)
     for i, x in enumerate(X):
-        p, G = est.loglik_gradients(net, theta, x)
+        p, G = loglik_gradients(net, theta, x)
         for y in range(2):
             expected += np.sqrt(p[y]) * probe.entries[i, y] * G[y]
     assert np.max(np.abs(g - expected)) <= 1e-12
@@ -526,7 +523,7 @@ def test_diag_full_centering_relation():
     net, theta, X = random_instance(rng, (3, 4), "none", n_samples=2)
     probe = est.sample_probe((2, 4), "rademacher", rng)
     g_full = est.hutchinson_gradient(net, theta, X, "full", probe=probe)
-    g_diag = est.hutchinson_gradient(net, theta, X, "diag", probe=probe, weights="p")
+    g_diag = est.hutchinson_gradient(net, theta, X, "diag", probe=probe)
     correction = np.zeros_like(g_full)
     for i, x in enumerate(X):
         J, z = jacobian_and_logits(net, theta, x)
@@ -721,8 +718,7 @@ def test_empirical_variance_needs_two_trials(n_trials):
 
 
 @pytest.mark.parametrize("variant", ["full", "diag", "lowrank", "sqrt"])
-@pytest.mark.parametrize("option", [{"weights": "bogus"}, {"eigen": "bogus"}, {"dist": "bogus"},
-                                    {"weights": "bernoulli"}])  # no sigmoid-head weights either
+@pytest.mark.parametrize("option", [{"eigen": "bogus"}, {"dist": "bogus"}])
 def test_unknown_weights_and_eigen_rejected_for_every_variant(variant, option):
     rng = np.random.default_rng(26)
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
@@ -858,16 +854,16 @@ def _reference_terms(kind, net, theta, X, labels, seed):
     if kind == "exact":
         terms = []
         for x in X:
-            p, G = est.loglik_gradients(net, theta, x)
+            p, G = loglik_gradients(net, theta, x)
             terms += zip(p, G)
         return terms
     if kind == "efim":
-        return [(1.0, est.loglik_gradients(net, theta, x)[1][y]) for x, y in zip(X, labels)]
+        return [(1.0, loglik_gradients(net, theta, x)[1][y]) for x, y in zip(X, labels)]
     rng = np.random.default_rng(seed)
     if kind == "mc":
         terms = []
         for _ in range(GRAM_M):
-            p, G = est.loglik_gradients(net, theta, X[int(rng.integers(X.shape[0]))])
+            p, G = loglik_gradients(net, theta, X[int(rng.integers(X.shape[0]))])
             terms.append((1.0 / GRAM_M, G[sample_label(p, rng)]))
         return terms
     if kind == "hutch_lowrank":
@@ -1277,7 +1273,6 @@ def _entry_points():
         "exact_fim_pullback": lambda net, theta, X: est.exact_fim_pullback(net, theta, X),
         "efim": lambda net, theta, X: est.efim(net, theta, X, [0, 1]),
         "mc_fim": lambda net, theta, X: est.mc_fim(net, theta, X, 2, rng(0)),
-        "loglik_gradients": lambda net, theta, X: est.loglik_gradients(net, theta, X[1]),
         "hutchinson_gradient": lambda net, theta, X: est.hutchinson_gradient(net, theta, X, rng=rng(0)),
         "hutchinson_fim": lambda net, theta, X: est.hutchinson_fim(net, theta, X, rng=rng(0)),
         "variance_closed_form": lambda net, theta, X: est.variance_closed_form(net, theta, X),

@@ -100,6 +100,14 @@ def test_spectrum_rejects_nonsymmetric():
         spectrum(np.ones(3))
 
 
+@pytest.mark.parametrize("matrix", [np.full((2, 2), np.nan), [[1.0, np.inf], [np.inf, 1.0]]],
+                         ids=["nan", "inf"])
+def test_spectrum_refuses_a_non_finite_matrix(matrix):
+    # NaN passes a symmetry test and an infinity makes eigh warn, so both are refused first
+    with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
+        spectrum(matrix)
+
+
 def test_canonical_sign_of_a_stack_matches_the_column_loop():
     V = np.random.default_rng(5).normal(size=(4, 3, 3))
     V[0, :, 1] = [0.5, -0.5, 0.1]  # a tie: the lowest index decides
@@ -331,14 +339,14 @@ def test_secular_step_guard_raises_and_is_far_from_reached(monkeypatch):
 
 
 def test_top_eigenpair_binary():
-    lam, v = top_eigenpair([0.5, 0.5], method="power", rng=np.random.default_rng(0))
+    lam, v = top_eigenpair([0.5, 0.5], rng=np.random.default_rng(0))
     assert lam == pytest.approx(0.5, abs=1e-12)
     assert np.allclose(np.abs(v), 1 / np.sqrt(2), atol=1e-12)
 
 
 def test_top_eigenpair_degenerate_uses_residual():
     p = np.full(3, 1 / 3)
-    lam, v = top_eigenpair(p, method="power", rng=np.random.default_rng(1))
+    lam, v = top_eigenpair(p, rng=np.random.default_rng(1))
     M = np.diag(p) - np.outer(p, p)
     assert lam == pytest.approx(1 / 3, abs=1e-10)
     assert np.linalg.norm(M @ v - lam * v) <= 1e-8
@@ -353,7 +361,7 @@ def test_power_budget_matches_full_on_gapped_instances():
         # the fixed default budget needs an eigenvalue ratio away from 1
         if dec.spectral_gap < 0.01 or dec.eigenvalues[-2] / dec.eigenvalues[-1] > 0.55:
             continue
-        lam, v = top_eigenpair(p, method="power", rng=rng)
+        lam, v = top_eigenpair(p, rng=rng)
         assert abs(lam - dec.lambda_max) <= 1e-6
         checked += 1
 
@@ -365,7 +373,7 @@ def test_power_with_tolerance_converges_tightly():
         dec = spectrum(simplex_fim(p))
         if dec.spectral_gap < 0.01:
             continue
-        lam, _ = top_eigenpair(p, method="power", iters=5000, tol=1e-14, rng=rng)
+        lam, _ = top_eigenpair(p, iters=5000, tol=1e-14, rng=rng)
         assert abs(lam - dec.lambda_max) <= 1e-6
 
 
@@ -390,7 +398,7 @@ def test_power_route_is_bitwise_the_reference_loop(C, kind, tol):
     for seed in range(5):
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for n in (1, 2, iters):
-            lam, v = top_eigenpair(p, method="power", iters=n, rng=got_rng, tol=tol)
+            lam, v = top_eigenpair(p, iters=n, rng=got_rng, tol=tol)
             want_lam, want_v = power_top_eigenpair(p, n, want_rng, tol)
             assert lam == want_lam and np.array_equal(v, want_v)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -398,11 +406,9 @@ def test_power_route_is_bitwise_the_reference_loop(C, kind, tol):
 
 def test_power_requires_rng_and_budget():
     with pytest.raises(ValueError):
-        top_eigenpair([0.5, 0.5], method="power")
+        top_eigenpair([0.5, 0.5])
     with pytest.raises(ValueError):
-        top_eigenpair([0.5, 0.5], method="power", iters=0, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError, match="^unknown method 'full'$"):  # spectrum() is the exact route
-        top_eigenpair([0.5, 0.5], method="full", rng=np.random.default_rng(0))
+        top_eigenpair([0.5, 0.5], iters=0, rng=np.random.default_rng(0))
 
 
 # --- envelopes -------------------------------------------------------------------
@@ -445,6 +451,20 @@ def test_envelope_random_sweep():
 def test_empirical_fim_symmetric_binary_is_exact():
     r = empirical_simplex_fim([0.5, 0.5], 0)
     assert np.allclose(r, simplex_fim([0.5, 0.5]), atol=1e-15)
+
+
+def test_empirical_fim_takes_an_integral_float_label():
+    p = [0.2, 0.3, 0.5]
+    assert np.array_equal(empirical_simplex_fim(p, 1.0), empirical_simplex_fim(p, 1))
+    assert np.array_equal(empirical_simplex_fim(p, np.float64(1.0)), empirical_simplex_fim(p, 1))
+
+
+@pytest.mark.parametrize("y, message", [(True, "label True is not an integer"),
+                                        (1.5, "label 1.5 is not an integer")])
+def test_empirical_fim_refuses_a_label_that_is_not_an_integer(y, message):
+    # a bool is not read as label 1, and 1.5 is refused by value, not by an IndexError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        empirical_simplex_fim([0.2, 0.3, 0.5], y)
 
 
 def test_empirical_fim_exhaustive_expectation():
