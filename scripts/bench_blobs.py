@@ -25,7 +25,7 @@ def main() -> int:
     task = SyntheticTask("blobs", n_samples=512, seed=args.seed, dim=10, n_classes=5, separation=2.0)
     X, labels = gen_task(task)
     net = NetworkSpec((10, 32, 5), "tanh")
-    theta = train_sgd(net, task, steps=args.steps, lr=0.2).theta
+    theta = train_sgd(net, (X, labels), steps=args.steps, lr=0.2, seed=task.seed).theta
 
     cfg = BenchConfig(batch_size=64, n_batches=8, seed=args.seed)
     rows = run_bench(net, theta, X, labels, cfg)

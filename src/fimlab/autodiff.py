@@ -42,7 +42,6 @@ precision cannot reach.
 
 from __future__ import annotations
 
-import math
 import operator
 import threading
 from dataclasses import dataclass
@@ -372,20 +371,21 @@ def gradient(root: Value, adjoint=None) -> np.ndarray:
     return backward(root, adjoint)
 
 
-def grad_check(f, theta, step: float = 1e-4) -> float:
+GRAD_CHECK_STEP = 1e-4  # grad_check's larger finite-difference step
+
+
+def grad_check(f, theta) -> float:
     """Worst relative error between reverse-mode and central differences.
 
     `f` maps a flat parameter vector to a traced scalar Value and must consume
     the vector through parameter leaves in order.  Central differences at
-    `step` and `step/2` are Richardson-combined to fourth order; the larger
-    default step then keeps cancellation roundoff near 1e-12 absolute while
+    GRAD_CHECK_STEP and half of it are Richardson-combined to fourth order;
+    a step that large keeps cancellation roundoff near 1e-12 absolute while
     truncation stays negligible, so small-gradient coordinates survive the
     1e-6 relative target.  The relative error uses denominator
     max(|g_i|, 1e-8) coordinate-wise.  A NaN or infinite gradient entry or
     difference makes the result non-finite, never a pass.
     """
-    if not 0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step!r}")
     theta = np.asarray(theta, dtype=np.float64)
     g = gradient(f(theta))
     if g.size != theta.size:
@@ -400,6 +400,6 @@ def grad_check(f, theta, step: float = 1e-4) -> float:
 
     errs = np.empty(theta.size)
     for i, gi in enumerate(g.tolist()):  # Python floats: inf - inf is NaN, without a warning
-        fd = (4.0 * central(i, step / 2.0) - central(i, step)) / 3.0
+        fd = (4.0 * central(i, GRAD_CHECK_STEP / 2.0) - central(i, GRAD_CHECK_STEP)) / 3.0
         errs[i] = abs(gi - fd) / max(abs(gi), 1e-8)
     return float(np.max(errs, initial=0.0))  # np.max keeps a NaN; the builtin max would drop it

@@ -52,35 +52,23 @@ def _at_least(minimum):  # and finite
         f"must be at least {minimum}{' and finite' if value == np.inf else ''}, got {value}")
 
 
-def _positive(where, used):  # and finite, where the value is used
-    return lambda value, cfg: None if not used(cfg) or 0 < value < np.inf else (
-        f"must be positive and finite{where}, got {value}")
-
-
-def _one_of(choices):  # each name, for a tuple of names
-    def check(value, cfg):
-        bad = [name for name in (value if isinstance(value, tuple) else (value,)) if name not in choices]
-        return f"must be one of {', '.join(choices)}, got {bad[0]!r}" if bad else None
-    return check
+def _one_of(choices):
+    return lambda value, cfg: None if value in choices else f"must be one of {', '.join(choices)}, got {value!r}"
 
 
 CONFIG = {
     "seed": Key(int, 0, _at_least(0)),
-    "generator": Key(str, "blobs", _one_of(hz.GENERATORS)),
     "d": Key(int, 2, _at_least(1)),
     "classes": Key(int, 3, _at_least(2)),
     "hidden": Key(int, 0, _at_least(0)),  # 0 is the linear model
     "activation": Key(str, "tanh", _one_of(ACTIVATIONS)),
     "n_samples": Key(int, 512, _at_least(1)),
-    "separation": Key(float, 2.0, _at_least(0.0)),  # infinite blob means
-    "nu": Key(float, 6.0, _positive(" for the student_t generator", lambda cfg: cfg["generator"] == "student_t")),
     "batch_size": Key(int, 64, _at_least(1)),
     "n_batches": Key(int, 8, _at_least(1)),
-    "estimators": Key(lambda s: tuple(part.strip() for part in s.split(",") if part.strip()),
-                      hz.BenchConfig.estimators, _one_of(("efim", *est.PROBE_VARIANTS))),
     "probes": Key(int, 1, _at_least(1)),
     "train_steps": Key(int, 0, _at_least(0)),
-    "lr": Key(float, 0.1, _positive(" when train_steps > 0", lambda cfg: cfg["train_steps"] > 0)),
+    "lr": Key(float, 0.1, lambda value, cfg: None if cfg["train_steps"] <= 0 or 0 < value < np.inf else (
+        f"must be positive and finite when train_steps > 0, got {value}")),  # unchecked when unused
     "storage": Key(str, "diagonal", _one_of(est.STORAGES)),
     "trials": Key(int, 200, _at_least(2)),
     "k": Key(int, 1, lambda value, cfg: _at_least(1)(value, cfg) or (  # a rank in [1, classes - 1]
@@ -117,8 +105,7 @@ def parse_config(path) -> dict:
     runs.  A value that does not parse or fails its check raises ValueError
     with the path and line number, or with the name FIMLAB_SEED when that
     variable, which overrides the config seed, holds it.  lr is checked only
-    when train_steps > 0, nu only for the student_t generator, and k against
-    classes.
+    when train_steps > 0, and k against classes.
     """
     cfg = {key: row.default for key, row in CONFIG.items()}
     where = {}
@@ -161,15 +148,8 @@ def _write(path, text: str) -> None:
 
 def _build_instance(cfg: dict):
     """(X, labels, net, theta) from a parsed config."""
-    task = hz.SyntheticTask(
-        generator=cfg["generator"],
-        n_samples=cfg["n_samples"],
-        seed=cfg["seed"],
-        dim=cfg["d"],
-        n_classes=cfg["classes"],
-        separation=cfg["separation"],
-        nu=cfg["nu"],
-    )
+    task = hz.SyntheticTask("blobs", n_samples=cfg["n_samples"], seed=cfg["seed"], dim=cfg["d"],
+                            n_classes=cfg["classes"])
     X, labels = hz.gen_task(task)
     d = X.shape[1]
     if cfg["hidden"] > 0:
@@ -221,8 +201,6 @@ def cmd_estimate(args) -> int:
     elif kind == "pullback":
         result = est.exact_fim_pullback(net, theta, X, storage=storage)
     elif kind == "efim":
-        if labels is None:
-            raise ValueError("the empirical FIM needs a labeled task")
         result = est.efim(net, theta, X, labels, storage=storage)
     elif kind == "mc":
         result = est.mc_fim(net, theta, X, m=cfg["probes"], rng=rng, storage=storage)
@@ -232,7 +210,7 @@ def cmd_estimate(args) -> int:
             rng=rng, n_probes=cfg["probes"], k=cfg["k"], storage=storage,
         )
     result.meta.setdefault("seed", cfg["seed"])
-    result.meta.setdefault("dataset_id", cfg["generator"])
+    result.meta.setdefault("dataset_id", "blobs")
     est.save_estimate(result, args.out)
     print(f"wrote {result.kind} [{result.storage}] dim={result.dim} to {args.out}")
     return 0
@@ -241,7 +219,7 @@ def cmd_estimate(args) -> int:
 def cmd_bench(args) -> int:
     cfg = parse_config(args.config)
     _check_out(args.out)
-    bench_cfg = hz.BenchConfig(**{key: cfg[key] for key in ("batch_size", "n_batches", "estimators", "seed")})
+    bench_cfg = hz.BenchConfig(**{key: cfg[key] for key in ("batch_size", "n_batches", "seed")})
     hz._check_sample_count(cfg["n_samples"], bench_cfg, f"{args.config}: ")  # before any training
     X, labels, net, theta = _build_instance(cfg)
     rows = hz.run_bench(net, theta, X, labels, bench_cfg)

@@ -49,7 +49,8 @@ resampled inputs, and every estimate carries a `normalization` flag so the
 two can never be compared silently.  Each estimate records the backward
 passes counted on its tapes in meta["backward_passes"].  The estimators,
 the closed-form variances and the bounds reject a non-finite theta or X by
-name, and refuse a label that is not an integer in [0, C) (`_check_labels`).
+name, then finite ones whose logits overflow (`_logits`), and refuse a label
+that is not an integer in [0, C) (`_check_labels`).
 """
 
 from __future__ import annotations
@@ -184,6 +185,23 @@ def _finite_inputs(theta, X) -> np.ndarray:
     return X
 
 
+def _logits(net: NetworkSpec, theta, X) -> ad.Value:
+    """The traced (B, C) logits of one forward pass, once every logit is finite.
+
+    theta and X are checked by `_finite_inputs` first; a finite pair can
+    still overflow (theta 1e300 against X 1e10), and the NaN or infinite
+    logits would turn the whole estimate into NaN, or fail later on a
+    message that does not name them.  The forward runs under one errstate,
+    so an overflow warns of nothing before the ValueError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = forward_logits(net, theta, X)
+    if not np.isfinite(logits.data).all():
+        raise ValueError("the logits have a non-finite entry (NaN or infinity): "
+                         "the forward pass of this finite theta and X overflows")
+    return logits
+
+
 def _check_categorical(C: int) -> None:
     if C < 2:
         raise ValueError("categorical estimators need at least 2 classes")
@@ -268,7 +286,7 @@ def _jacobian_stack(net: NetworkSpec, theta, X) -> tuple[np.ndarray, np.ndarray,
     on the tapes.  The pullback, the closed-form variances and the bounds all
     start here, and so does their check that theta and X are finite."""
     X = _finite_inputs(theta, X)
-    logits = forward_logits(net, theta, X)
+    logits = _logits(net, theta, X)
     J = np.empty((X.shape[0], net.n_classes, net.dim))
     passes = 0
     for b, (_, rows, n) in enumerate(_sample_sweeps(logits, range(X.shape[0]))):
@@ -301,7 +319,7 @@ def exact_fim_definition(net: NetworkSpec, theta, X, storage: str = "dense") -> 
     X = _finite_inputs(theta, X)
     _check_categorical(net.n_classes)
     _check_dense(storage, net.dim)
-    lsm = ad.log_softmax(forward_logits(net, theta, X))
+    lsm = ad.log_softmax(_logits(net, theta, X))
     acc, passes = _score_gram(lsm, range(X.shape[0]), X.shape[0] * net.n_classes, net.dim, storage)
     meta = {"n_samples": X.shape[0], "backward_passes": passes}
     return FimEstimate("exact_def", storage, acc, "sum", meta)
@@ -323,7 +341,7 @@ def efim(net: NetworkSpec, theta, X, labels, storage: str = "dense") -> FimEstim
     _check_categorical(net.n_classes)
     labels = _check_labels(labels, X.shape[0], net.n_classes)
     _check_dense(storage, net.dim)
-    lsm = ad.log_softmax(forward_logits(net, theta, X))
+    lsm = ad.log_softmax(_logits(net, theta, X))
     acc, passes = _score_gram(lsm, range(X.shape[0]), X.shape[0], net.dim, storage, labels)
     meta = {"n_samples": X.shape[0], "backward_passes": passes}
     return FimEstimate("efim", storage, acc, "sum", meta)
@@ -351,7 +369,7 @@ def mc_fim(
         raise ValueError("need at least one row of X to draw from")
     _check_categorical(net.n_classes)
     _check_dense(storage, net.dim)
-    lsm = ad.log_softmax(forward_logits(net, theta, X))
+    lsm = ad.log_softmax(_logits(net, theta, X))
     cdf = np.cumsum(np.exp(lsm.data), axis=1)
     top = cdf.shape[1] - 1  # a uniform at or above a row's rounded total takes the last label
     rows = np.empty(m, dtype=np.intp)
@@ -485,7 +503,7 @@ def _probe_gradients(net: NetworkSpec, theta, X, variant: str, n: int, probe: Pr
     if rng is None and variant == "lowrank" and _eigen_route(eigen, k) == "power":
         raise ValueError("the k = 1 power route draws its start vectors from rng; "
                          "pass rng, or eigen='full'")
-    logits = forward_logits(net, theta, X)
+    logits = _logits(net, theta, X)
     core = _core(variant, logits.data, k=k, eigen=eigen, rng=rng)
     sqrt_w = np.sqrt(np.maximum(core.w, 0.0))  # round-off can leave a low-rank eigenvalue at -1e-17
 
@@ -501,29 +519,32 @@ def _probe_gradients(net: NetworkSpec, theta, X, variant: str, n: int, probe: Pr
 
 def hutchinson_gradient(
     net: NetworkSpec, theta, X, variant: str = "full", *, probe: ProbeVector | None = None,
-    rng: np.random.Generator | None = None, dist: str = "rademacher", k: int = 1, eigen: str = "power",
+    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Gradient of the probe scalar h for one probe; exactly one backward pass.
 
     h weights the logits by M^T (sqrt(w) xi), from the variant's core
     (`_core`) at the forward values; only the logits carry gradient.  h
-    itself is never recorded: its adjoint seeds the sweep.
+    itself is never recorded: its adjoint seeds the sweep.  Without a given
+    probe it draws a Rademacher one; the low-rank core is the rank-1 one, by
+    power iteration, as `hutchinson_fim`'s defaults give.
     """
-    return next(_probe_gradients(net, theta, X, variant, 1, probe, rng, dist, k, eigen)[2])
+    return next(_probe_gradients(net, theta, X, variant, 1, probe, rng, "rademacher", 1, "power")[2])
 
 
 def hutchinson_fim(
     net: NetworkSpec, theta, X, variant: str = "full", *, rng: np.random.Generator | None = None,
-    probe: ProbeVector | None = None, n_probes: int = 1, dist: str = "rademacher", k: int = 1,
-    eigen: str = "power", storage: str = "dense",
+    probe: ProbeVector | None = None, n_probes: int = 1, k: int = 1, eigen: str = "power",
+    storage: str = "dense",
 ) -> FimEstimate:
     """Probe estimate of the FIM (or of its diagonal/low-rank targets).
 
     Averages `n_probes` independent rank-1 estimates g g^T, each from a fresh
-    probe and one reverse sweep of a single forward tape, all through one
-    core (on the power route, one set of low-rank eigenpairs); pass an
-    explicit `probe` to pin the randomness (then n_probes must be 1).  The
-    tape's backward-pass counter is recorded in meta["backward_passes"].
+    Rademacher probe and one reverse sweep of a single forward tape, all
+    through one core (on the power route, one set of low-rank eigenpairs);
+    pass an explicit `probe`, Rademacher or Gaussian, to pin the randomness
+    (then n_probes must be 1).  The tape's backward-pass counter is recorded
+    in meta["backward_passes"].
     """
     n_probes = _check_int(n_probes, "n_probes")
     _check_dense(storage, net.dim)
@@ -531,11 +552,11 @@ def hutchinson_fim(
         raise ValueError("an explicit probe fixes n_probes = 1")
     if n_probes < 1:
         raise ValueError("need at least one probe")
-    tape, k, grads = _probe_gradients(net, theta, X, variant, n_probes, probe, rng, dist, k, eigen)
+    tape, k, grads = _probe_gradients(net, theta, X, variant, n_probes, probe, rng, "rademacher", k, eigen)
     acc = _gram(((1.0 / n_probes, g) for g in grads), n_probes, net.dim, storage)
     meta = {
         "probe_count": n_probes,
-        "probe_dist": probe.dist if probe is not None else dist,
+        "probe_dist": probe.dist if probe is not None else "rademacher",
         "backward_passes": tape.backward_calls,
     }
     if variant == "lowrank":

@@ -1,7 +1,6 @@
 """Synthetic tasks, a small trainer, and the estimator evaluation protocol.
 
-Tasks are Gaussian class blobs (supervised, labels from the generating
-class) or heavy-tailed scalar inputs from a Student-t distribution.  The
+Tasks are Gaussian class blobs, labeled by their generating class.  The
 trainer is plain full-batch gradient descent on the mean cross-entropy,
 deterministic given the task seed.  Evaluation compares diagonal FIM
 estimates against the exact diagonal via the relative mean absolute error
@@ -49,7 +48,8 @@ ZERO_ATOM_THRESHOLD = 1e-300
 RELMAE_EPS = 1e-12  # the RelMAE stabilizer
 HISTOGRAM_BINS = 50
 PROPOSAL_NU = 0.5  # degrees of freedom of cv_demo's Student-t proposal
-GENERATORS = ("blobs", "student_t")  # the one tuple of task generators; the CLI offers these
+IMPORTANCE_SAMPLES = 10**6  # cv_demo's draws from that proposal
+GENERATORS = ("blobs",)  # the one tuple of task generators
 
 
 class TrainingDiverged(RuntimeError):
@@ -60,36 +60,30 @@ class TrainingDiverged(RuntimeError):
 class SyntheticTask:
     """Reproducible synthetic dataset description."""
 
-    generator: str  # "blobs" | "student_t"
+    generator: str  # "blobs"
     n_samples: int
     seed: int
     dim: int = 2
     n_classes: int = 2
     separation: float = 2.0
-    nu: float = 5.0
 
     def __post_init__(self):
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
-        if self.generator == "blobs" and (self.dim < 1 or self.n_classes < 2):
+        if self.dim < 1 or self.n_classes < 2:
             raise ValueError("blobs need dim >= 1 and at least 2 classes")
-        if self.generator == "student_t" and self.nu <= 0:
-            raise ValueError("degrees of freedom must be positive")
 
 
-def gen_task(task: SyntheticTask) -> tuple[np.ndarray, np.ndarray | None]:
-    """Deterministic dataset for a task spec; blobs come labeled.
+def gen_task(task: SyntheticTask) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic labeled dataset for a task spec.
 
     Blob class means are i.i.d. Gaussian rescaled so the closest pair of
     means sits exactly `separation` apart (unit-variance noise per class), so
     the separation knob bounds class overlap instead of just the radius.
     """
     rng = np.random.default_rng(task.seed)
-    if task.generator == "student_t":
-        X = rng.standard_t(task.nu, size=(task.n_samples, 1))
-        return X, None
     means = rng.normal(size=(task.n_classes, task.dim))
     gaps = [
         np.linalg.norm(means[i] - means[j])
@@ -108,28 +102,17 @@ class TrainResult:
     losses: np.ndarray  # mean cross-entropy per step, length = steps
 
 
-def train_sgd(
-    net: NetworkSpec,
-    task: SyntheticTask | tuple,
-    steps: int,
-    lr: float,
-    seed: int | None = None,
-) -> TrainResult:
-    """Full-batch gradient descent on mean cross-entropy.
+def train_sgd(net: NetworkSpec, data: tuple, steps: int, lr: float, seed: int) -> TrainResult:
+    """Full-batch gradient descent on mean cross-entropy over data = (X, labels),
+    from the initialization seeded by `seed`.
 
-    steps=0 returns the (seeded) initialization untouched: the random-head
-    regime.  Raises TrainingDiverged, and warns of no overflow, if the loss
-    stops being finite.
+    steps=0 returns that initialization untouched: the random-head regime.
+    Raises TrainingDiverged, and warns of no overflow, if the loss stops
+    being finite.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    if isinstance(task, SyntheticTask):
-        X, labels = gen_task(task)
-        seed = task.seed if seed is None else seed
-    else:
-        X, labels = task
-        if seed is None:
-            raise ValueError("an explicit seed is needed with a raw dataset")
+    X, labels = data
     if labels is None:
         raise ValueError("training needs labels")
     X = np.asarray(X, dtype=np.float64)
@@ -195,13 +178,7 @@ class CvReport:
     cv_predicted: float  # sqrt((ratio - 1)/m)
 
 
-def cv_demo(
-    nu: float,
-    m: int,
-    trials: int,
-    rng: np.random.Generator,
-    importance_samples: int = 10**6,
-) -> CvReport:
+def cv_demo(nu: float, m: int, trials: int, rng: np.random.Generator) -> CvReport:
     """Simulate the scalar Monte Carlo FIM estimate under Student-t inputs.
 
     Each trial draws m inputs and forms (1/4m) sum x^2; the report gives the
@@ -234,7 +211,7 @@ def cv_demo(
     # x^8 f(x)^2 / q(x) falls like |x|^(7 + PROPOSAL_NU - 2 nu), so it stays
     # integrable for nu > 4 + PROPOSAL_NU / 2, the limit checked above, giving
     # finite-variance estimates of both moments from the same weighted draws.
-    u = rng.standard_t(PROPOSAL_NU, size=importance_samples)
+    u = rng.standard_t(PROPOSAL_NU, size=IMPORTANCE_SAMPLES)
     w = np.exp(_t_logpdf(u, nu) - _t_logpdf(u, PROPOSAL_NU))
     m4 = float(np.mean(u**4 * w))
     m2 = float(np.mean(u**2 * w))
@@ -327,7 +304,6 @@ class BenchConfig:
 
     batch_size: int = 64
     n_batches: int = 8
-    estimators: tuple[str, ...] = ("efim", *est.PROBE_VARIANTS)
     seed: int = 0
 
     def __post_init__(self):
@@ -358,13 +334,13 @@ def _batches(X, labels, cfg: BenchConfig):
 
 
 def run_bench(net: NetworkSpec, theta, X, labels, cfg: BenchConfig) -> list[BenchRow]:
-    """RelMAE and backward passes of each configured estimator on a batched dataset.
+    """RelMAE and backward passes of each bench estimator on a batched dataset.
 
-    Ground truth is the exact diagonal FIM summed over all batches.  Probe
-    estimators draw one fresh probe per batch from a per-batch child seed, so
-    the whole table is reproducible from (config, seed).  The empirical FIM is
-    always the first row, the baseline.  Each configured name is "efim" or a
-    probe name of estimators.PROBE_VARIANTS; others are rejected.
+    Ground truth is the exact diagonal FIM summed over all batches.  The
+    rows are the empirical FIM, the baseline, then each probe name of
+    estimators.PROBE_VARIANTS in order.  Probe estimators draw one fresh
+    probe per batch from a per-batch child seed, so the whole table is
+    reproducible from (config, seed).
     """
     X = np.asarray(X, dtype=np.float64)
     needed = _check_sample_count(X.shape[0], cfg)
@@ -372,10 +348,7 @@ def run_bench(net: NetworkSpec, theta, X, labels, cfg: BenchConfig) -> list[Benc
         raise ValueError("the empirical FIM needs labels")
     X = X[:needed]
     labels = est._check_labels(np.asarray(labels)[:needed], needed, net.n_classes)
-    names = list(dict.fromkeys(["efim", *cfg.estimators]))
-    for name in names:
-        if name != "efim" and name not in est.PROBE_VARIANTS:
-            raise ValueError(f"unknown bench estimator {name!r}")
+    names = ["efim", *est.PROBE_VARIANTS]
 
     truth = np.zeros(net.dim)
     for xb, _ in _batches(X, labels, cfg):

@@ -156,8 +156,9 @@ class SpectrumBracket:
         if self.lower < 0 or self.upper > 1:
             raise ValueError("bracket must lie inside [0, 1]")
 
-    def contains(self, value: float, tol: float = 1e-10) -> bool:
-        return self.lower - tol <= value <= self.upper + tol
+    def contains(self, value: float) -> bool:
+        """Whether value lies in the bracket, widened by 1e-10 on each side."""
+        return self.lower - 1e-10 <= value <= self.upper + 1e-10
 
     @property
     def gap(self) -> float:

@@ -80,7 +80,7 @@ def test_criterion_1_core_spectral_suite():
             assert abs(w[0]) <= 1e-10
             assert abs(w.sum() - (1.0 - e.p @ e.p)) <= 1e-10
             b = lambda_max_bracket(e.p)
-            assert b.contains(w[-1], tol=1e-10)
+            assert b.contains(w[-1])
         total = elapsed + (time.perf_counter() - check_start)
         assert total < 30.0, f"spectral sweep took {total:.1f}s"
 
@@ -329,7 +329,7 @@ def test_criterion_9_heavy_tail_pathology():
         cvs = []
         for nu, expected in ((4.5, 15.0), (6.0, 6.0), (12.0, 3.75)):
             rng = np.random.default_rng(9)
-            report = cv_demo(nu, m=4, trials=10**5, rng=rng, importance_samples=10**6)
+            report = cv_demo(nu, m=4, trials=10**5, rng=rng)
             assert report.ratio_formula == pytest.approx(expected, abs=1e-12)
             assert abs(report.ratio_importance - expected) / expected <= 0.05
             cvs.append(report.cv_empirical)
@@ -345,7 +345,7 @@ def test_criterion_10_relmae_trend():
             )
             X, labels = gen_task(task)
             net = NetworkSpec((10, 32, 5), "tanh")
-            theta = train_sgd(net, task, steps=400, lr=0.2).theta
+            theta = train_sgd(net, (X, labels), steps=400, lr=0.2, seed=task.seed).theta
             truth = est.exact_fim_definition(net, theta, X, storage="diagonal")
             empirical = est.efim(net, theta, X, labels, storage="diagonal")
             single = est.hutchinson_fim(

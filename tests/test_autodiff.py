@@ -450,12 +450,6 @@ def test_grad_check_fails_on_a_non_finite_entry(monkeypatch, where, bad):
     assert not math.isfinite(ad.grad_check(f, theta0))
 
 
-@pytest.mark.parametrize("step", [0.0, -1e-4, np.nan, np.inf])
-def test_grad_check_refuses_a_step_that_is_not_positive_and_finite(step):
-    with pytest.raises(ValueError, match="step must be positive and finite"):
-        ad.grad_check(_linear, np.array([0.3, -1.2]), step=step)
-
-
 @pytest.mark.parametrize("seed", range(30))
 def test_grad_check_mixed_ops(seed):
     # fixed seeds: an adversarial search could always find a coordinate whose
@@ -473,29 +467,6 @@ def test_grad_check_mixed_ops(seed):
 
     theta = rng.normal(size=15)
     assert ad.grad_check(f, theta) <= 1e-6
-
-
-def test_grad_check_three_layer_network_at_small_step():
-    # explicit step of 1e-5 on random three-layer networks; seeds avoid
-    # coordinates whose gradients are so small (~1e-5) that FD cancellation
-    # roundoff alone exceeds the relative target
-    for seed in range(2, 12):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(2, 3))
-        w = rng.normal(size=(2, 2))
-
-        def f(theta):
-            tape = ad.Tape()
-            W1 = ad.parameter(tape, theta[:12].reshape(3, 4))
-            b1 = ad.parameter(tape, theta[12:16])
-            W2 = ad.parameter(tape, theta[16:24].reshape(4, 2))
-            b2 = ad.parameter(tape, theta[24:])
-            h = ad.tanh(ad.add(ad.matmul(ad.constant(tape, x), W1), b1))
-            z = ad.add(ad.matmul(h, W2), b2)
-            return ad.wsum(ad.log_softmax(z), w)
-
-        theta = rng.normal(size=26)
-        assert ad.grad_check(f, theta, step=1e-5) <= 1e-6
 
 
 def test_grad_check_relu_log_softmax():

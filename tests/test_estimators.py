@@ -484,16 +484,16 @@ def test_sqrt_outputs_are_bitwise_the_full_outputs():
     # the full core's, so for the same probe or rng every output has the same bits
     rng = np.random.default_rng(14)
     net, theta, X = random_instance(rng, (2, 4, 3), "tanh", n_samples=2)
+    for storage in est.STORAGES:
+        for n in (1, 3):
+            e = {v: est.hutchinson_fim(net, theta, X, v, rng=np.random.default_rng(n), n_probes=n,
+                                       storage=storage) for v in ("full", "sqrt")}
+            assert e["sqrt"].values.tobytes() == e["full"].values.tobytes()
+            assert e["sqrt"].meta == e["full"].meta
     for dist in est.PROBE_DISTS:
         probe = est.sample_probe((2, 3), dist, rng)
         g = {v: est.hutchinson_gradient(net, theta, X, v, probe=probe) for v in ("full", "sqrt")}
         assert g["sqrt"].tobytes() == g["full"].tobytes()
-        for storage in est.STORAGES:
-            for n in (1, 3):
-                e = {v: est.hutchinson_fim(net, theta, X, v, rng=np.random.default_rng(n), n_probes=n,
-                                           dist=dist, storage=storage) for v in ("full", "sqrt")}
-                assert e["sqrt"].values.tobytes() == e["full"].values.tobytes()
-                assert e["sqrt"].meta == e["full"].meta
         var = {v: est.empirical_probe_variance(net, theta, X, v, n_trials=4, rng=np.random.default_rng(5),
                                                dist=dist) for v in ("full", "sqrt")}
         assert var["sqrt"].tobytes() == var["full"].tobytes()
@@ -581,7 +581,7 @@ def test_lowrank_power_route_without_rng_fails_before_the_forward_pass(monkeypat
     rng = np.random.default_rng(43)
     net, theta, X = random_instance(rng, (2, 4, 3), "tanh", n_samples=2)
     probe = est.sample_probe((2, 1), "rademacher", rng)
-    call(net, theta, X, "lowrank", probe=probe, eigen="full")  # eigh draws nothing
+    call(net, theta, X, "lowrank", probe=probe, rng=rng)
 
     def refuse(*args, **kwargs):
         raise AssertionError("no forward pass may run before the rng is checked")
@@ -720,18 +720,18 @@ def test_empirical_variance_needs_two_trials(n_trials):
 @pytest.mark.parametrize("variant", ["full", "diag", "lowrank", "sqrt"])
 @pytest.mark.parametrize("option", [{"eigen": "bogus"}, {"dist": "bogus"}])
 def test_unknown_weights_and_eigen_rejected_for_every_variant(variant, option):
+    # hutchinson_fim alone takes an eigenpair route, the variances alone a probe distribution
     rng = np.random.default_rng(26)
     net, theta, X = random_instance(rng, (2, 3), "none", n_samples=2)
     named = repr(*option.values())
-    with pytest.raises(ValueError, match=named):
-        est.hutchinson_fim(net, theta, X, variant, rng=rng, **option)
-    with pytest.raises(ValueError, match=named):
-        est.hutchinson_gradient(net, theta, X, variant, rng=rng, **option)
-    if "eigen" not in option:  # the variances take no eigenpair route
+    if "eigen" in option:
+        calls = [lambda: est.hutchinson_fim(net, theta, X, variant, rng=rng, **option)]
+    else:
+        calls = [lambda: est.variance_closed_form(net, theta, X, variant, **option),
+                 lambda: est.empirical_probe_variance(net, theta, X, variant, 2, rng, **option)]
+    for call in calls:
         with pytest.raises(ValueError, match=named):
-            est.variance_closed_form(net, theta, X, variant, **option)
-        with pytest.raises(ValueError, match=named):
-            est.empirical_probe_variance(net, theta, X, variant, 2, rng, **option)
+            call()
 
 
 def test_variance_rejects_unsupported():
@@ -1063,15 +1063,13 @@ def test_multi_probe_estimate_is_bitwise_the_per_probe_loop(variant, eigen):
     net, theta, X = random_instance(rng, (3, 5, 4), "relu", n_samples=5)
     n, dim = 4, net.dim
     for storage in ("dense", "diagonal"):
-        for dist in ("rademacher", "gaussian"):
-            got = est.hutchinson_fim(net, theta, X, variant, rng=np.random.default_rng(3), n_probes=n,
-                                     dist=dist, k=2, eigen=eigen, storage=storage)
-            draw = np.random.default_rng(3)
-            shape = (X.shape[0], 2 if variant == "lowrank" else net.n_classes)
-            rows = ((1.0 / n, est.hutchinson_gradient(net, theta, X, variant, k=2, eigen=eigen,
-                                                      probe=est.sample_probe(shape, dist, draw)))
-                    for _ in range(n))
-            assert np.array_equal(got.values, est._gram(rows, n, dim, storage))
+        got = est.hutchinson_fim(net, theta, X, variant, rng=np.random.default_rng(3), n_probes=n,
+                                 k=2, eigen=eigen, storage=storage)
+        draw = np.random.default_rng(3)
+        shape = (X.shape[0], 2 if variant == "lowrank" else net.n_classes)
+        rows = ((1.0 / n, next(est._probe_gradients(net, theta, X, variant, 1, est.sample_probe(
+            shape, "rademacher", draw), None, "rademacher", 2, eigen)[2])) for _ in range(n))
+        assert np.array_equal(got.values, est._gram(rows, n, dim, storage))
 
 
 def test_power_route_probes_share_one_set_of_eigenpairs(monkeypatch):
@@ -1275,7 +1273,10 @@ def _entry_points():
         "mc_fim": lambda net, theta, X: est.mc_fim(net, theta, X, 2, rng(0)),
         "hutchinson_gradient": lambda net, theta, X: est.hutchinson_gradient(net, theta, X, rng=rng(0)),
         "hutchinson_fim": lambda net, theta, X: est.hutchinson_fim(net, theta, X, rng=rng(0)),
+        "hutchinson_fim.diag": lambda net, theta, X: est.hutchinson_fim(net, theta, X, "diag", rng=rng(0)),
+        "hutchinson_fim.lowrank": lambda net, theta, X: est.hutchinson_fim(net, theta, X, "lowrank", rng=rng(0)),
         "variance_closed_form": lambda net, theta, X: est.variance_closed_form(net, theta, X),
+        "empirical_probe_variance": lambda net, theta, X: est.empirical_probe_variance(net, theta, X, "full", 2, rng(0)),
         "pullback_bounds": lambda net, theta, X: bounds.pullback_bounds(net, theta, X, 1),
         "trace_bounds": lambda net, theta, X: bounds.trace_bounds(net, theta, X),
         "tightness_report": lambda net, theta, X: bounds.tightness_report(net, theta, X),
@@ -1296,3 +1297,13 @@ def test_non_finite_input_is_rejected_by_name(entry):
     bad_X[1, 0] = np.inf
     with pytest.raises(ValueError, match=r"^X has a non-finite entry"):
         call(net, theta, bad_X)
+
+
+@pytest.mark.parametrize("entry", list(_entry_points()))
+def test_finite_input_whose_logits_overflow_is_rejected_by_name(entry):
+    # the estimates were all NaN, and the low-rank probe and the certificates failed on
+    # messages that did not name the cause; an overflow warning fails the suite too
+    net = NetworkSpec((2, 3), "none")
+    with pytest.raises(ValueError, match=r"^the logits have a non-finite entry \(NaN or infinity\): "
+                                         r"the forward pass of this finite theta and X overflows$"):
+        _entry_points()[entry](net, np.full(net.dim, 1e300), np.full((2, 2), 1e10))

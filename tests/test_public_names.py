@@ -1,6 +1,8 @@
 """Every public name of fimlab, and every public method and property of a
 public class, is used by the package, its scripts, the benchmark or the
-acceptance gate; a name that only unit tests reach does not belong in src/."""
+acceptance gate; a name that only unit tests reach does not belong in src/.
+So is every setting: each parameter with a default of a public function,
+class or method is passed by some call there."""
 
 import ast
 import inspect
@@ -53,7 +55,9 @@ def _uses(tree: ast.Module) -> list[tuple[set[str], set[str]]]:
     return out
 
 
-FILES = [(path.resolve(), _uses(ast.parse(path.read_text(), str(path)))) for path in USERS]
+TREES = {path.resolve(): ast.parse(path.read_text(), str(path)) for path in USERS}
+FILES = [(path, _uses(tree)) for path, tree in TREES.items()]
+CALLS = [node for tree in TREES.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
 
 def _public_names(module):
@@ -79,3 +83,45 @@ def test_every_public_name_has_a_user_outside_the_unit_tests():
                        for path, uses in FILES for defines, idents in uses):
                 unused.append(f"{module.__name__}.{defined_as}")
     assert not unused, f"public names that only unit tests use: {unused}"
+
+
+def _signatures(module):
+    """(name as called, name as defined, parameters) for each public function and
+    class of the module (a class's are its constructor's; an exception's are the
+    builtin's, and are left out) and each public method that a class there
+    defines itself (without self)."""
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if getattr(obj, "__module__", None) != module.__name__ or not callable(obj):
+            continue
+        if not (inspect.isclass(obj) and issubclass(obj, BaseException)):
+            yield name, name, list(inspect.signature(obj).parameters.values())
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    yield attr, f"{name}.{attr}", list(inspect.signature(member).parameters.values())[1:]
+
+
+def _passes(call: ast.Call, params, name: str) -> bool:
+    """Whether the call passes parameter `name`: by keyword, through ** or by position."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    positional = [p.name for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    return name in positional and (len(call.args) > positional.index(name)
+                                   or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def _called_as(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def test_every_setting_is_passed_by_a_user_outside_the_unit_tests():
+    unset = []
+    for module in (getattr(fimlab, name) for name in fimlab.__all__):
+        for used_as, defined_as, params in _signatures(module):
+            calls = [call for call in CALLS if _called_as(call) == used_as]
+            for p in params:
+                if p.default is not p.empty and not any(_passes(call, params, p.name) for call in calls):
+                    unset.append(f"{module.__name__}.{defined_as}({p.name})")
+    assert not unset, f"settings that only unit tests set: {unset}"
