@@ -230,6 +230,16 @@ def _check_integral(values: np.ndarray, what: str) -> None:
             raise ValueError(f"{what} {bad.tolist()[0]!r} is not an integer")
 
 
+def _check_int(value, name: str) -> int:
+    """value as an int if operator.index takes it and it is no bool; else ValueError naming it."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def gather(a: Value, indices) -> Value:
     """Pick a[i, indices[i]] from a 2-D value.
 

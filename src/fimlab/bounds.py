@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import DENSE_DIM_CAP, _check_categorical, _check_labels, _check_rank, _core, _jacobian_stack
+from .estimators import DENSE_DIM_CAP, _core, _jacobian_stack
 from .network import NetworkSpec, softmax
 from .simplex import _secular_extremes, simplex_matrix
 
@@ -64,8 +64,7 @@ class _CoreSpace(NamedTuple):
     sigma2: np.ndarray  # (B, C) ascending squared singular values of J
 
 
-def _core_space(net: NetworkSpec, theta, X) -> _CoreSpace:
-    J, z, _ = _jacobian_stack(net, theta, X)
+def _core_space(J: np.ndarray, z: np.ndarray) -> _CoreSpace:
     p = softmax(z)
     core = simplex_matrix(p)
     lam, V = np.linalg.eigh(core)
@@ -91,14 +90,14 @@ def pullback_bounds(net: NetworkSpec, theta, X, k: int) -> BoundPair:
 
     These are the weighted Gram products of the low-rank and diagonal probe
     cores.  The lower bound has rank at most k * n_samples and equals the
-    FIM at k = C-1 because the remaining eigenvalue is zero.
+    FIM at k = C-1 because the remaining eigenvalue is zero.  Both are
+    dim x dim, so a net above DENSE_DIM_CAP is refused before any sweep.
     """
-    _check_categorical(net.n_classes)
-    k = _check_rank(k, net.n_classes)
-    J, z, _ = _jacobian_stack(net, theta, X)
-    lower = _core("lowrank", z, k=k).gram(J, "dense")
+    J, fwd, _ = _jacobian_stack(net, theta, X, storage="dense", rank=k)
+    z = fwd.logits.data
+    lower = _core("lowrank", z, k=fwd.rank).gram(J, "dense")
     upper = _core("diag", z).gram(J, "dense")
-    return BoundPair(lower=lower, upper=upper, k=k)
+    return BoundPair(lower=lower, upper=upper, k=fwd.rank)
 
 
 class TraceBounds(NamedTuple):
@@ -111,8 +110,8 @@ class TraceBounds(NamedTuple):
 def trace_bounds(net: NetworkSpec, theta, X) -> TraceBounds:
     """Trace chain: sum lam_max sigma_min^2 <= von Neumann pairing <= tr F
     <= sum_y p_y |dz_y/dtheta|^2, summed over samples."""
-    _check_categorical(net.n_classes)
-    return _trace_chain(_core_space(net, theta, X))
+    J, fwd, _ = _jacobian_stack(net, theta, X)
+    return _trace_chain(_core_space(J, fwd.logits.data))
 
 
 def loewner_margin(A: np.ndarray, B: np.ndarray) -> float:
@@ -195,16 +194,14 @@ def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> Tig
     block.  No QR, and no matrix factored larger than
     min(dim, B C / _JT_ROOT_MIN_FILL) square.
     """
-    C = net.n_classes
-    _check_categorical(C)
-    k = _check_rank(k, C)
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    B = X.shape[0]
-    if B == 0:
-        raise ValueError("a tightness report needs at least one sample, got none")
-    if labels is not None:
-        labels = _check_labels(labels, B, C)
-    s = _core_space(net, theta, X)
+    def before(X, _):
+        if X.shape[0] == 0:
+            raise ValueError("a tightness report needs at least one sample, got none")
+
+    J, fwd, _ = _jacobian_stack(net, theta, X, rank=k, labels=labels, before=before)
+    s = _core_space(J, fwd.logits.data)
+    B, C = s.p.shape
+    k, labels = fwd.rank, fwd.labels
     sq = np.sum(s.p * s.p, axis=1)
     q = np.sort(s.p, axis=1)
     top_sigma2 = s.sigma2[:, -1]

@@ -36,7 +36,7 @@ from . import bounds as bd
 from . import estimators as est
 from . import harness as hz
 from . import simplex as sx
-from .network import ACTIVATIONS, NetworkSpec, init_params
+from .network import ACTIVATIONS, NetworkSpec
 
 ESTIMATOR_KINDS = ("exact", "pullback", "efim", "mc", *est.PROBE_VARIANTS)
 
@@ -156,10 +156,7 @@ def _build_instance(cfg: dict):
         net = NetworkSpec((d, cfg["hidden"], cfg["classes"]), cfg["activation"])
     else:
         net = NetworkSpec((d, cfg["classes"]), "none")
-    if cfg["train_steps"] > 0:
-        theta = hz.train_sgd(net, (X, labels), cfg["train_steps"], cfg["lr"], seed=cfg["seed"]).theta
-    else:
-        theta = init_params(net, np.random.default_rng(cfg["seed"]))
+    theta = hz.train_sgd(net, (X, labels), cfg["train_steps"], cfg["lr"], seed=cfg["seed"]).theta
     return X, labels, net, theta
 
 

@@ -48,16 +48,15 @@ sum over the dataset, the Monte Carlo estimator averages over uniformly
 resampled inputs, and every estimate carries a `normalization` flag so the
 two can never be compared silently.  Each estimate records the backward
 passes counted on its tapes in meta["backward_passes"].  The estimators,
-the closed-form variances and the bounds reject a non-finite theta or X by
-name, then finite ones whose logits overflow (`_logits`), and refuse a label
-that is not an integer in [0, C) (`_check_labels`).
+the closed-form variances and the bounds all take their input through one
+boundary, `_checked_forward`, which refuses bad input by name in one order
+and then runs the one forward, refusing logits that overflow.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -164,47 +163,54 @@ def sample_probe(shape, dist: str, rng: np.random.Generator) -> ProbeVector:
     return ProbeVector(entries=entries, dist=dist)
 
 
-def _check_dense(storage: str, dim: int):
-    if storage == "dense" and dim > DENSE_DIM_CAP:
-        raise ValueError(f"dense storage capped at dim {DENSE_DIM_CAP}, got {dim}")
-    if storage not in STORAGES:
+class _Forward(NamedTuple):
+    X: np.ndarray  # (B, d) float64
+    logits: ad.Value  # (B, C), every entry finite
+    labels: np.ndarray | None  # (B,) intp, where given
+    rank: int | None  # where given
+
+
+def _checked_forward(net: NetworkSpec, theta, X, *, storage=None, rank=None, labels=None, before=None) -> _Forward:
+    """The one input boundary of the estimators, the variances and the bounds.
+
+    Bad input raises ValueError naming it, in this order: fewer than 2
+    classes, whose scores are all 0; an unknown storage, or a dense one above
+    DENSE_DIM_CAP; a rank outside [1, C-1]; a NaN or infinity in theta, then
+    in X, which would make the whole result NaN; labels that are not one
+    integer in [0, C) per row.  `before(X, rank)` then does what the caller
+    alone must do before the forward.  The one forward runs under one
+    errstate, and logits that overflow (theta 1e300 against X 1e10) are
+    refused too.
+    """
+    C = net.n_classes
+    if C < 2:
+        raise ValueError("categorical estimators need at least 2 classes")
+    if storage is not None and storage not in STORAGES:
         raise ValueError(f"unknown storage {storage!r}")
-
-
-def _finite_inputs(theta, X) -> np.ndarray:
-    """X as a 2-D float64 array, once theta and X are known to be finite.
-
-    A NaN or infinity in either raises ValueError naming it; left in, it
-    would turn the whole estimate into NaN without a word.
-    """
+    if storage == "dense" and net.dim > DENSE_DIM_CAP:
+        raise ValueError(f"dense storage capped at dim {DENSE_DIM_CAP}, got {net.dim}")
+    if rank is not None:
+        rank = ad._check_int(rank, "k")
+        if not 1 <= rank <= C - 1:
+            raise ValueError(f"rank parameter must be in [1, {C - 1}], got {rank}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if not np.isfinite(np.asarray(theta, dtype=np.float64)).all():
-        raise ValueError("theta has a non-finite entry (NaN or infinity)")
-    if not np.isfinite(X).all():
-        raise ValueError("X has a non-finite entry (NaN or infinity)")
-    return X
-
-
-def _logits(net: NetworkSpec, theta, X) -> ad.Value:
-    """The traced (B, C) logits of one forward pass, once every logit is finite.
-
-    theta and X are checked by `_finite_inputs` first; a finite pair can
-    still overflow (theta 1e300 against X 1e10), and the NaN or infinite
-    logits would turn the whole estimate into NaN, or fail later on a
-    message that does not name them.  The forward runs under one errstate,
-    so an overflow warns of nothing before the ValueError.
-    """
+    _check_finite(theta, "theta")
+    _check_finite(X, "X")
+    if labels is not None:
+        labels = _check_labels(labels, X.shape[0], C)
+    if before is not None:
+        before(X, rank)
     with np.errstate(over="ignore", invalid="ignore"):
         logits = forward_logits(net, theta, X)
     if not np.isfinite(logits.data).all():
         raise ValueError("the logits have a non-finite entry (NaN or infinity): "
                          "the forward pass of this finite theta and X overflows")
-    return logits
+    return _Forward(X, logits, labels, rank)
 
 
-def _check_categorical(C: int) -> None:
-    if C < 2:
-        raise ValueError("categorical estimators need at least 2 classes")
+def _check_finite(values, name: str) -> None:
+    if not np.isfinite(np.asarray(values, dtype=np.float64)).all():
+        raise ValueError(f"{name} has a non-finite entry (NaN or infinity)")
 
 
 def _check_labels(labels, n_samples: int, C: int) -> np.ndarray:
@@ -281,18 +287,17 @@ def _sample_sweeps(root: ad.Value, samples, classes=None):
         yield r.data[0], rows, r.tape.backward_calls
 
 
-def _jacobian_stack(net: NetworkSpec, theta, X) -> tuple[np.ndarray, np.ndarray, int]:
-    """(J, z, passes): J (B, C, dim), logits z (B, C) and the backward passes
-    on the tapes.  The pullback, the closed-form variances and the bounds all
-    start here, and so does their check that theta and X are finite."""
-    X = _finite_inputs(theta, X)
-    logits = _logits(net, theta, X)
-    J = np.empty((X.shape[0], net.n_classes, net.dim))
+def _jacobian_stack(net: NetworkSpec, theta, X, **checks) -> tuple[np.ndarray, _Forward, int]:
+    """(J, forward, passes): J (B, C, dim) from the `_checked_forward` that the
+    checks go to, that forward, and the backward passes on the tapes.  The
+    pullback, the closed-form variances and the bounds all start here."""
+    fwd = _checked_forward(net, theta, X, **checks)
+    J = np.empty((fwd.X.shape[0], net.n_classes, net.dim))
     passes = 0
-    for b, (_, rows, n) in enumerate(_sample_sweeps(logits, range(X.shape[0]))):
+    for b, (_, rows, n) in enumerate(_sample_sweeps(fwd.logits, range(len(J)))):
         J[b] = rows
         passes += n
-    return J, logits.data, passes
+    return J, fwd, passes
 
 
 def _score_gram(lsm: ad.Value, samples, n_rows: int, dim: int, storage: str, classes=None, weight=1.0):
@@ -316,10 +321,8 @@ def _score_gram(lsm: ad.Value, samples, n_rows: int, dim: int, storage: str, cla
 
 def exact_fim_definition(net: NetworkSpec, theta, X, storage: str = "dense") -> FimEstimate:
     """Ground truth by the definition: sum_x sum_y p(y|x) g_xy g_xy^T."""
-    X = _finite_inputs(theta, X)
-    _check_categorical(net.n_classes)
-    _check_dense(storage, net.dim)
-    lsm = ad.log_softmax(_logits(net, theta, X))
+    X, logits, _, _ = _checked_forward(net, theta, X, storage=storage)
+    lsm = ad.log_softmax(logits)
     acc, passes = _score_gram(lsm, range(X.shape[0]), X.shape[0] * net.n_classes, net.dim, storage)
     meta = {"n_samples": X.shape[0], "backward_passes": passes}
     return FimEstimate("exact_def", storage, acc, "sum", meta)
@@ -327,21 +330,18 @@ def exact_fim_definition(net: NetworkSpec, theta, X, storage: str = "dense") -> 
 
 def exact_fim_pullback(net: NetworkSpec, theta, X, storage: str = "dense") -> FimEstimate:
     """Ground truth through the Jacobian: sum_x J^T (diag(p) - p p^T) J."""
-    _check_categorical(net.n_classes)
-    _check_dense(storage, net.dim)
-    J, z, passes = _jacobian_stack(net, theta, X)
-    acc = _core("full", z).gram(J, storage)
+    J, fwd, passes = _jacobian_stack(net, theta, X, storage=storage)
+    acc = _core("full", fwd.logits.data).gram(J, storage)
     meta = {"n_samples": J.shape[0], "backward_passes": passes}
     return FimEstimate("exact_pullback", storage, acc, "sum", meta)
 
 
 def efim(net: NetworkSpec, theta, X, labels, storage: str = "dense") -> FimEstimate:
     """Empirical FIM at observed labels: sum over (x, y) of g_xy g_xy^T."""
-    X = _finite_inputs(theta, X)
-    _check_categorical(net.n_classes)
-    labels = _check_labels(labels, X.shape[0], net.n_classes)
-    _check_dense(storage, net.dim)
-    lsm = ad.log_softmax(_logits(net, theta, X))
+    if labels is None:
+        raise ValueError("the empirical FIM needs labels")
+    X, logits, labels, _ = _checked_forward(net, theta, X, storage=storage, labels=labels)
+    lsm = ad.log_softmax(logits)
     acc, passes = _score_gram(lsm, range(X.shape[0]), X.shape[0], net.dim, storage, labels)
     meta = {"n_samples": X.shape[0], "backward_passes": passes}
     return FimEstimate("efim", storage, acc, "sum", meta)
@@ -359,17 +359,18 @@ def mc_fim(
     that forward (`ad.rows`), so the m draws run no forward of their own and
     are never stacked.
     """
-    m = _check_int(m, "m")
+    m = ad._check_int(m, "m")
     if m < 1:
         raise ValueError("need at least one draw")
     if rng is None:
         raise ValueError("need an rng to draw x and y from")
-    X = _finite_inputs(theta, X)
-    if X.shape[0] == 0:
-        raise ValueError("need at least one row of X to draw from")
-    _check_categorical(net.n_classes)
-    _check_dense(storage, net.dim)
-    lsm = ad.log_softmax(_logits(net, theta, X))
+
+    def before(X, _):
+        if X.shape[0] == 0:
+            raise ValueError("need at least one row of X to draw from")
+
+    X, logits, _, _ = _checked_forward(net, theta, X, storage=storage, before=before)
+    lsm = ad.log_softmax(logits)
     cdf = np.cumsum(np.exp(lsm.data), axis=1)
     top = cdf.shape[1] - 1  # a uniform at or above a row's rounded total takes the last label
     rows = np.empty(m, dtype=np.intp)
@@ -382,36 +383,14 @@ def mc_fim(
     return FimEstimate("mc", storage, acc, "mean", meta)
 
 
-def _check_probe_args(variant: str, C: int, k: int, eigen: str, dist: str) -> int:
-    """k, as an int for the low-rank variant, once the arguments pass: reject an
-    unknown variant, eigenpair route or probe distribution whatever the
-    variant, C < 2, and a low-rank k outside [1, C-1]."""
+def _check_probe_args(variant: str, eigen: str, dist: str) -> None:
+    """Reject an unknown variant, eigenpair route or probe distribution, whatever the variant."""
     if eigen not in ("power", "full"):
         raise ValueError(f"unknown eigenpair route {eigen!r}; expected 'power' or 'full'")
     if variant not in HUTCH_KINDS:
         raise ValueError(f"unknown variant {variant!r}")
-    _check_categorical(C)
     if dist not in PROBE_DISTS:
         raise ValueError(f"unknown probe distribution {dist!r}")
-    return _check_rank(k, C) if variant == "lowrank" else k
-
-
-def _check_int(value, name: str) -> int:
-    """value as an int if operator.index takes it and it is no bool; else ValueError naming it."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_rank(k: int, C: int) -> int:
-    """k as an int once it is a rank in [1, C-1]; else ValueError."""
-    rank = _check_int(k, "k")
-    if not 1 <= rank <= C - 1:
-        raise ValueError(f"rank parameter must be in [1, {C - 1}], got {k}")
-    return rank
 
 
 def _eigen_route(eigen: str, k: int) -> str:
@@ -469,7 +448,8 @@ def _core(variant: str, z: np.ndarray, *, k: int = 1, eigen: str = "full",
           rng: np.random.Generator | None = None) -> _Core:
     """The core of a probe variant at logits z (B, C); "sqrt" takes the full core.
 
-    `eigen` is checked by the public callers (`_check_probe_args`).
+    `eigen` is checked by the public callers (`_check_probe_args`), and k
+    by `_checked_forward`.
     """
     p = softmax(z)
     if variant in ("full", "sqrt"):
@@ -481,29 +461,32 @@ def _core(variant: str, z: np.ndarray, *, k: int = 1, eigen: str = "full",
 
 
 def _probe_gradients(net: NetworkSpec, theta, X, variant: str, n: int, probe: ProbeVector | None,
-                     rng: np.random.Generator | None, dist: str, k: int, eigen: str):
+                     rng: np.random.Generator | None, dist: str, k: int, eigen: str, storage: str | None = None):
     """(tape, k, gradients): the checks, one forward pass and one core, then n probe
     gradients; k is the checked rank (an int) for the low-rank variant.
 
-    The first probe (or the given one) is taken before the core, whose power
-    route draws from the same rng (so that route needs an rng even with a
-    given probe); later probes are drawn as the generator runs.  Each
-    gradient is one reverse sweep of the one tape, seeded at the logits with
-    M^T (sqrt(w) xi) from the core.
+    The first probe (or the given one) is taken before the forward and the
+    core, whose power route draws from the same rng (so that route needs an
+    rng even with a given probe); later probes are drawn as the generator
+    runs.  Each gradient is one reverse sweep of the one tape, seeded at the
+    logits with M^T (sqrt(w) xi) from the core.
     """
-    k = _check_probe_args(variant, net.n_classes, k, eigen, dist)
-    X = _finite_inputs(theta, X)
-    probe_shape = (X.shape[0], k if variant == "lowrank" else net.n_classes)
-    if probe is None:
-        if rng is None:
-            raise ValueError("need a probe or an rng to draw one")
-        probe = sample_probe(probe_shape, dist, rng)
-    if probe.entries.shape != probe_shape:
-        raise ValueError(f"probe shape {probe.entries.shape} != expected {probe_shape}")
-    if rng is None and variant == "lowrank" and _eigen_route(eigen, k) == "power":
-        raise ValueError("the k = 1 power route draws its start vectors from rng; "
-                         "pass rng, or eigen='full'")
-    logits = _logits(net, theta, X)
+    _check_probe_args(variant, eigen, dist)
+    lowrank = variant == "lowrank"
+
+    def before(X, k):
+        nonlocal probe
+        shape = (X.shape[0], k if lowrank else net.n_classes)
+        if probe is None:
+            if rng is None:
+                raise ValueError("need a probe or an rng to draw one")
+            probe = sample_probe(shape, dist, rng)
+        if probe.entries.shape != shape:
+            raise ValueError(f"probe shape {probe.entries.shape} != expected {shape}")
+        if rng is None and lowrank and _eigen_route(eigen, k) == "power":
+            raise ValueError("the k = 1 power route draws its start vectors from rng; pass rng")
+
+    _, logits, _, k = _checked_forward(net, theta, X, storage=storage, rank=k if lowrank else None, before=before)
     core = _core(variant, logits.data, k=k, eigen=eigen, rng=rng)
     sqrt_w = np.sqrt(np.maximum(core.w, 0.0))  # round-off can leave a low-rank eigenvalue at -1e-17
 
@@ -511,7 +494,7 @@ def _probe_gradients(net: NetworkSpec, theta, X, variant: str, n: int, probe: Pr
         xi = probe.entries
         for i in range(n):
             if i:
-                xi = sample_probe(probe_shape, dist, rng).entries
+                xi = sample_probe(xi.shape, dist, rng).entries
             yield ad.gradient(logits, core.logit_weights(sqrt_w * xi))
 
     return logits.tape, k, gradients()
@@ -543,16 +526,16 @@ def hutchinson_fim(
     Rademacher probe and one reverse sweep of a single forward tape, all
     through one core (on the power route, one set of low-rank eigenpairs);
     pass an explicit `probe`, Rademacher or Gaussian, to pin the randomness
-    (then n_probes must be 1).  The tape's backward-pass counter is recorded
-    in meta["backward_passes"].
+    (then n_probes must be 1; the power route still draws its start vectors
+    from rng, and eigen="full" needs none).  The tape's backward-pass counter
+    is recorded in meta["backward_passes"].
     """
-    n_probes = _check_int(n_probes, "n_probes")
-    _check_dense(storage, net.dim)
+    n_probes = ad._check_int(n_probes, "n_probes")
     if probe is not None and n_probes != 1:
         raise ValueError("an explicit probe fixes n_probes = 1")
     if n_probes < 1:
         raise ValueError("need at least one probe")
-    tape, k, grads = _probe_gradients(net, theta, X, variant, n_probes, probe, rng, "rademacher", k, eigen)
+    tape, k, grads = _probe_gradients(net, theta, X, variant, n_probes, probe, rng, "rademacher", k, eigen, storage)
     acc = _gram(((1.0 / n_probes, g) for g in grads), n_probes, net.dim, storage)
     meta = {
         "probe_count": n_probes,
@@ -595,9 +578,9 @@ def variance_closed_form(
     Var = 2 T_ii^2 - 2 sum_{x,r} w^2 R_ri^4.  The low-rank variant takes
     any rank k in [1, C-1].
     """
-    k = _check_probe_args(variant, net.n_classes, k, "full", dist)
-    J, z, _ = _jacobian_stack(net, theta, X)
-    core = _core(variant, z, k=k)
+    _check_probe_args(variant, "full", dist)
+    J, fwd, _ = _jacobian_stack(net, theta, X, rank=k if variant == "lowrank" else None)
+    core = _core(variant, fwd.logits.data, k=fwd.rank)
     R2 = core.rows(J)
     np.square(R2, out=R2)  # R's own buffer; the diag core's is J, not used after this
     target = np.einsum("br,brd->d", core.w, R2)
@@ -618,7 +601,7 @@ def empirical_probe_variance(
     """Sample variance of the diagonal estimate g * g over n_trials independent
     probes, all through one forward pass and one core: the exact (eigh)
     low-rank eigenpairs, as in `variance_closed_form`."""
-    n_trials = _check_int(n_trials, "n_trials")
+    n_trials = ad._check_int(n_trials, "n_trials")
     if n_trials < 2:
         raise ValueError(f"a sample variance needs at least 2 trials, got {n_trials}")
     _, _, grads = _probe_gradients(net, theta, X, variant, n_trials, None, rng, dist, k, "full")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators as est
-from .autodiff import gather, gradient, log_softmax, scale, total
+from .autodiff import _check_int, gather, gradient, log_softmax, scale, total
 from .network import NetworkSpec, forward_logits, init_params
 
 __all__ = [
@@ -107,15 +107,19 @@ def train_sgd(net: NetworkSpec, data: tuple, steps: int, lr: float, seed: int) -
     from the initialization seeded by `seed`.
 
     steps=0 returns that initialization untouched: the random-head regime.
-    Raises TrainingDiverged, and warns of no overflow, if the loss stops
-    being finite.
+    steps and seed must be integers, and X finite: each is refused by name
+    before any work.  Raises TrainingDiverged, and warns of no overflow, if
+    the loss stops being finite.
     """
+    steps = _check_int(steps, "steps")
+    seed = _check_int(seed, "seed")  # None would train from an unseeded init
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     X, labels = data
     if labels is None:
         raise ValueError("training needs labels")
     X = np.asarray(X, dtype=np.float64)
+    est._check_finite(X, "X")
     labels = est._check_labels(labels, X.shape[0], net.n_classes)
     theta = init_params(net, np.random.default_rng(seed))
     losses = np.empty(steps)
@@ -196,6 +200,7 @@ def cv_demo(nu: float, m: int, trials: int, rng: np.random.Generator) -> CvRepor
     if not nu <= top:
         raise ValueError(f"nu must be at most {top:g}, got {nu!r}: above it the Student-t log normalizer "
                          "lgamma((nu+1)/2) - lgamma(nu/2) loses its digits")
+    m, trials = _check_int(m, "m"), _check_int(trials, "trials")
     if m < 1 or trials < 1:
         raise ValueError("need at least one draw and one trial")
     ratio_formula = 3.0 * (nu - 2.0) / (nu - 4.0)
@@ -307,6 +312,8 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "n_batches", "seed"):
+            _check_int(getattr(self, name), name)
         if self.batch_size < 1 or self.n_batches < 1:
             raise ValueError("batch size and batch count must be positive")
 

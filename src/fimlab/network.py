@@ -36,7 +36,7 @@ class NetworkSpec:
     activation: str = "tanh"
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
+        sizes = tuple(ad._check_int(s, f"layer_sizes[{i}]") for i, s in enumerate(self.layer_sizes))
         if len(sizes) < 2:
             raise ValueError("need at least an input and an output width")
         if any(s < 1 for s in sizes):

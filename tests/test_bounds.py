@@ -82,21 +82,17 @@ def test_lower_bound_monotone_in_k():
             previous = bp.lower
 
 
-@pytest.mark.parametrize("call", [
-    pytest.param(lambda net, theta, X: pullback_bounds(net, theta, X, k=1), id="pullback_bounds"),
-    pytest.param(trace_bounds, id="trace_bounds"),
-    pytest.param(lambda net, theta, X: tightness_report(net, theta, X, k=1), id="tightness_report"),
-])
-def test_one_class_net_is_refused_before_any_sweep(monkeypatch, call):
-    # trace_bounds returned TraceBounds(0, 0, 0, 10.2) on a 3-4-1 net, and the other two
-    # refused with "rank parameter must be in [1, 0], got 1"
+def test_pullback_bounds_refuse_a_net_above_the_dense_cap_before_the_forward_pass(monkeypatch):
+    # a 64-64-2 net has dim 4290: the two dim x dim bounds took 294 MB, where the dense
+    # estimates and loewner_margin refused
     def refuse(*args, **kwargs):
-        raise AssertionError("no sweep may start on a one-class net")
+        raise AssertionError("no forward pass may run above the dense cap")
 
-    monkeypatch.setattr(bounds, "_jacobian_stack", refuse)
-    net, theta, X = random_instance(np.random.default_rng(5), (3, 4, 1), "tanh", n_samples=2)
-    with pytest.raises(ValueError, match="^categorical estimators need at least 2 classes$"):
-        call(net, theta, X)
+    net = NetworkSpec((64, 64, 2), "tanh")
+    assert net.dim == 4290 > est.DENSE_DIM_CAP
+    monkeypatch.setattr(est, "forward_logits", refuse)
+    with pytest.raises(ValueError, match=f"^dense storage capped at dim {est.DENSE_DIM_CAP}, got 4290$"):
+        pullback_bounds(net, np.zeros(net.dim), np.zeros((1, 64)), k=1)
 
 
 def test_rank_parameter_validated():

@@ -56,7 +56,8 @@ def test_jacobian_stack_equals_the_per_sample_oracle_bitwise(activation, shape, 
     net = NetworkSpec(shape, activation)
     theta = init_params(net, rng)
     X = rng.normal(size=(rows, net.n_inputs))
-    J, z, passes = est._jacobian_stack(net, theta, X)
+    J, fwd, passes = est._jacobian_stack(net, theta, X)
+    z = fwd.logits.data
     oracle_J, oracle_z = (np.stack(parts) for parts in zip(*(jacobian_and_logits(net, theta, x) for x in X)))
     assert J.tobytes() == oracle_J.tobytes()
     assert z.tobytes() == oracle_z.tobytes()
@@ -106,34 +107,6 @@ def test_validate_refuses_a_non_finite_entry(storage, bad):
 def test_validate_refuses_a_broken_invariant(storage, values, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         validate(est.FimEstimate("efim", storage, values, "sum"))
-
-
-def _one_class_entry_points():
-    rng = np.random.default_rng
-    return {
-        "exact_fim_definition": lambda net, theta, X: est.exact_fim_definition(net, theta, X),
-        "exact_fim_pullback": lambda net, theta, X: est.exact_fim_pullback(net, theta, X),
-        "efim": lambda net, theta, X: est.efim(net, theta, X, [0, 0]),
-        "mc_fim": lambda net, theta, X: est.mc_fim(net, theta, X, 2, rng(0)),
-        "hutch": lambda net, theta, X: est.hutchinson_fim(net, theta, X, "full", rng=rng(0)),
-        "hutch_lowrank": lambda net, theta, X: est.hutchinson_fim(net, theta, X, "lowrank", rng=rng(0)),
-        "hutch_diag": lambda net, theta, X: est.hutchinson_fim(net, theta, X, "diag", rng=rng(0)),
-        "variance_diag": lambda net, theta, X: est.variance_closed_form(net, theta, X, "diag"),
-        "empirical_variance_diag": lambda net, theta, X: est.empirical_probe_variance(net, theta, X, "diag", 2, rng(0)),
-    }
-
-
-@pytest.mark.parametrize("entry", list(_one_class_entry_points()))
-def test_one_class_net_is_refused_before_the_forward_pass(monkeypatch, entry):
-    # every score of a lone class is 0, so a categorical estimate would be all zero
-    net, theta, X = random_instance(np.random.default_rng(42), (2, 1), "none", n_samples=2)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("no forward pass may run for a one-class net")
-
-    monkeypatch.setattr(est, "forward_logits", refuse)
-    with pytest.raises(ValueError, match="^categorical estimators need at least 2 classes$"):
-        _one_class_entry_points()[entry](net, theta, X)
 
 
 def test_exact_fim_scalar_model_quarter_x_squared():
@@ -587,8 +560,8 @@ def test_lowrank_power_route_without_rng_fails_before_the_forward_pass(monkeypat
         raise AssertionError("no forward pass may run before the rng is checked")
 
     monkeypatch.setattr(est, "forward_logits", refuse)
-    with pytest.raises(ValueError, match=r"power route draws its start vectors from rng; "
-                                         r"pass rng, or eigen='full'"):
+    # the advice names only rng, which both calls take; hutchinson_gradient takes no eigen
+    with pytest.raises(ValueError, match=r"^the k = 1 power route draws its start vectors from rng; pass rng$"):
         call(net, theta, X, "lowrank", probe=probe)
 
 
@@ -1259,7 +1232,7 @@ def test_an_integer_type_rank_is_recorded_as_an_int(tmp_path):
     assert json.loads(tightness_report(net, theta, X, k=k).to_json())["k"] == 2
 
 
-# --- non-finite input -----------------------------------------------------------
+# --- the input boundary: one table of entry points ------------------------------
 
 
 def _entry_points():
@@ -1283,12 +1256,30 @@ def _entry_points():
     }
 
 
+def _refuse_the_forward(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no forward pass may run on input the boundary refuses")
+
+    monkeypatch.setattr(est, "forward_logits", refuse)
+
+
 @pytest.mark.parametrize("entry", list(_entry_points()))
-def test_non_finite_input_is_rejected_by_name(entry):
+def test_one_class_net_is_refused_before_the_forward_pass(monkeypatch, entry):
+    # every score of a lone class is 0, so a categorical estimate would be all zero;
+    # trace_bounds returned TraceBounds(0, 0, 0, 10.2) on a 3-4-1 net
+    net, theta, X = random_instance(np.random.default_rng(42), (2, 1), "none", n_samples=2)
+    _refuse_the_forward(monkeypatch)
+    with pytest.raises(ValueError, match="^categorical estimators need at least 2 classes$"):
+        _entry_points()[entry](net, theta, X)
+
+
+@pytest.mark.parametrize("entry", list(_entry_points()))
+def test_non_finite_input_is_rejected_by_name(monkeypatch, entry):
     call = _entry_points()[entry]
     rng = np.random.default_rng(36)
     net, theta, X = random_instance(rng, (2, 4, 3), "tanh", n_samples=2)
     call(net, theta, X)  # finite input runs
+    _refuse_the_forward(monkeypatch)
     bad_theta = theta.copy()
     bad_theta[3] = np.nan
     with pytest.raises(ValueError, match=r"^theta has a non-finite entry"):

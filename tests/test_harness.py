@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fimlab import estimators as est
+from fimlab import harness
 from fimlab.harness import (
     BenchConfig,
     SyntheticTask,
@@ -340,10 +343,47 @@ def test_training_refuses_labels_that_are_not_integers():
     ((np.array([[1.0], [2.0]]), [0, 1]), -1, 0, "steps must be nonnegative"),
     ((np.array([[1.0], [2.0]]), [0]), 1, 0, "need exactly one label per sample"),
     ((np.array([[1.0], [2.0]]), None), 1, 0, "training needs labels"),
+    ((np.array([[1.0], [2.0]]), [0, 1]), 1, None, "seed must be an integer, got None"),  # trained unseeded
+    ((np.array([[1.0], [np.nan]]), [0, 1]), 1, 0,
+     r"X has a non-finite entry \(NaN or infinity\)"),  # was "loss became nan at step 0"
 ])
-def test_training_refuses_what_it_cannot_run(task, steps, seed, message):
+def test_training_refuses_what_it_cannot_run(monkeypatch, task, steps, seed, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no initialization may be drawn before the arguments are checked")
+
+    monkeypatch.setattr(harness, "init_params", refuse)
     with pytest.raises(ValueError, match=f"^{message}$"):
         train_sgd(NetworkSpec((1, 2), "none"), task, steps=steps, lr=0.1, seed=seed)
+
+
+# integer arguments outside the estimators (tests/test_estimators.py has theirs):
+# each refuses a float, a bool or a string by name, before any work
+HARNESS_INTEGER_ARGS = {
+    "train_sgd.steps": lambda v: train_sgd(NetworkSpec((1, 2), "none"), (np.ones((2, 1)), [0, 1]), v, 0.1, seed=0),
+    "train_sgd.seed": lambda v: train_sgd(NetworkSpec((1, 2), "none"), (np.ones((2, 1)), [0, 1]), 1, 0.1, seed=v),
+    "NetworkSpec.layer_sizes[0]": lambda v: NetworkSpec((v, 3), "none"),  # (2.7, 3) became (2, 3)
+    "BenchConfig.batch_size": lambda v: BenchConfig(batch_size=v),
+    "BenchConfig.n_batches": lambda v: BenchConfig(n_batches=v),
+    "BenchConfig.seed": lambda v: BenchConfig(seed=v),
+    "cv_demo.m": lambda v: cv_demo(12.0, m=v, trials=2, rng=np.random.default_rng(0)),
+    "cv_demo.trials": lambda v: cv_demo(12.0, m=2, trials=v, rng=np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(2.0), "2"])
+@pytest.mark.parametrize("entry", list(HARNESS_INTEGER_ARGS))
+def test_harness_integer_arguments_fail_by_name(monkeypatch, entry, value):
+    call = HARNESS_INTEGER_ARGS[entry]
+    monkeypatch.setattr(harness, "IMPORTANCE_SAMPLES", 10)  # cv_demo's million draws
+    call(np.int64(2))  # any integer type runs
+    name = entry.split(".")[1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no work may start before the arguments are checked")
+
+    monkeypatch.setattr(harness, "init_params", refuse)
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer, got {re.escape(repr(value))}$"):
+        call(value)
 
 
 @pytest.mark.parametrize("name", est.PROBE_VARIANTS)
