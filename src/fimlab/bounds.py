@@ -27,8 +27,8 @@ For B samples of C classes, from B C^4 >= _SECULAR_MIN_WORK on, these C
 norms per sample come from one eigh of R_x core_x R_x^T and the outer roots
 of one secular equation per label (simplex._secular_extremes: one batched
 iteration for both roots, run to rounding by a convergence test); below
-it, from one eigvalsh per (sample, label).  The Loewner margin that checks
-a sandwich is exact too: one eigvalsh of the symmetrised difference.
+it, from one eigvalsh per (sample, label).  The Loewner margins are the least
+eigenvalues of the gaps S A S^T, at most 0 where S has fewer than dim rows.
 """
 
 from __future__ import annotations
@@ -171,6 +171,8 @@ class TightnessReport:
     adversarial_labels: tuple
     per_label_errors: tuple  # per sample: spectral error of each label choice
     per_sample_efim_bounds: tuple  # per sample: (1 + |p|^2) sigma_max^2
+    lower_margin: float  # least eigenvalue of F - lower, at every dim
+    upper_margin: float  # least eigenvalue of upper - F
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2)
@@ -179,19 +181,18 @@ class TightnessReport:
 def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> TightnessReport:
     """All bound-gap certificates for one (network, parameters, inputs) triple.
 
-    Labels are optional; when given, one per sample, the realized
-    empirical-FIM error in spectral norm is reported against its universal
-    bound.  The adversarial floor is always computed by exhaustive search
-    over the label of each sample (ties within _LABEL_TIE_RTOL go to the
-    lowest label): every label's error, exact to rounding,
-    from one batched eigh per sample and a secular solve per label at
-    B C^4 >= _SECULAR_MIN_WORK, from one eigvalsh per label below.
+    Labels are optional; when given, one per sample, the realized empirical-FIM
+    error in spectral norm is reported against its universal bound.  The
+    adversarial floor always comes from exhaustive search over each sample's
+    label (ties within _LABEL_TIE_RTOL go to the lowest label): every label's
+    error, exact to rounding, from one eigh per sample and a secular solve per
+    label at B C^4 >= _SECULAR_MIN_WORK, else one eigvalsh per label.
 
     The norms come from the Gram K = J J^T of the stacked Jacobian: the
-    three gaps of the sums from a root S of K (J^T itself from
-    B C >= _JT_ROOT_MIN_FILL * dim on, else from one gemm and one eigh of
-    K), each sample's label errors from the Cholesky factor of its Gram
-    block.  No QR, and no matrix factored larger than
+    three gaps of the sums and the two margins from a root S of K (J^T
+    itself from B C >= _JT_ROOT_MIN_FILL * dim on, else from one gemm and
+    one eigh of K), each sample's label errors from the Cholesky factor of
+    its Gram block.  No QR, and no matrix factored larger than
     min(dim, B C / _JT_ROOT_MIN_FILL) square.
     """
     def before(X, _):
@@ -218,9 +219,12 @@ def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> Tig
     # eigenpairs, F - efim the core minus r r^T with r = e_y - p
     S = _gram_root(s.J)
     bottom = s.V[:, :, : C - k]
-    bottom_part = (bottom * s.lam[:, None, : C - k]) @ bottom.swapaxes(1, 2)
-    upper_gap = np.linalg.norm(_core_gap(S, s.p[:, :, None] * s.p[:, None, :]))
-    lower_gap = np.linalg.norm(_core_gap(S, bottom_part))
+
+    def gap(A):  # norm and least eigenvalue of S A S^T, one matrix at a time; at most 0 with a null space
+        G = _core_gap(S, A)
+        return float(np.linalg.norm(G)), float(min(np.linalg.eigvalsh(G)[0], 0.0 if len(G) < s.J.shape[2] else np.inf))
+    upper_gap, upper_margin = gap(s.p[:, :, None] * s.p[:, None, :])
+    lower_gap, lower_margin = gap((bottom * s.lam[:, None, : C - k]) @ bottom.swapaxes(1, 2))
     residuals = np.eye(C) - s.p[:, None, :]  # (B, y, C): row y is e_y - p
     efim_gap = None
     if labels is not None:
@@ -235,9 +239,9 @@ def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> Tig
     return TightnessReport(
         k=k,
         upper_gap_lhs=float(np.sqrt(np.sum(pulled_p**2))),
-        upper_gap=float(upper_gap),
+        upper_gap=upper_gap,
         upper_gap_rhs=float(sq @ top_sigma2),
-        lower_gap=float(lower_gap),
+        lower_gap=lower_gap,
         lower_gap_rhs=float(np.sum(lower_rhs)),
         lower_gap_rhs_relaxed=float(np.sum(lower_rhs_relaxed)),
         trace_lower=tb.lower,
@@ -251,6 +255,8 @@ def tightness_report(net: NetworkSpec, theta, X, k: int = 1, labels=None) -> Tig
         adversarial_labels=tuple(int(y) for y in worst),
         per_label_errors=tuple(tuple(float(e) for e in row) for row in errs),
         per_sample_efim_bounds=tuple(float(b) for b in per_sample_bounds),
+        lower_margin=lower_margin,
+        upper_margin=upper_margin,
     )
 
 

@@ -39,9 +39,8 @@ probe, one `efim` sample, one Monte Carlo draw) is written once as the
 outer product w g g^T (diagonal: w g*g).  Longer sums stream their rows
 into a block of at most GRAM_BLOCK_FLOATS floats, and each block is added
 by one Gram product G^T diag(w) G (for diagonal storage its diagonal,
-w . (G * G)).  The
-weights are p(y|x) for the definition, 1 for the empirical FIM, 1/m for the
-Monte Carlo estimate and 1/n_probes for the probe average.
+w . (G * G)).  Weights: p(y|x) for the definition, 1 for the empirical FIM,
+1/m for the Monte Carlo estimate and 1/n_probes for the probe average.
 
 Sum-vs-mean conventions are explicit: exact, empirical and probe estimators
 sum over the dataset, the Monte Carlo estimator averages over uniformly

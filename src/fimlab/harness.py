@@ -70,10 +70,11 @@ class SyntheticTask:
     def __post_init__(self):
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
-        if self.n_samples < 1:
-            raise ValueError("need at least one sample")
-        if self.dim < 1 or self.n_classes < 2:
-            raise ValueError("blobs need dim >= 1 and at least 2 classes")
+        for name, least in (("n_samples", 1), ("seed", 0), ("dim", 1), ("n_classes", 2)):
+            if _check_int(getattr(self, name), name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
+        if not 0 <= self.separation < math.inf:  # 0 puts every class mean at the origin
+            raise ValueError(f"separation must be finite and nonnegative, got {self.separation!r}")
 
 
 def gen_task(task: SyntheticTask) -> tuple[np.ndarray, np.ndarray]:
@@ -107,14 +108,16 @@ def train_sgd(net: NetworkSpec, data: tuple, steps: int, lr: float, seed: int) -
     from the initialization seeded by `seed`.
 
     steps=0 returns that initialization untouched: the random-head regime.
-    steps and seed must be integers, and X finite: each is refused by name
-    before any work.  Raises TrainingDiverged, and warns of no overflow, if
-    the loss stops being finite.
+    steps and seed must be integers, X finite and, when steps > 0, lr
+    finite and positive: each is refused by name before any work.  Raises
+    TrainingDiverged, and warns of no overflow, if the loss stops being finite.
     """
     steps = _check_int(steps, "steps")
     seed = _check_int(seed, "seed")  # None would train from an unseeded init
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    if steps > 0 and not 0 < lr < math.inf:
+        raise ValueError(f"lr must be positive and finite, got {lr!r}")
     X, labels = data
     if labels is None:
         raise ValueError("training needs labels")
@@ -152,9 +155,7 @@ def relmae(estimate: est.FimEstimate, truth: est.FimEstimate) -> float:
     if estimate.dim != truth.dim:
         raise ValueError("dimension mismatch")
     if estimate.normalization != truth.normalization:
-        raise ValueError(
-            f"normalization mismatch: {estimate.normalization} vs {truth.normalization}"
-        )
+        raise ValueError(f"normalization mismatch: {estimate.normalization} vs {truth.normalization}")
     return float(np.mean(np.abs(estimate.values - truth.values) / (truth.values + RELMAE_EPS)))
 
 

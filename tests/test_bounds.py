@@ -402,7 +402,8 @@ def test_label_error_route_follows_samples_and_classes(monkeypatch, C, secular):
 def test_label_errors_form_no_matrix_per_label(monkeypatch):
     # at C = 50 the eigensolvers get a few C x C matrices per sample (the core, the
     # Jacobian Gram, A_x = R_x core R_x^T, at B = 1 the efim gap's), not one per label;
-    # at B = 1 the stacked Gram K = J J^T is C x C too, and its one eigh adds one call
+    # at B = 1 the stacked Gram K = J J^T is C x C too: its one eigh and the eigvalsh of
+    # the two margins' gaps, S A S^T for the C x C root S of K, add three
     C = 50
     received = []
     for name in ("eigvalsh", "eigh"):
@@ -419,7 +420,7 @@ def test_label_errors_form_no_matrix_per_label(monkeypatch):
         net, theta, X = random_instance(rng, (3, 8, C), "tanh", n_samples=B)
         received.clear()
         tightness_report(net, theta, X, k=1, labels=np.zeros(B, dtype=int))
-        assert 0 < sum(received) <= 4 * B + 1
+        assert 0 < sum(received) <= 4 * B + 3
 
 
 def test_report_serializes_to_json():
@@ -499,6 +500,35 @@ def test_margin_is_exact_on_a_dim_965_sandwich():
     tol = 1e-12 * np.max(np.abs(F))
     for A, B in ((bp.lower, F), (np.zeros_like(F), bp.lower), (F, bp.upper)):
         assert loewner_margin(A, B) == pytest.approx(np.linalg.eigvalsh(B - A)[0], abs=tol)
+
+
+@pytest.mark.parametrize("layers, act, n_samples, root", [
+    pytest.param((3, 6, 4), "tanh", 2, "eigh", id="tanh-eigh"),  # B C = 8 < 0.6 dim = 31.2
+    pytest.param((3, 6, 4), "tanh", 64, "JT", id="tanh-JT"),  # B C = 256 > dim = 52
+    pytest.param((3, 6, 5), "relu", 2, "eigh", id="relu-eigh"),  # B C = 10 < 35.4
+    pytest.param((3, 6, 5), "relu", 8, "JT", id="relu-JT"),  # 35.4 <= B C = 40 < dim = 59
+    pytest.param((4, 6), "none", 2, "eigh", id="linear-eigh"),  # B C = 12 < 18
+    pytest.param((4, 6), "none", 5, "JT", id="linear-JT"),  # B C = 30 = dim
+    pytest.param((4, 6), "none", 40, "JT", id="linear-JT-40"),  # B C = 240 > dim = 30
+])
+def test_report_margins_equal_the_dense_margins(layers, act, n_samples, root):
+    rng = np.random.default_rng(25)
+    net, theta, X = random_instance(rng, layers, act, n_samples=n_samples)
+    theta = 2.0 * theta
+    C = net.n_classes
+    assert (n_samples * C >= bounds._JT_ROOT_MIN_FILL * net.dim) == (root == "JT")
+    F = exact(net, theta, X)
+    for k in (1, C - 1):
+        rep = tightness_report(net, theta, X, k=k)
+        bp = pullback_bounds(net, theta, X, k=k)
+        tol = 1e-12 * rep.trace_upper
+        assert rep.lower_margin == pytest.approx(loewner_margin(bp.lower, F), abs=tol)
+        assert rep.upper_margin == pytest.approx(loewner_margin(F, bp.upper), abs=tol)
+        # one constant added to every output bias moves no probability: F and F - lower are
+        # singular along it; p p^T is not, and on these instances the upper gap is definite
+        # once B >= dim, so a margin held at 0 fails there
+        assert rep.lower_margin <= tol
+        assert (rep.upper_margin > 1e3 * tol) == (n_samples >= net.dim)
 
 
 def test_margin_large_dimension_power_path():

@@ -445,31 +445,53 @@ def test_bounds_json(tmp_path):
     cfg = write_config(tmp_path / "c.cfg", **{**SMALL, "k": 2})
     out = tmp_path / "bounds.json"
     assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
     X, labels, net, theta = _build_instance(parse_config(cfg))
-    report = json.loads(bd.tightness_report(net, theta, X, k=2, labels=labels).to_json())
-    margins = {key: payload.pop(key) for key in ("lower_margin", "upper_margin")}
-    assert payload == report
+    assert out.read_text() == bd.tightness_report(net, theta, X, k=2, labels=labels).to_json() + "\n"
+    payload = json.loads(out.read_text())
+    assert list(payload) == list(bd.TightnessReport.__dataclass_fields__)  # the margins come last
     assert payload["efim_gap"] is not None  # the config's labels were passed
     fim = est.exact_fim_pullback(net, theta, X).values
     pair = bd.pullback_bounds(net, theta, X, 2)
-    assert margins == {"lower_margin": bd.loewner_margin(pair.lower, fim),
-                       "upper_margin": bd.loewner_margin(fim, pair.upper)}
-    for margin in margins.values():  # at k = C - 1 the lower side is an equality: its margin is round-off
-        assert margin >= -1e-12 * np.max(np.abs(fim))
+    tol = 1e-12 * payload["trace_upper"]
+    assert payload["lower_margin"] == pytest.approx(bd.loewner_margin(pair.lower, fim), abs=tol)
+    assert payload["upper_margin"] == pytest.approx(bd.loewner_margin(fim, pair.upper), abs=tol)
+    for key in ("lower_margin", "upper_margin"):  # at k = C - 1 the lower side is an equality: round-off
+        assert payload[key] >= -1e-12 * np.max(np.abs(fim))
 
 
-def test_bounds_writes_no_margin_above_the_dense_cap(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path / "c.cfg", **SMALL)
+def test_bounds_writes_margins_above_the_dense_cap(tmp_path, monkeypatch, capsys):
+    # a 64-64-2 net on 4 samples has dim 4290: the margins come from the 8 x 8 root of K,
+    # with no dim x dim matrix and none of the dense routines
+    cfg = write_config(tmp_path / "c.cfg", d=64, hidden=64, classes=2, n_samples=4, storage="dense")
 
     def refuse(*args, **kwargs):
         raise AssertionError("no dim x dim matrix above the cap")
 
-    monkeypatch.setattr(est, "DENSE_DIM_CAP", 8)  # SMALL's net has dim 9
-    monkeypatch.setattr(bd, "pullback_bounds", refuse)
+    for name in ("exact_fim_pullback", "exact_fim_definition"):
+        monkeypatch.setattr(est, name, refuse)
+    for name in ("pullback_bounds", "loewner_margin"):
+        monkeypatch.setattr(bd, name, refuse)
     assert main(["bounds", "--config", str(cfg)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert set(payload) == set(bd.TightnessReport.__dataclass_fields__)
+    assert _build_instance(parse_config(cfg))[2].dim == 4290 > est.DENSE_DIM_CAP
+    assert list(payload) == list(bd.TightnessReport.__dataclass_fields__)
+    for key in ("lower_margin", "upper_margin"):
+        assert -1e-12 * payload["trace_upper"] <= payload[key] <= 0.0  # B C = 8 < dim: a null space
+
+
+def test_bounds_runs_one_forward(tmp_path, monkeypatch):
+    # the report holds the margins: no second or third stack for pullback_bounds and the exact F
+    shapes = []
+    real = est.forward_logits
+
+    def count(net, theta, X):
+        shapes.append(np.shape(X))
+        return real(net, theta, X)
+
+    monkeypatch.setattr(est, "forward_logits", count)
+    cfg = Path(__file__).resolve().parent / "golden" / "diagonal.cfg"
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "b.json")]) == 0
+    assert shapes == [(32, 2)]
 
 
 def test_cv_demo_output(capsys):

@@ -65,6 +65,20 @@ def test_task_validation():
         SyntheticTask("blobs", n_samples=10, seed=0, n_classes=1)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_samples", 0, "n_samples must be at least 1, got 0"),
+    ("seed", -1, "seed must be at least 0, got -1"),
+    ("dim", 0, "dim must be at least 1, got 0"),
+    ("n_classes", 1, "n_classes must be at least 2, got 1"),
+    ("separation", float("nan"), "separation must be finite and nonnegative, got nan"),  # gave an all-NaN X
+    ("separation", float("inf"), "separation must be finite and nonnegative, got inf"),
+    ("separation", -1.0, "separation must be finite and nonnegative, got -1.0"),
+], ids=["n_samples", "seed", "dim", "n_classes", "separation-nan", "separation-inf", "separation-negative"])
+def test_task_refuses_a_field_out_of_range_by_name(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SyntheticTask("blobs", **{"n_samples": 10, "seed": 0, field: value})
+
+
 # --- training --------------------------------------------------------------------
 
 
@@ -356,9 +370,27 @@ def test_training_refuses_what_it_cannot_run(monkeypatch, task, steps, seed, mes
         train_sgd(NetworkSpec((1, 2), "none"), task, steps=steps, lr=0.1, seed=seed)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -0.1])
+def test_training_refuses_an_lr_that_is_not_positive_and_finite(monkeypatch, lr):
+    # nan ran one full step and then raised TrainingDiverged("loss became nan at step 1")
+    data = (np.ones((2, 1)), [0, 1])
+    assert train_sgd(NetworkSpec((1, 2), "none"), data, steps=0, lr=lr, seed=0).losses.size == 0  # unused
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no step may run before lr is checked")
+
+    monkeypatch.setattr(harness, "forward_logits", refuse)
+    with pytest.raises(ValueError, match=f"^lr must be positive and finite, got {lr!r}$"):
+        train_sgd(NetworkSpec((1, 2), "none"), data, steps=2, lr=lr, seed=0)
+
+
 # integer arguments outside the estimators (tests/test_estimators.py has theirs):
 # each refuses a float, a bool or a string by name, before any work
 HARNESS_INTEGER_ARGS = {
+    "SyntheticTask.n_samples": lambda v: SyntheticTask("blobs", n_samples=v, seed=0),  # 2.5 reached numpy
+    "SyntheticTask.seed": lambda v: SyntheticTask("blobs", n_samples=2, seed=v),
+    "SyntheticTask.dim": lambda v: SyntheticTask("blobs", n_samples=2, seed=0, dim=v),
+    "SyntheticTask.n_classes": lambda v: SyntheticTask("blobs", n_samples=2, seed=0, n_classes=v),
     "train_sgd.steps": lambda v: train_sgd(NetworkSpec((1, 2), "none"), (np.ones((2, 1)), [0, 1]), v, 0.1, seed=0),
     "train_sgd.seed": lambda v: train_sgd(NetworkSpec((1, 2), "none"), (np.ones((2, 1)), [0, 1]), 1, 0.1, seed=v),
     "NetworkSpec.layer_sizes[0]": lambda v: NetworkSpec((v, 3), "none"),  # (2.7, 3) became (2, 3)
