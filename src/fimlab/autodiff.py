@@ -19,7 +19,15 @@ value.  As every op it admits is row-wise and the forward is row-invariant
 
 Each op is one entry of a rule table that pairs its forward rule with one
 adjoint rule per operand; recording and backward() both read that table, so
-an op's maths is written exactly once.
+an op's maths is written exactly once.  What a sweep needs from the forward
+alone is formed once, not once per sweep: a node's local factor (1 - y**2
+for tanh, the mask a > 0 for relu, exp(y) for log_softmax) when the node is
+pushed, and a root's reverse plan (its ancestors that reach a parameter,
+from the root down, with their adjoint rules, parent ids and flat-gradient
+slices) by the first sweep from that root.  rows() gives every view the
+row of each batch node's factor and the batch root's plan, so the sweeps of
+all the views share one formation; a node a view pushes later gets a plan
+of that view's own.
 
 The op set is intentionally small: what a dense classifier forward pass, a
 log-softmax likelihood and sign-flipped probe sums need, nothing more.  A
@@ -76,6 +84,7 @@ class _Node:
     value: np.ndarray
     ctx: tuple = ()
     reaches_param: bool = False
+    factor: np.ndarray | None = None  # the op's local derivative (_FACTORS), formed when it is pushed
 
 
 class Tape:
@@ -84,14 +93,18 @@ class Tape:
     Single-writer while recording; once the forward pass is done the node
     list is only read, so backward() may run from any thread (each sweep
     keeps its own adjoint buffers; only the pass counter needs the lock).
-    A row view (rows()) is a tape of its own, with its own counter, that
-    shares the batch tape's parameter leaves and views its values.
+    Factors are formed at record time.  A plan is formed idempotently: two
+    threads that sweep a new root at once form equal plans, and either is
+    kept.  A row view (rows()) is a tape of its own, with its own counter,
+    that shares the batch tape's parameter leaves and root plan and views
+    its values and factors.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
         self._param_at: dict[int, int] = {}  # param node id -> its first entry in the flat gradient
         self._param_size = 0
+        self._plans: dict[int, tuple] = {}  # root node id -> the reverse plan of a sweep from it (_plan)
         self.backward_calls = 0
         self._counter_lock = threading.Lock()
 
@@ -101,7 +114,8 @@ class Tape:
             self._param_at[len(self.nodes)] = self._param_size
             self._param_size += value.size
         reaches = op == "param" or any(self.nodes[j].reaches_param for j in parents)
-        self.nodes.append(_Node(op, parents, value, ctx, reaches))
+        factor = _FACTORS[op](value, self.nodes[parents[0]].value) if op in _FACTORS else None
+        self.nodes.append(_Node(op, parents, value, ctx, reaches, factor))
         return Value(self, len(self.nodes) - 1)
 
 
@@ -136,6 +150,9 @@ def parameter(tape: Tape, array) -> Value:
 #   calls it only when parent k reaches a parameter.  A rule may return g
 #   itself; an adjoint is never written to in place.
 # Shape checks live in the forward rules, so they run at record time.
+# Factors, keyed by op name: factor(value, operand value) -> node.factor, the
+# part of a unary op's adjoint that the forward alone fixes, formed when the
+# node is pushed; its adjoint rule multiplies by it.
 
 def _add_forward(ctx, a, b):
     if a.shape == b.shape:
@@ -167,15 +184,24 @@ def _gather_adjoint(node, g, a):
     return out
 
 
+_FACTORS = {
+    "tanh": lambda y, a: 1.0 - y**2,
+    "relu": lambda y, a: a > 0,
+    "log_softmax": lambda y, a: np.exp(y),
+}
+
+# The adjoints reduce through np.add.reduce itself: np.sum's and .sum's wrappers
+# give the same bits, and cost a sweep more than the reduction does.
 _RULES = {
-    "add": (_add_forward, lambda node, g, a, b: g, lambda node, g, a, b: g if a.shape == b.shape else g.sum(axis=0)),
+    "add": (_add_forward, lambda node, g, a, b: g,
+            lambda node, g, a, b: g if a.shape == b.shape else np.add.reduce(g, axis=0)),
     "matmul": (_matmul_forward, lambda node, g, a, b: np.dot(g, b.T), lambda node, g, a, b: np.dot(a.T, g)),
     "scale": (lambda ctx, a: ctx[0] * a, lambda node, g, a: node.ctx[0] * g),
-    "tanh": (lambda ctx, a: np.tanh(a), lambda node, g, a: g * (1.0 - node.value**2)),
-    "relu": (lambda ctx, a: np.maximum(a, 0.0), lambda node, g, a: g * (a > 0)),
+    "tanh": (lambda ctx, a: np.tanh(a), lambda node, g, a: g * node.factor),
+    "relu": (lambda ctx, a: np.maximum(a, 0.0), lambda node, g, a: g * node.factor),
     "log_softmax": (
         _log_softmax_forward,
-        lambda node, g, a: g - np.exp(node.value) * np.sum(g, axis=-1, keepdims=True),
+        lambda node, g, a: g - node.factor * np.add.reduce(g, axis=-1, keepdims=True),
     ),
     "gather": (_gather_forward, _gather_adjoint),
     "wsum": (lambda ctx, a: np.asarray(np.sum(a * ctx[0])), lambda node, g, a: g * node.ctx[0]),
@@ -272,9 +298,10 @@ def rows(root: Value, samples):
     """For each b in samples, row b of `root`, recorded on a batch of rows, as the root of a one-row tape.
 
     A view holds the nodes up to root under the same ids: the batch tape's
-    own parameter leaves, and row b of every other value as a (1, n) view,
-    so its sweeps give sample b's gradients bit for bit as a tape recorded
-    on that row alone would.  A repeated b gets its own view and counter.
+    own parameter leaves, and row b of every other value and factor as a
+    (1, n) view, so its sweeps give sample b's gradients bit for bit as a
+    tape recorded on that row alone would.  Every view shares the batch
+    root's plan.  A repeated b gets its own view and counter.
     The tape and indices are checked once, at the call: ValueError for a row
     out of range and for ops that mix rows: gather, wsum and total, a matmul
     whose right operand is not a parameter, or a parameter that enters an op
@@ -300,25 +327,59 @@ def rows(root: Value, samples):
             raise ValueError(f"row {b} out of range for a batch of {n_rows} rows")
     param_at = {i: at for i, at in root.tape._param_at.items() if i <= root.idx}
     param_size = sum(nodes[i].value.size for i in param_at)
+    plan = _plan(root.tape, root.idx)
 
     def view(b: int) -> Value:
         tape = Tape()
-        tape.nodes = [n if n.op == "param" else _Node(n.op, n.parents, n.value[b : b + 1], n.ctx, n.reaches_param)
+        tape.nodes = [n if n.op == "param" else _Node(n.op, n.parents, n.value[b : b + 1], n.ctx, n.reaches_param,
+                                                      None if n.factor is None else n.factor[b : b + 1])
                       for n in nodes]
         tape._param_at, tape._param_size = dict(param_at), param_size  # a view may push parameters of its own
+        tape._plans[root.idx] = plan  # a node the view pushes gets a plan of its own
         return Value(tape, root.idx)
 
     return map(view, samples)
 
 
-def _accumulate(adj: dict, idx: int, delta: np.ndarray):
-    # no copy: a delta may be g itself (add) or the caller's seed, but a sum
-    # is a new array and backward() copies each parameter's adjoint into its
-    # own slice of one new vector
-    if idx in adj:
-        adj[idx] = adj[idx] + delta
-    else:
-        adj[idx] = delta
+def _plan(tape: Tape, root: int) -> tuple:
+    """The reverse plan of a sweep from node `root` of `tape`, formed on first use.
+
+    It lists, from the root down, the root's ancestors that reach a parameter:
+    an op as (id, parent ids, one adjoint rule per parent, None for a parent
+    that reaches no parameter), a parameter as (id, None, its slice of the
+    flat gradient).  Nodes up to the root never change, so a plan never goes
+    stale; two threads that form one at once form equal ones, and either may
+    be kept.
+    """
+    plan = tape._plans.get(root)
+    if plan is None:
+        nodes = tape.nodes
+        wanted = {root} if nodes[root].reaches_param else set()
+        steps = []
+        for i in range(root, -1, -1):
+            if i not in wanted:
+                continue
+            node = nodes[i]
+            if node.op == "param":
+                at = tape._param_at[i]
+                steps.append((i, None, slice(at, at + node.value.size)))
+                continue
+            rule = _RULES[node.op]
+            if len(node.parents) == 1:  # its operand reaches a parameter, since it does
+                wanted.add(node.parents[0])
+                steps.append((i, node.parents, (rule[1],)))
+            else:
+                a, b = node.parents
+                rule_a = rule_b = None
+                if nodes[a].reaches_param:
+                    rule_a = rule[1]
+                    wanted.add(a)
+                if nodes[b].reaches_param:
+                    rule_b = rule[2]
+                    wanted.add(b)
+                steps.append((i, node.parents, (rule_a, rule_b)))
+        plan = tape._plans[root] = tuple(steps)
+    return plan
 
 
 def backward(root: Value, adjoint=None) -> np.ndarray:
@@ -329,7 +390,8 @@ def backward(root: Value, adjoint=None) -> np.ndarray:
     The sweep writes each parameter's adjoint into its slice of one new flat
     vector over every parameter entry of the tape, in creation order, and
     returns that vector; parameters the root does not depend on keep exact
-    zeros.
+    zeros.  It walks the root's plan (`_plan`), so a root that reaches no
+    parameter (a constant) visits no node.
     """
     if adjoint is None:
         if root.data.shape != ():
@@ -341,33 +403,34 @@ def backward(root: Value, adjoint=None) -> np.ndarray:
             raise ValueError(f"adjoint shape {seed.shape} != root shape {root.data.shape}")
     tape = root.tape
     nodes = tape.nodes
+    plan = _plan(tape, root.idx)
     with tape._counter_lock:
         tape.backward_calls += 1
-    # adjoints reach only nodes that reach a parameter, so a root that
-    # reaches none (a constant) starts no sweep
-    adj: dict[int, np.ndarray] = {root.idx: seed} if nodes[root.idx].reaches_param else {}
+    # no copy of an adjoint: one may be g itself (add) or the caller's seed, but
+    # a sum is a new array, and each parameter's adjoint is copied into the vector
+    adj: dict[int, np.ndarray] = {root.idx: seed}
     flat = np.zeros(tape._param_size)
-    for i in range(root.idx, -1, -1):
-        g = adj.pop(i, None)
-        if g is None:
+    for i, parents, rules in plan:
+        g = adj.pop(i)  # the plan holds ancestors only, so each has its adjoint by now
+        if parents is None:  # a parameter, and rules is its slice
+            flat[rules] = g.ravel()  # a copy: g may be the seed, or shared by add with another param
             continue
         node = nodes[i]
-        if node.op == "param":
-            at = tape._param_at[i]
-            flat[at : at + g.size] = g.ravel()  # a copy: g may be the seed, or shared by add with another param
-            continue
-        rule = _RULES[node.op]
         # Parents go in by arity: a generic *[...] call is measurably slower per sweep.
-        if len(node.parents) == 1:
-            (a,) = node.parents  # it reaches a parameter, since this node does
-            _accumulate(adj, a, rule[1](node, g, nodes[a].value))
+        if len(parents) == 1:
+            (a,) = parents
+            delta = rules[0](node, g, nodes[a].value)
+            adj[a] = adj[a] + delta if a in adj else delta
         else:
-            a, b = node.parents
+            a, b = parents
             va, vb = nodes[a].value, nodes[b].value
-            if nodes[a].reaches_param:
-                _accumulate(adj, a, rule[1](node, g, va, vb))
-            if nodes[b].reaches_param:
-                _accumulate(adj, b, rule[2](node, g, va, vb))
+            rule_a, rule_b = rules
+            if rule_a is not None:
+                delta = rule_a(node, g, va, vb)
+                adj[a] = adj[a] + delta if a in adj else delta
+            if rule_b is not None:
+                delta = rule_b(node, g, va, vb)
+                adj[b] = adj[b] + delta if b in adj else delta
     return flat
 
 

@@ -268,8 +268,8 @@ def _add_block(acc: np.ndarray, w: np.ndarray, G: np.ndarray, storage: str) -> N
 
 
 def _sample_sweeps(root: ad.Value, samples, classes=None):
-    """Per sample b = samples[t] of the batched root: (root's row b, its gradient rows, the
-    backward passes on b's tape).
+    """Per sample b = samples[t] of the batched root: (its gradient rows, the backward
+    passes on b's tape).
 
     Every per-sample row comes from here.  The root is the (B, C) logits or
     log-softmax of one batched forward pass; each sample sweeps its own row
@@ -283,7 +283,7 @@ def _sample_sweeps(root: ad.Value, samples, classes=None):
             rows = [ad.gradient(r, e) for e in seeds]
         else:
             rows = [ad.gradient(r, seeds[classes[t]])]
-        yield r.data[0], rows, r.tape.backward_calls
+        yield rows, r.tape.backward_calls
 
 
 def _jacobian_stack(net: NetworkSpec, theta, X, **checks) -> tuple[np.ndarray, _Forward, int]:
@@ -293,7 +293,7 @@ def _jacobian_stack(net: NetworkSpec, theta, X, **checks) -> tuple[np.ndarray, _
     fwd = _checked_forward(net, theta, X, **checks)
     J = np.empty((fwd.X.shape[0], net.n_classes, net.dim))
     passes = 0
-    for b, (_, rows, n) in enumerate(_sample_sweeps(fwd.logits, range(len(J)))):
+    for b, (rows, n) in enumerate(_sample_sweeps(fwd.logits, range(len(J)))):
         J[b] = rows
         passes += n
     return J, fwd, passes
@@ -302,15 +302,16 @@ def _jacobian_stack(net: NetworkSpec, theta, X, **checks) -> tuple[np.ndarray, _
 def _score_gram(lsm: ad.Value, samples, n_rows: int, dim: int, storage: str, classes=None, weight=1.0):
     """(`_gram` of the scores of the samples, rows of the batched log-softmax lsm, and the backward
     passes on their tapes): with classes, one row of the given weight per sample; without, every
-    class's row, weighted by p(y|x)."""
+    class's row, weighted by p(y|x), the row of lsm's factor exp(lsm) that the forward formed."""
     passes = 0
+    p = lsm.tape.nodes[lsm.idx].factor
 
     def rows():
         nonlocal passes
-        for lsm_b, G, n in _sample_sweeps(lsm, samples, classes):
+        for b, (G, n) in zip(samples, _sample_sweeps(lsm, samples, classes)):
             passes += n
             if classes is None:
-                yield from zip(np.exp(lsm_b), G)
+                yield from zip(p[b], G)
             else:
                 yield weight, G[0]
 
@@ -370,7 +371,7 @@ def mc_fim(
 
     X, logits, _, _ = _checked_forward(net, theta, X, storage=storage, before=before)
     lsm = ad.log_softmax(logits)
-    cdf = np.cumsum(np.exp(lsm.data), axis=1)
+    cdf = np.cumsum(lsm.tape.nodes[lsm.idx].factor, axis=1)  # of p = exp(lsm), formed with the forward
     top = cdf.shape[1] - 1  # a uniform at or above a row's rounded total takes the last label
     rows = np.empty(m, dtype=np.intp)
     labels = np.empty(m, dtype=np.intp)

@@ -46,11 +46,20 @@ def loglik_gradients(net, theta, x):
 
 def replay(tape: ad.Tape) -> bool:
     """Re-run every recorded op of `tape` by its forward rule in autodiff's rule
-    table; True iff every value reproduces bit for bit."""
+    table, and form each node's local factor again from its value; True iff
+    every value reproduces bit for bit, and every factor to the bit and dtype."""
     for node in tape.nodes:
         if node.op not in ("const", "param"):
-            again = ad._RULES[node.op][0](node.ctx, *[tape.nodes[j].value for j in node.parents])
+            parents = [tape.nodes[j].value for j in node.parents]
+            again = ad._RULES[node.op][0](node.ctx, *parents)
             if not np.array_equal(again, node.value):
+                return False
+            if node.op in ad._FACTORS:
+                factor = ad._FACTORS[node.op](node.value, *parents)
+                if node.factor is None or (factor.dtype, factor.shape, factor.tobytes()) != (
+                        node.factor.dtype, node.factor.shape, node.factor.tobytes()):
+                    return False
+            elif node.factor is not None:
                 return False
     return True
 

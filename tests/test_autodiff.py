@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fimlab import autodiff as ad
+from fimlab import estimators as est
 from fimlab.network import NetworkSpec, forward_logits, init_params, unflatten
 
 from helpers import replay
@@ -307,7 +308,7 @@ def test_row_view_shares_the_parameter_leaves_and_holds_row_views():
     rng = np.random.default_rng(13)
     net = NetworkSpec((3, 4, 2), "tanh")
     logits = forward_logits(net, init_params(net, rng), rng.normal(size=(5, 3)))
-    (view,) = ad.rows(logits, [2])
+    view, other = ad.rows(logits, [2, 4])
     assert view.idx == logits.idx and len(view.tape.nodes) == len(logits.tape.nodes)
     assert view.tape._param_at == logits.tape._param_at
     for mine, theirs in zip(view.tape.nodes, logits.tape.nodes):
@@ -316,6 +317,13 @@ def test_row_view_shares_the_parameter_leaves_and_holds_row_views():
         else:
             assert mine.value.base is not None and np.shares_memory(mine.value, theirs.value)
             assert np.array_equal(mine.value, theirs.value[2:3])
+            if theirs.op == "tanh":  # the row of the factor the batch formed, not one formed again
+                assert np.shares_memory(mine.factor, theirs.factor)
+                assert np.array_equal(mine.factor, theirs.factor[2:3])
+            else:
+                assert mine.factor is theirs.factor is None
+    # the batch root's one plan, formed by rows() for every view
+    assert view.tape._plans[view.idx] is other.tape._plans[other.idx] is logits.tape._plans[logits.idx]
 
 
 def test_rows_gives_each_index_a_view_of_its_own():
@@ -332,6 +340,89 @@ def test_rows_gives_each_index_a_view_of_its_own():
     assert again.tape._param_at == logits.tape._param_at
     fresh = next(ad.rows(logits, [2]))
     assert np.array_equal(ad.gradient(again, np.ones((1, 2))), ad.gradient(fresh, np.ones((1, 2))))
+
+
+def _count_factors(monkeypatch):
+    """Count the local factors formed, by op: {op: n}."""
+    calls = dict.fromkeys(ad._FACTORS, 0)
+
+    def spy(op, form):
+        def counted(*args):
+            calls[op] += 1
+            return form(*args)
+        return counted
+
+    for op, form in list(ad._FACTORS.items()):
+        monkeypatch.setitem(ad._FACTORS, op, spy(op, form))
+    return calls
+
+
+def _record_sweeps(monkeypatch):
+    """Record every reverse sweep as (adjoint, gradient), in order."""
+    sweeps = []
+    backward = ad.backward
+
+    def recorded(root, adjoint=None):
+        g = backward(root, adjoint)
+        sweeps.append((adjoint, g))
+        return g
+
+    monkeypatch.setattr(ad, "backward", recorded)
+    return sweeps
+
+
+@pytest.mark.parametrize("activation", ("tanh", "relu", "none"))
+def test_each_factor_is_formed_once_per_node_and_every_sweep_keeps_its_bits(monkeypatch, activation):
+    rng = np.random.default_rng(17)
+    B, C = 6, 4
+    net = NetworkSpec((5, 7, C), activation)
+    theta = init_params(net, rng)
+    X = rng.normal(size=(B, 5))
+
+    def logits(X):
+        return forward_logits(net, theta, X)
+
+    def lsm(X):
+        return ad.log_softmax(forward_logits(net, theta, X))
+
+    calls = [  # (the call, its tape's forward, the forward each of its sweeps must match)
+        (lambda: est._jacobian_stack(net, theta, X), logits, [logits(X[b : b + 1]) for b in range(B) for _ in range(C)]),
+        (lambda: est.exact_fim_definition(net, theta, X, "diagonal"), lsm,
+         [lsm(X[b : b + 1]) for b in range(B) for _ in range(C)]),
+        (lambda: est.hutchinson_fim(net, theta, X, rng=np.random.default_rng(3), n_probes=8, storage="diagonal"),
+         logits, [logits(X)] * 8),
+    ]
+    for call, forward, fresh in calls:
+        formed = _count_factors(monkeypatch)
+        sweeps = _record_sweeps(monkeypatch)
+        call()
+        monkeypatch.undo()
+        # one factor per node that has one: formed with the forward, never by a sweep
+        nodes = forward(X).tape.nodes
+        assert formed == {op: sum(node.op == op for node in nodes) for op in ad._FACTORS}
+        assert len(sweeps) == len(fresh)
+        for (seed, g), root in zip(sweeps, fresh):
+            assert np.array_equal(g, ad.backward(root, seed))
+
+
+def test_a_node_pushed_onto_a_view_gets_a_plan_of_its_own():
+    rng = np.random.default_rng(18)
+    net = NetworkSpec((3, 4, 2), "relu")
+    theta = init_params(net, rng)
+    X = rng.normal(size=(5, 3))
+    logits = forward_logits(net, theta, X)
+    view, other = ad.rows(logits, [3, 1])
+    mine = ad.log_softmax(view)
+    theirs = ad.log_softmax(logits)  # the batch pushes a node under the same id
+    assert mine.idx == theirs.idx
+    alone = ad.log_softmax(forward_logits(net, theta, X[3:4]))
+    for e in np.eye(2)[:, None, :]:
+        assert np.array_equal(ad.gradient(mine, e), ad.gradient(alone, e))
+    ad.gradient(theirs, np.ones((5, 2)))
+    plans = [tape._plans for tape in (view.tape, other.tape, logits.tape)]
+    assert plans[0][view.idx] is plans[1][other.idx] is plans[2][logits.idx]
+    assert plans[0][mine.idx] is not plans[2][theirs.idx] and mine.idx not in plans[1]
+    assert replay(view.tape) is True
 
 
 def _batch(tape, rows=4):
